@@ -22,6 +22,7 @@ stored; resuming re-derives all randomness from the seed and purpose tags.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -136,51 +137,117 @@ def save_checkpoint(path, state: RunState) -> None:
         "blocks": [{"name": n, "shape": list(a.shape)} for n, a in blocks],
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in blocks)
-    crc = zlib.crc32(header_bytes + payload) & 0xFFFFFFFF
+    crc = zlib.crc32(header_bytes)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        fh.write(payload)
-        fh.write(struct.pack("<I", crc))
+        for _, a in blocks:
+            a = np.ascontiguousarray(a, dtype="<f8")
+            crc = zlib.crc32(a, crc)
+            fh.write(a)
+        fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
+
+
+# Keys load_checkpoint reads from the header, with the JSON type each must have.
+_HEADER_TYPES = {
+    "blocks": list,
+    "classifier": dict,
+    "config": dict,
+    "donors": list,
+    "dtype": str,
+    "matrix_rows": list,
+    "modulators": list,
+    "prototypes": list,
+    "retrieval_log": list,
+    "stage": int,
+    "tasks_total": int,
+}
+
+
+def _is(value, kind) -> bool:
+    """isinstance, except that a JSON true/false is not an int."""
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+def _check_header(header, path) -> None:
+    """Raise IntegrityError unless the header has every field the loader reads, well typed."""
+
+    def need(ok, what):
+        if not ok:
+            raise IntegrityError(f"{path} header is malformed: {what}")
+
+    need(isinstance(header, dict), "not a JSON object")
+    for key, kind in _HEADER_TYPES.items():
+        need(key in header, f"missing {key!r}")
+        need(_is(header[key], kind), f"{key!r} is not a {kind.__name__}")
+    need(header["dtype"] in ("float32", "float64"), f"unknown dtype {header['dtype']!r}")
+    for b in header["blocks"]:
+        need(
+            isinstance(b, dict)
+            and isinstance(b.get("name"), str)
+            and isinstance(b.get("shape"), list)
+            and all(_is(d, int) and d >= 0 for d in b["shape"]),
+            f"bad block entry {b!r}",
+        )
+    need(len(header["modulators"]) == len(header["prototypes"]), "modulator/prototype count differ")
+    for m in header["modulators"]:
+        need(isinstance(m, dict) and isinstance(m.get("site_widths"), list), "bad modulator entry")
+    for p in header["prototypes"]:
+        need(isinstance(p, dict) and _is(p.get("node_count"), int), "bad prototype entry")
+    c = header["classifier"]
+    need(
+        _is(c.get("hidden_dim"), int)
+        and isinstance(c.get("frozen"), list)
+        and isinstance(c.get("tasks"), list)
+        and all(isinstance(g, list) and all(_is(x, int) for x in g) for g in c["tasks"]),
+        "bad classifier entry",
+    )
 
 
 def load_checkpoint(path) -> RunState:
     with open(path, "rb") as fh:
-        raw = fh.read()
+        raw = memoryview(fh.read())
     if len(raw) < 24 or raw[:8] != MAGIC:
         raise IntegrityError(f"{path} is not a checkpoint (bad magic)")
-    (version,) = struct.unpack("<I", raw[8:12])
+    (version,) = struct.unpack_from("<I", raw, 8)
     if version != VERSION:
         raise VersionError(f"checkpoint format {version} unsupported (expected {VERSION})")
-    (hlen,) = struct.unpack("<Q", raw[12:20])
+    (hlen,) = struct.unpack_from("<Q", raw, 12)
     header_end = 20 + hlen
     if header_end + 4 > len(raw):
         raise IntegrityError(f"{path} is truncated (header)")
     header_bytes = raw[20:header_end]
     try:
-        header = json.loads(header_bytes.decode("utf-8"))
+        header = json.loads(str(header_bytes, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise IntegrityError(f"{path} header is corrupt: {e}") from None
+    _check_header(header, path)
 
-    counts = [int(np.prod(b["shape"])) for b in header["blocks"]]
+    counts = [math.prod(b["shape"]) for b in header["blocks"]]
     payload_len = 8 * sum(counts)
     if header_end + payload_len + 4 != len(raw):
         raise IntegrityError(f"{path} is truncated (payload)")
     payload = raw[header_end : header_end + payload_len]
-    (crc_stored,) = struct.unpack("<I", raw[-4:])
-    if zlib.crc32(header_bytes + payload) & 0xFFFFFFFF != crc_stored:
+    (crc_stored,) = struct.unpack_from("<I", raw, len(raw) - 4)
+    if zlib.crc32(payload, zlib.crc32(header_bytes)) & 0xFFFFFFFF != crc_stored:
         raise IntegrityError(f"{path} failed its checksum")
 
-    arrays: dict[str, np.ndarray] = {}
+    # Read-only views into the file bytes; each is copied once, by astype, where used.
+    views: dict[str, np.ndarray] = {}
     at = 0
     for meta, count in zip(header["blocks"], counts):
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=8 * at)
-        arrays[meta["name"]] = arr.reshape(meta["shape"]).copy()
+        views[meta["name"]] = np.frombuffer(
+            payload, dtype="<f8", count=count, offset=8 * at
+        ).reshape(meta["shape"])
         at += count
     dtype = np.dtype(header["dtype"])
+
+    def block(name, as_dtype=dtype):
+        if name not in views:
+            raise IntegrityError(f"{path} has no block {name!r}")
+        return views[name].astype(as_dtype)
 
     bank = PrototypeBank()
     for t, (mmeta, pmeta) in enumerate(zip(header["modulators"], header["prototypes"]), start=1):
@@ -188,19 +255,19 @@ def load_checkpoint(path) -> RunState:
         for s in range(len(mmeta["site_widths"])):
             sites.append(
                 SiteParams(
-                    Tensor(arrays[f"task{t}.site{s}.w_base"].astype(dtype), requires_grad=True),
-                    Tensor(arrays[f"task{t}.site{s}.b_base"].astype(dtype), requires_grad=True),
-                    Tensor(arrays[f"task{t}.site{s}.w_attn"].astype(dtype), requires_grad=True),
-                    Tensor(arrays[f"task{t}.site{s}.b_attn"].astype(dtype), requires_grad=True),
+                    Tensor(block(f"task{t}.site{s}.w_base"), requires_grad=True),
+                    Tensor(block(f"task{t}.site{s}.b_base"), requires_grad=True),
+                    Tensor(block(f"task{t}.site{s}.w_attn"), requires_grad=True),
+                    Tensor(block(f"task{t}.site{s}.b_attn"), requires_grad=True),
                 )
             )
-        mod = Modulator(Tensor(arrays[f"task{t}.embedding"].astype(dtype), requires_grad=True), sites)
-        proto = Prototype(arrays[f"task{t}.prototype"], node_count=pmeta["node_count"])
+        mod = Modulator(Tensor(block(f"task{t}.embedding"), requires_grad=True), sites)
+        proto = Prototype(block(f"task{t}.prototype", np.float64), node_count=pmeta["node_count"])
         bank.commit(proto, mod)
 
     cmeta = header["classifier"]
     head = ClassifierHead(cmeta["hidden_dim"], dtype=dtype)
-    head.weight = arrays["classifier.weight"].astype(dtype)
+    head.weight = block("classifier.weight")
     head.frozen = np.array(cmeta["frozen"], dtype=bool)
     head.tasks = [[int(c) for c in group] for group in cmeta["tasks"]]
     col = 0
@@ -213,8 +280,8 @@ def load_checkpoint(path) -> RunState:
         config=header["config"],
         stage=int(header["stage"]),
         tasks_total=int(header["tasks_total"]),
-        backbone_w1=arrays["backbone.w1"].astype(dtype),
-        backbone_w2=arrays["backbone.w2"].astype(dtype),
+        backbone_w1=block("backbone.w1"),
+        backbone_w2=block("backbone.w2"),
         bank=bank,
         head=head,
         matrix_rows=header["matrix_rows"],

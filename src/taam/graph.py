@@ -79,22 +79,27 @@ class SparseGraph:
 
     @classmethod
     def from_edges(cls, num_nodes, edges, features, labels) -> "SparseGraph":
-        """Build from an iterable of (i, j) pairs.
+        """Build from an (E, 2) integer array or an iterable of (i, j) pairs.
 
         Edges are symmetrized and deduplicated; self-loops in the input are
-        dropped (normalization adds its own).
+        dropped (normalization adds its own).  O(E log E): duplicates go
+        through a sort of the flat keys i * n + j, which order exactly like
+        the (i, j) pairs, so each CSR row comes out with sorted indices.
         """
-        e = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if e.size and (e.min() < 0 or e.max() >= num_nodes):
             raise ContractError(f"edge endpoint out of range for {num_nodes} nodes")
         e = e[e[:, 0] != e[:, 1]]
-        both = np.vstack([e, e[:, ::-1]])
-        both = np.unique(both, axis=0)
-        a = sp.csr_matrix(
-            (np.ones(both.shape[0]), (both[:, 0], both[:, 1])),
-            shape=(num_nodes, num_nodes),
-        )
-        return cls(num_nodes, a.indptr, a.indices, a.data, features, labels)
+        i, j = e[:, 0], e[:, 1]
+        keys = np.sort(np.concatenate([i * num_nodes + j, j * num_nodes + i]))
+        # Dedup by sort: np.unique on NumPy >= 2.3 hashes first, ~40x slower at 240k keys.
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        rows, cols = np.divmod(keys, num_nodes)
+        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
+        return cls(num_nodes, indptr, cols, np.ones(keys.shape[0]), features, labels)
 
 
 def normalize_adjacency(g: SparseGraph) -> sp.csr_matrix:
@@ -168,8 +173,12 @@ def generate_sbm(
     `class_means` (num_classes, feature_dim) to override, e.g. to give two
     classes identical feature distributions.
 
-    Deterministic per seed: adjacency is drawn first, then features.  Dense
-    n x n sampling, intended for desk-scale n.
+    Deterministic per seed: adjacency is drawn first, then features.  The
+    edge draw takes O(n + edges) time and memory (Batagelj & Brandes 2005,
+    "Efficient generation of large random networks"): geometric skipping
+    runs first over the flat index space of all within-block pairs i < j,
+    kept with p_in, then over that of all cross-block pairs, kept with
+    p_out, and each kept index maps back to its pair exactly.
     """
     if num_classes < 1 or nodes_per_class < 1:
         raise ContractError("need at least one class and one node per class")
@@ -179,12 +188,14 @@ def generate_sbm(
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), nodes_per_class)
     rng = rng_for(seed, "sbm")
 
-    same = labels[:, None] == labels[None, :]
-    prob = np.where(same, p_in, p_out)
-    draws = rng.random((n, n))
-    upper = np.triu(draws < prob, k=1)
-    rows, cols = np.nonzero(upper)
-    edges = np.stack([rows, cols], axis=1)
+    within = _bernoulli_positions(rng, num_classes * _triangle(nodes_per_class), p_in)
+    cross = _bernoulli_positions(rng, _triangle(num_classes) * nodes_per_class**2, p_out)
+    edges = np.concatenate(
+        [
+            _within_block_pairs(nodes_per_class, within),
+            _cross_block_pairs(num_classes, nodes_per_class, cross),
+        ]
+    )
 
     if class_means is None:
         if feature_dim < num_classes:
@@ -200,3 +211,66 @@ def generate_sbm(
             raise ShapeError(f"class_means shape {means.shape} != ({num_classes}, {feature_dim})")
     features = means[labels] + feature_noise * rng.normal(size=(n, feature_dim))
     return SparseGraph.from_edges(n, edges, features, labels)
+
+
+def _triangle(m: int) -> int:
+    """Number of unordered pairs among m items."""
+    return m * (m - 1) // 2
+
+
+def _bernoulli_positions(rng, total: int, p: float) -> np.ndarray:
+    """Sorted indices of [0, total), each kept independently with probability p.
+
+    The gaps between kept indices are i.i.d. Geometric(p), so the draw costs
+    O(kept) rather than O(total).  Gaps come in chunks sized to cover the
+    whole range with high probability; a short chunk is followed by another.
+    """
+    if total == 0 or p == 0.0:
+        return np.empty(0, dtype=np.int64)
+    if p == 1.0:
+        return np.arange(total, dtype=np.int64)
+    mean = total * p
+    chunk = int(mean + 5.0 * np.sqrt(mean * (1.0 - p))) + 16
+    parts = []
+    last = -1
+    while True:
+        pos = last + np.cumsum(rng.geometric(p, size=chunk))
+        if pos[-1] >= total:
+            parts.append(pos[: np.searchsorted(pos, total)])
+            return np.concatenate(parts)
+        parts.append(pos)
+        last = int(pos[-1])
+
+
+def _isqrt(x: np.ndarray) -> np.ndarray:
+    """Exact floor(sqrt(x)) for non-negative int64 x below 2**52."""
+    s = np.floor(np.sqrt(x.astype(np.float64))).astype(np.int64)
+    s -= s * s > x
+    s += (s + 1) * (s + 1) <= x
+    return s
+
+
+def _within_block_pairs(npc: int, k: np.ndarray) -> np.ndarray:
+    """Map flat within-block indices to (i, j) node pairs with i < j.
+
+    Block c owns indices [c * T, (c + 1) * T) with T = npc(npc - 1)/2; inside a
+    block, r = b(b - 1)/2 + a encodes local nodes a < b.
+    """
+    block, r = np.divmod(k, _triangle(npc))
+    b = (_isqrt(8 * r + 1) + 1) // 2
+    a = r - b * (b - 1) // 2
+    base = block * npc
+    return np.stack([base + a, base + b], axis=1)
+
+
+def _cross_block_pairs(num_classes: int, npc: int, k: np.ndarray) -> np.ndarray:
+    """Map flat cross-block indices to (i, j) node pairs with block(i) < block(j).
+
+    Rows run in node order; a node of block c pairs with every node of the
+    blocks after it, npc * (num_classes - 1 - c) partners.
+    """
+    partners = npc * np.arange(num_classes - 1, -1, -1, dtype=np.int64)
+    starts = np.concatenate([[0], np.cumsum(npc * partners)[:-1]])
+    block = np.searchsorted(starts, k, side="right") - 1
+    row, col = np.divmod(k - starts[block], partners[block])
+    return np.stack([block * npc + row, (block + 1) * npc + col], axis=1)

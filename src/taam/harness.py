@@ -235,10 +235,6 @@ class RunResult:
         }
 
 
-def _has_retrieval(cfg) -> bool:
-    return cfg.method == "taam" and cfg.ablation in ("full", "retrieval_only")
-
-
 def _evaluate_stage(stream, cfg, backbone, model, bank, head, stage, matrix, retrieval_log):
     """Fill row `stage` of the matrix and append retrieval decisions."""
     dtype = cfg.np_dtype

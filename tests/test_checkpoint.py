@@ -1,11 +1,14 @@
 """Checkpoint container: round trips, corruption detection, config guard."""
 
+import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from taam.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from taam.cli import main
 from taam.config import make_config
 from taam.errors import ContractError, IntegrityError, VersionError
 from taam.graph import generate_sbm
@@ -121,7 +124,6 @@ def test_bit_flip_fails_checksum(tmp_path):
 def test_garbage_header_is_integrity_error(tmp_path):
     junk = b"notjson"
     body = MAGIC + struct.pack("<I", 1) + struct.pack("<Q", len(junk)) + junk
-    import zlib
     body += struct.pack("<I", zlib.crc32(junk) & 0xFFFFFFFF)
     p = tmp_path / "junk.bin"
     p.write_bytes(body)
@@ -141,3 +143,65 @@ def test_check_config_guards_resume(tmp_path):
     with pytest.raises(ContractError) as e:
         state.check_config(other)
     assert "lr" in str(e.value) and "seed" in str(e.value)
+
+
+def with_header(path, out, edit):
+    """Copy a checkpoint with `edit` applied to its header and a recomputed CRC."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[12:20])
+    header = json.loads(raw[20 : 20 + hlen])
+    header = edit(header)
+    hb = json.dumps(header).encode("utf-8")
+    payload = raw[20 + hlen : -4]
+    crc = zlib.crc32(payload, zlib.crc32(hb))
+    out.write_bytes(MAGIC + struct.pack("<IQ", 1, len(hb)) + hb + payload + struct.pack("<I", crc))
+    return out
+
+
+def test_header_with_only_a_version_is_integrity_error(tmp_path):
+    hb = b'{"version":1}'
+    p = tmp_path / "bare.bin"
+    p.write_bytes(MAGIC + struct.pack("<IQ", 1, len(hb)) + hb + struct.pack("<I", zlib.crc32(hb)))
+    with pytest.raises(IntegrityError, match="missing"):
+        load_checkpoint(p)
+    assert main(["eval", "--checkpoint", str(p)]) == 1
+
+
+@pytest.mark.parametrize("key", ["blocks", "dtype", "classifier", "stage", "donors"])
+def test_header_missing_key_is_integrity_error(tmp_path, key):
+    _, _, _, path = small_run(tmp_path)
+    bad = with_header(path, tmp_path / "bad.bin", lambda h: {k: h[k] for k in h if k != key})
+    with pytest.raises(IntegrityError, match=f"missing '{key}'"):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("blocks", {"backbone.w1": [8, 16]}),
+        ("stage", "2"),
+        ("stage", True),
+        ("dtype", "int8"),
+        ("config", []),
+        ("modulators", [{"site_widths": 3}]),
+        ("prototypes", [{"node_count": 1.5}, {"node_count": 3}]),
+        ("classifier", {"hidden_dim": 16, "tasks": [["0"]], "frozen": []}),
+    ],
+)
+def test_header_wrong_type_is_integrity_error(tmp_path, field, value):
+    _, _, _, path = small_run(tmp_path)
+    bad = with_header(path, tmp_path / "bad.bin", lambda h: {**h, field: value})
+    with pytest.raises(IntegrityError, match="malformed"):
+        load_checkpoint(bad)
+    assert main(["eval", "--checkpoint", str(bad)]) == 1
+
+
+def test_header_naming_a_missing_block_is_integrity_error(tmp_path):
+    _, _, _, path = small_run(tmp_path)
+
+    def rename(h):
+        h["blocks"][0]["name"] = "backbone.w0"
+        return h
+
+    with pytest.raises(IntegrityError, match="backbone.w1"):
+        load_checkpoint(with_header(path, tmp_path / "bad.bin", rename))

@@ -1,8 +1,12 @@
 """Graph container, normalization, propagation, subgraphs, block model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taam.errors import ContractError, NumericError, ShapeError
 from taam.graph import (
@@ -86,6 +90,24 @@ def test_from_edges_symmetrizes_dedups_drops_loops():
         SparseGraph.from_edges(3, [(0, 3)], np.zeros((3, 1)), np.zeros(3, int))
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 9), data=st.data(), as_array=st.booleans())
+def test_from_edges_matches_dense_oracle(n, data, as_array):
+    # duplicates, both orientations and self-loops all occur; the list may be empty
+    node = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(node, node), max_size=30))
+    want = np.zeros((n, n))
+    for i, j in pairs:
+        if i != j:
+            want[i, j] = want[j, i] = 1.0
+    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2) if as_array else pairs
+    g = SparseGraph.from_edges(n, edges, np.zeros((n, 1)), np.zeros(n, int))
+    assert np.array_equal(g.adjacency().toarray(), want)
+    assert g.num_edges == int(want.sum())
+    for r in range(n):
+        assert np.all(np.diff(g.indices[g.indptr[r] : g.indptr[r + 1]]) > 0)
+
+
 def test_validate_rejects_asymmetric():
     a = sp.csr_matrix(np.array([[0, 1], [0, 0]], dtype=float))
     with pytest.raises(ContractError, match="symmetric"):
@@ -145,9 +167,10 @@ def test_sbm_deterministic_per_seed():
     a = generate_sbm(3, 10, 0.5, 0.1, 4, 6.0, seed=42)
     b = generate_sbm(3, 10, 0.5, 0.1, 4, 6.0, seed=42)
     c = generate_sbm(3, 10, 0.5, 0.1, 4, 6.0, seed=43)
-    assert np.array_equal(a.features, b.features)
-    assert np.array_equal(a.indices, b.indices) and np.array_equal(a.indptr, b.indptr)
+    for name in ("indptr", "indices", "values", "features", "labels"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert not np.array_equal(a.features, c.features)
+    assert not np.array_equal(a.indices, c.indices)
 
 
 def test_sbm_labels_and_block_structure():
@@ -158,6 +181,63 @@ def test_sbm_labels_and_block_structure():
     assert same.all()  # p_out = 0: no cross-class edge
     # p_in = 1: each block is complete
     assert g.num_edges == 3 * 8 * 7
+
+
+def block_oracle(labels, p_in, p_out):
+    """Dense adjacency that p in {0, 1} forces: full where p == 1, empty where 0."""
+    a = np.where(labels[:, None] == labels[None, :], p_in, p_out)
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+@pytest.mark.parametrize(
+    "classes,npc,p_in,p_out",
+    [(4, 5, 1.0, 1.0), (3, 8, 0.0, 0.0), (1, 6, 1.0, 0.0), (5, 1, 1.0, 1.0), (2, 7, 1.0, 0.0)],
+)
+def test_sbm_extreme_probabilities_are_exact(classes, npc, p_in, p_out):
+    # both 1: the complete graph; both 0: no edges; p_in = 1, p_out = 0: complete blocks
+    g = generate_sbm(classes, npc, p_in, p_out, classes, 5.0, seed=1)
+    assert np.array_equal(g.adjacency().toarray(), block_oracle(g.labels, p_in, p_out))
+
+
+@pytest.mark.parametrize(
+    "classes,npc,p_in,p_out", [(6, 60, 0.1, 0.02), (40, 20, 0.3, 0.01), (1, 50, 0.5, 0.0)]
+)
+def test_sbm_csr_is_clean(classes, npc, p_in, p_out):
+    g = generate_sbm(classes, npc, p_in, p_out, classes, 5.0, seed=3)
+    a = g.adjacency()
+    assert (a != a.T).nnz == 0
+    assert np.all(a.diagonal() == 0)
+    assert np.all(g.values == 1.0)
+    rows = np.repeat(np.arange(g.num_nodes), np.diff(g.indptr))
+    # strictly increasing columns within each row: sorted, and no edge twice
+    assert np.all(np.diff(g.indices)[rows[1:] == rows[:-1]] > 0)
+
+
+def test_sbm_edge_counts_match_expectation():
+    classes, npc, p_in, p_out = 8, 150, 0.05, 0.004
+    g = generate_sbm(classes, npc, p_in, p_out, classes, 5.0, seed=0)
+    coo = sp.triu(g.adjacency(), k=1).tocoo()
+    within = int(np.sum(g.labels[coo.row] == g.labels[coo.col]))
+    cross = coo.nnz - within
+    pairs_in = classes * npc * (npc - 1) // 2
+    pairs_out = classes * (classes - 1) // 2 * npc * npc
+    for count, pairs, p in ((within, pairs_in, p_in), (cross, pairs_out, p_out)):
+        sigma = np.sqrt(pairs * p * (1.0 - p))
+        assert abs(count - pairs * p) < 5.0 * sigma, (count, pairs * p, sigma)
+
+
+def test_sbm_memory_is_linear_in_nodes_and_edges():
+    # n = 30000 in two blocks: one n x n float draw would be 7.2 GB, and even
+    # one npc x npc boolean mask is 225 MB, well above the bound.
+    tracemalloc.start()
+    try:
+        g = generate_sbm(2, 15000, 0.001, 0.0002, 4, 8.0, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.num_nodes == 30000 and g.num_edges > 0
+    assert peak < 100e6, f"peak {peak / 1e6:.0f} MB"
 
 
 def test_sbm_default_means_pairwise_separation():
