@@ -1,0 +1,165 @@
+"""Golden artifacts: fixed tiny runs must write the same bytes.
+
+For each method variant below, `taam run` on a tiny block-model stream must
+reproduce the SHA-256 of `matrix.csv`, of `summary.json` without its
+`wall_time_seconds` line, of every `task_NN_train.log` and of
+`checkpoint.bin`.  A refactor that keeps these digests deletes code without
+changing behaviour.
+
+Float results depend on the BLAS kernel that does the matmuls, so the digests
+are keyed to numpy's version and to its OpenBLAS build and run-time kernel.
+Where that fingerprint differs the test skips and says why.  To record the
+digests of the current code, run `PYTHONPATH=src python tests/test_golden.py`.
+"""
+
+import ctypes
+import glob
+import hashlib
+import json
+import os
+import sys
+
+import numpy as np
+import pytest
+
+from taam.cli import main
+
+CONFIG = """\
+dataset = sbm:classes=6,npc=15,p_in=0.2,p_out=0.05,dim=8,sep=4
+protocol = equal:2
+seed = 3
+hidden_dim = 16
+embed_dim = 8
+heads = 2
+epochs = 10
+"""
+
+VARIANTS = {
+    "taam-full-f64": ["--method", "taam", "--ablation", "full", "--precision", "f64"],
+    "taam-retrieval_only-f64": ["--method", "taam", "--ablation", "retrieval_only", "--precision", "f64"],
+    "taam-nsm_only-f64": ["--method", "taam", "--ablation", "nsm_only", "--precision", "f64"],
+    "oracle-f64": ["--method", "oracle", "--precision", "f64"],
+    "finetune-f64": ["--method", "finetune", "--precision", "f64"],
+    "taam-full-f32": ["--method", "taam", "--ablation", "full", "--precision", "f32"],
+}
+
+
+def blas_fingerprint() -> str | None:
+    """numpy's version plus its OpenBLAS configuration, which names the
+    kernel picked for this CPU at run time; None if it cannot be read."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in sorted(glob.glob(libs)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_config64_", "scipy_openblas_get_config", "openblas_get_config"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return f"numpy {np.__version__}; {fn().decode()}"
+    return None
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_digests(workdir, flags) -> dict:
+    """Run `taam run` in `workdir` and hash its artifacts.
+
+    The output directory is the relative path "out": the config echoed into
+    summary.json and checkpoint.bin holds it, so it must not vary.
+    """
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with open("run.conf", "w") as fh:
+            fh.write(CONFIG)
+        assert main(["run", "--config", "run.conf", "--out", "out", *flags]) == 0
+        names = sorted(os.listdir("out"))
+        digests = {}
+        for name in names:
+            with open(os.path.join("out", name), "rb") as fh:
+                data = fh.read()
+            if name == "summary.json":
+                lines = data.splitlines(keepends=True)
+                data = b"".join(l for l in lines if not l.lstrip().startswith(b'"wall_time_seconds"'))
+            digests[name] = sha256(data)
+        return digests
+    finally:
+        os.chdir(cwd)
+
+
+FINGERPRINT = "numpy 2.4.6; OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64"
+GOLDEN = {
+    "finetune-f64": {
+        "checkpoint.bin": "ae9ce1ba0ed94d578f2e6f1ef2f0ef719aa312ec1fc5682f868476c98ecab65e",
+        "matrix.csv": "aa7951b49a945927955a6ad1e207b0017e218256b80ff8a518fdbba25dca4493",
+        "summary.json": "7246be840017e3d3f99bf6a9011d67b128ad4ed0339a52d31fa77317cfb1a7f7",
+        "task_01_train.log": "db6f83369de7a8530bcefd76d3f1b5825908c9348b3ebbdeba45a67ea43a87f6",
+        "task_02_train.log": "85ab3b8914ae55991ab30d7e5b67b6bc7f6e20d569c3e087c047decf0042822d",
+        "task_03_train.log": "1c6d6523872607b0ca65629e5d775952a5e4234afc1001983cb153162723f000",
+    },
+    "oracle-f64": {
+        "checkpoint.bin": "9b3426eb6dd1c754a4394aef66413c99496ff84b2460012e63bd7ec2d6cda09a",
+        "matrix.csv": "7136e86a046cdef9c1ecc33f92f3ea12ea4bb31a74e168eef9c4834afa2a3d84",
+        "summary.json": "4d4837c4298aecd1ab9f1446850654ee6dd4a4ca3b11b2241f3ee694581ff460",
+        "task_01_train.log": "ccfb8156257486546fe9ef53a6517d8b540c51a464e063f9822e917a71ebeb96",
+        "task_02_train.log": "aa6b8741271921850f053d5114362231b1b9ce7280f8d15ab736ca0c67587709",
+        "task_03_train.log": "451a7cae51c75b32550af94cbd1258f8ae39f20a1f1c37aa0b12cb3cf12b9428",
+    },
+    "taam-full-f32": {
+        "checkpoint.bin": "1e65c5dafc4a508b2adb241f2cacd55b25c418257ad0a79ad0fa839cfb61c1a6",
+        "matrix.csv": "7136e86a046cdef9c1ecc33f92f3ea12ea4bb31a74e168eef9c4834afa2a3d84",
+        "summary.json": "9e51fbf7c176e2cabec97ee707601b02693ddd61c1a456256179b15d9fc3f5a3",
+        "task_01_train.log": "53db96dc48b583c906a6f095253a2aecec2b16a9a610a2696a6f734d87a2f586",
+        "task_02_train.log": "524ff3dae58b2e1f6828e53e4bc374a54942d65b525bcb1cea4a512100b92b81",
+        "task_03_train.log": "160a96ff56d38b9157280ebae0dfdd2e74b6e503dc75eec4c4c562646877d1fd",
+    },
+    "taam-full-f64": {
+        "checkpoint.bin": "954a18c79c46b2d181d672306d734108a93620c9cef48d76e48dabb251c9c746",
+        "matrix.csv": "7136e86a046cdef9c1ecc33f92f3ea12ea4bb31a74e168eef9c4834afa2a3d84",
+        "summary.json": "aa7243e31abb0f81b866493dc3dbbb729227f7861c5687d998fbaacac867705a",
+        "task_01_train.log": "ccfb8156257486546fe9ef53a6517d8b540c51a464e063f9822e917a71ebeb96",
+        "task_02_train.log": "aa6b8741271921850f053d5114362231b1b9ce7280f8d15ab736ca0c67587709",
+        "task_03_train.log": "451a7cae51c75b32550af94cbd1258f8ae39f20a1f1c37aa0b12cb3cf12b9428",
+    },
+    "taam-nsm_only-f64": {
+        "checkpoint.bin": "1f88e380564885d09806989abae5bb2552a41e73d15362cfd9d28521b84bcfdb",
+        "matrix.csv": "8001f17262fa3a545b4a0544b509c6a31846f4339ec99753a602671f545bf727",
+        "summary.json": "53b160de2b5cc636f56c3c64a198080f1405fed198e4472e0ce7439bd454b8cd",
+        "task_01_train.log": "ccfb8156257486546fe9ef53a6517d8b540c51a464e063f9822e917a71ebeb96",
+        "task_02_train.log": "626c7cf5aa0a58afd28d713773deccef3118a4cb18a6c8d434fde3083448a8b9",
+        "task_03_train.log": "9093fb493ed7d3ce944548ba77e549700bc93701ff17f8e533e55f596e7cdfad",
+    },
+    "taam-retrieval_only-f64": {
+        "checkpoint.bin": "fc1e302d7944a396197f28c542e8199859d1982c56ea128e99f40a5481b18d98",
+        "matrix.csv": "d8c42f840d0df11a8edbda86ab6e1fadeaa91265849923c00e0d45a4e2823fc5",
+        "summary.json": "ab8abce7a91fd55d5accb9779795761491b07c5013b4e9ad138491fd39dbfefb",
+        "task_01_train.log": "ccfb8156257486546fe9ef53a6517d8b540c51a464e063f9822e917a71ebeb96",
+        "task_02_train.log": "626c7cf5aa0a58afd28d713773deccef3118a4cb18a6c8d434fde3083448a8b9",
+        "task_03_train.log": "9093fb493ed7d3ce944548ba77e549700bc93701ff17f8e533e55f596e7cdfad",
+    },
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_artifacts_match_golden_digests(tmp_path, variant):
+    here = blas_fingerprint()
+    if here != FINGERPRINT:
+        pytest.skip(f"golden digests were recorded with {FINGERPRINT!r}; this machine has {here!r}")
+    assert run_digests(tmp_path, VARIANTS[variant]) == GOLDEN[variant]
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import tempfile
+
+    out = {}
+    for variant, flags in sorted(VARIANTS.items()):
+        with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(io.StringIO()):
+            out[variant] = run_digests(d, flags)
+    json.dump({"fingerprint": blas_fingerprint(), "golden": out}, sys.stdout, indent=4)
+    print()
