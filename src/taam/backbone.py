@@ -15,23 +15,13 @@ import numpy as np
 
 from .errors import ContractError
 from .modulator import Modulator, modulate
-from .tensor import Tensor, layer_norm, matmul
-
-
-@dataclass
-class Activations:
-    """Per-site inputs and modulated outputs, plus the final embedding."""
-
-    pre: list[Tensor]
-    post: list[Tensor]
-    embedding: Tensor
+from .tensor import Tensor, matmul
 
 
 @dataclass
 class Backbone:
     w1: np.ndarray
     w2: np.ndarray
-    hops: int
     _t1: Tensor = field(init=False, repr=False)
     _t2: Tensor = field(init=False, repr=False)
 
@@ -54,32 +44,26 @@ class Backbone:
         """Activation widths at the two insertion sites."""
         return (self.in_dim, self.hidden_dim)
 
-    def forward(self, x_prop, mod: Modulator, norm_fn=layer_norm) -> Activations:
-        """Run propagated features through both modulated layers.
+    def forward(self, x_prop, mod: Modulator) -> Tensor:
+        """Embed propagated features through both modulated layers.
 
         x_prop is the already-propagated feature matrix (n, in_dim); pass a
-        Tensor or an ndarray.  `norm_fn` is forwarded to the modulator (test
-        hook).
+        Tensor or an ndarray.  Returns the (n, hidden_dim) embedding.
         """
         if mod.site_widths != self.site_widths:
             raise ContractError(
                 f"modulator widths {mod.site_widths} do not match backbone {self.site_widths}"
             )
         h = x_prop if isinstance(x_prop, Tensor) else Tensor(x_prop)
-        pre, post = [], []
         for site, w in zip(mod.sites, (self._t1, self._t2)):
-            pre.append(h)
-            h_mod = modulate(site, mod.embedding, h, norm_fn=norm_fn)
-            post.append(h_mod)
-            h = matmul(h_mod, w)
-        return Activations(pre=pre, post=post, embedding=h)
+            h = matmul(modulate(site, mod.embedding, h), w)
+        return h
 
 
 def init_backbone(
     in_dim: int,
     hidden_dim: int,
     rng: np.random.Generator,
-    hops: int = 2,
     dtype=np.float64,
 ) -> Backbone:
     """Random frozen backbone; entries uniform +-1/sqrt(fan_in), w1 then w2."""
@@ -89,4 +73,4 @@ def init_backbone(
     b2 = 1.0 / np.sqrt(hidden_dim)
     w1 = rng.uniform(-b1, b1, size=(in_dim, hidden_dim)).astype(dtype)
     w2 = rng.uniform(-b2, b2, size=(hidden_dim, hidden_dim)).astype(dtype)
-    return Backbone(w1=w1, w2=w2, hops=hops)
+    return Backbone(w1=w1, w2=w2)

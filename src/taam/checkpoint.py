@@ -77,11 +77,7 @@ class RunState:
                 self.backbone_w1.astype(dtype), self.backbone_w2.astype(dtype)
             )
         else:
-            backbone = Backbone(
-                w1=self.backbone_w1.astype(dtype),
-                w2=self.backbone_w2.astype(dtype),
-                hops=cfg.hops,
-            )
+            backbone = Backbone(w1=self.backbone_w1.astype(dtype), w2=self.backbone_w2.astype(dtype))
             model = None
         return backbone, model, self.bank, self.head
 
@@ -150,8 +146,9 @@ def save_checkpoint(path, state: RunState) -> None:
         fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
 
 
-# Keys load_checkpoint reads from the header, with the JSON type each must have.
+# Keys the loader reads or checks in the header, with the JSON type each must have.
 _HEADER_TYPES = {
+    "backbone": dict,
     "blocks": list,
     "classifier": dict,
     "config": dict,
@@ -172,7 +169,8 @@ def _is(value, kind) -> bool:
 
 
 def _check_header(header, path) -> None:
-    """Raise IntegrityError unless the header has every field the loader reads, well typed."""
+    """Raise IntegrityError unless the header has every field the loader reads,
+    well typed, and its block shapes agree with the metadata and each other."""
 
     def need(ok, what):
         if not ok:
@@ -191,9 +189,17 @@ def _check_header(header, path) -> None:
             and all(_is(d, int) and d >= 0 for d in b["shape"]),
             f"bad block entry {b!r}",
         )
+    bb = header["backbone"]
+    need(_is(bb.get("in_dim"), int) and _is(bb.get("hidden_dim"), int), "bad backbone entry")
     need(len(header["modulators"]) == len(header["prototypes"]), "modulator/prototype count differ")
     for m in header["modulators"]:
-        need(isinstance(m, dict) and isinstance(m.get("site_widths"), list), "bad modulator entry")
+        need(
+            isinstance(m, dict)
+            and isinstance(m.get("site_widths"), list)
+            and _is(m.get("embed_dim"), int)
+            and _is(m.get("heads"), int),
+            "bad modulator entry",
+        )
     for p in header["prototypes"]:
         need(isinstance(p, dict) and _is(p.get("node_count"), int), "bad prototype entry")
     c = header["classifier"]
@@ -204,6 +210,38 @@ def _check_header(header, path) -> None:
         and all(isinstance(g, list) and all(_is(x, int) for x in g) for g in c["tasks"]),
         "bad classifier entry",
     )
+
+    stage, total = header["stage"], header["tasks_total"]
+    need(1 <= stage <= total, f"stage {stage} is outside 1..{total}")
+    need(
+        len(header["matrix_rows"]) == len(c["tasks"]) == stage,
+        f"{len(header['matrix_rows'])} matrix rows and {len(c['tasks'])} classifier tasks at stage {stage}",
+    )
+    need(
+        all(isinstance(r, list) and len(r) == t for t, r in enumerate(header["matrix_rows"], start=1)),
+        "matrix row t must hold t entries",
+    )
+    stored = 0 if header["config"].get("method") == "finetune" else stage
+    need(len(header["modulators"]) == stored, f"{len(header['modulators'])} modulators at stage {stage}")
+    classes = [x for g in c["tasks"] for x in g]
+    need(len(set(classes)) == len(classes) == len(c["frozen"]), "classifier classes and frozen flags disagree")
+    d_in, d_h = bb["in_dim"], bb["hidden_dim"]
+    need(c["hidden_dim"] == d_h, f"classifier hidden_dim {c['hidden_dim']} != backbone {d_h}")
+
+    want = {"backbone.w1": [d_in, d_h], "backbone.w2": [d_h, d_h], "classifier.weight": [d_h, len(classes)]}
+    for t, m in enumerate(header["modulators"], start=1):
+        need(m["site_widths"] == [d_in, d_h], f"task {t} site widths {m['site_widths']} != {[d_in, d_h]}")
+        heads, e = m["heads"], m["embed_dim"]
+        for s, width in enumerate(m["site_widths"]):
+            want[f"task{t}.site{s}.w_base"] = [heads * 2 * width, e]
+            want[f"task{t}.site{s}.b_base"] = [heads * 2 * width, 1]
+            want[f"task{t}.site{s}.w_attn"] = [heads, width]
+            want[f"task{t}.site{s}.b_attn"] = [1, heads]
+        want[f"task{t}.embedding"] = [e, 1]
+        want[f"task{t}.prototype"] = [d_in]
+    shapes = {b["name"]: b["shape"] for b in header["blocks"]}
+    for name, shape in want.items():
+        need(shapes.get(name) == shape, f"block {name!r} has shape {shapes.get(name)}, expected {shape}")
 
 
 def load_checkpoint(path) -> RunState:
@@ -245,8 +283,6 @@ def load_checkpoint(path) -> RunState:
     dtype = np.dtype(header["dtype"])
 
     def block(name, as_dtype=dtype):
-        if name not in views:
-            raise IntegrityError(f"{path} has no block {name!r}")
         return views[name].astype(as_dtype)
 
     bank = PrototypeBank()

@@ -23,11 +23,11 @@ import sys
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .config import ABLATIONS, METHODS, RunConfig, make_config, read_config_file
-from .datasets import parse_sbm_spec, resolve_dataset, write_planetoid
+from .config import ABLATIONS, METHODS, PRECISIONS, RunConfig, make_config, read_config_file
+from .datasets import write_planetoid
 from .errors import ContractError, IntegrityError, NumericError, ParseError
 from .graph import generate_sbm
-from .harness import build_stream, evaluate_final_row, run_continual, write_matrix_csv
+from .harness import evaluate_final_row, run_continual, stream_from_config, write_matrix_csv
 from .training import end_to_end_grad_check
 
 log = logging.getLogger(__name__)
@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int)
     run.add_argument("--ablation", choices=ABLATIONS)
     run.add_argument("--epochs", type=int)
-    run.add_argument("--precision", choices=("f64", "f32"))
+    run.add_argument("--precision", choices=PRECISIONS)
     run.add_argument("--out", help="output directory")
     run.add_argument("--resume", help="checkpoint to continue from")
     run.add_argument("--stop-after", type=int, default=None,
@@ -105,17 +105,7 @@ def _dump_json(path, payload) -> None:
 
 def _run_one(cfg: RunConfig, out_dir: str, resume_path=None, stop_after=None) -> dict:
     os.makedirs(out_dir, exist_ok=True)
-    graph = resolve_dataset(cfg.dataset, cfg.seed, row_normalize=cfg.row_normalize)
-    classes_per_task, sizes = cfg.protocol_spec()
-    stream = build_stream(
-        graph,
-        classes_per_task=classes_per_task or 2,
-        task_sizes=sizes,
-        seed=cfg.seed,
-        shuffle_classes=cfg.shuffle_classes,
-        train_frac=cfg.train_frac,
-        val_frac=cfg.val_frac,
-    )
+    stream = stream_from_config(cfg)
     resume = load_checkpoint(resume_path) if resume_path else None
     checkpoint_path = os.path.join(out_dir, "checkpoint.bin")
     result = run_continual(
@@ -147,18 +137,7 @@ def _cmd_run(args) -> int:
 def _cmd_eval(args) -> int:
     state = load_checkpoint(args.checkpoint)
     cfg = make_config(state.config, {"dataset": args.dataset} if args.dataset else {})
-    graph = resolve_dataset(cfg.dataset, cfg.seed, row_normalize=cfg.row_normalize)
-    classes_per_task, sizes = cfg.protocol_spec()
-    stream = build_stream(
-        graph,
-        classes_per_task=classes_per_task or 2,
-        task_sizes=sizes,
-        seed=cfg.seed,
-        shuffle_classes=cfg.shuffle_classes,
-        train_frac=cfg.train_frac,
-        val_frac=cfg.val_frac,
-    )
-    row, decisions = evaluate_final_row(stream, cfg, state)
+    row, decisions = evaluate_final_row(stream_from_config(cfg), cfg, state)
     payload = {
         "checkpoint": args.checkpoint,
         "stage": state.stage,

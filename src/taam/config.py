@@ -4,6 +4,10 @@ A config file is plain text, one `key = value` per line, `#` comments and
 blank lines ignored.  Every key is a RunConfig field; unknown keys are
 rejected with the list of valid ones.  Command-line flags override file
 values, which override the defaults.
+
+VARIANTS is the one table of method variants: for each valid (method,
+ablation) pair, whether a new task warm-starts, where evaluation gets the
+task id, and which label space it predicts over.
 """
 
 from __future__ import annotations
@@ -15,8 +19,33 @@ import numpy as np
 
 from .errors import ContractError
 
-METHODS = ("taam", "oracle", "finetune")
-ABLATIONS = ("full", "retrieval_only", "nsm_only")
+
+@dataclass(frozen=True)
+class Variant:
+    """The three choices that tell the method variants apart.
+
+    warm_start   a new task's modulator is cloned from the nearest stored one
+    task_id      where evaluation gets the task id: "retrieved" (nearest
+                 prototype), "true" (handed in), "latest" (newest modulator),
+                 or None (no modulators: one shared trainable model)
+    label_space  "task" predicts over the chosen task's classes, "seen" over
+                 every class registered so far
+    """
+
+    warm_start: bool
+    task_id: str | None
+    label_space: str
+
+
+VARIANTS = {
+    ("taam", "full"): Variant(True, "retrieved", "task"),
+    ("taam", "retrieval_only"): Variant(False, "retrieved", "task"),
+    ("taam", "nsm_only"): Variant(False, "latest", "seen"),
+    ("oracle", "full"): Variant(True, "true", "task"),
+    ("finetune", "full"): Variant(False, None, "seen"),
+}
+METHODS = tuple(dict.fromkeys(m for m, _ in VARIANTS))
+ABLATIONS = tuple(dict.fromkeys(a for _, a in VARIANTS))
 REDUCTIONS = ("sum", "mean")
 PRECISIONS = ("f64", "f32")
 
@@ -46,10 +75,10 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         if self.method not in METHODS:
-            raise ContractError(f"method must be one of {METHODS}, got {self.method!r}")
+            raise ContractError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.ablation not in ABLATIONS:
-            raise ContractError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
-        if self.ablation != "full" and self.method != "taam":
+            raise ContractError(f"unknown ablation {self.ablation!r}; choose from {ABLATIONS}")
+        if (self.method, self.ablation) not in VARIANTS:
             raise ContractError("ablations apply to method=taam only")
         if self.reduction not in REDUCTIONS:
             raise ContractError(f"reduction must be one of {REDUCTIONS}, got {self.reduction!r}")
@@ -65,8 +94,12 @@ class RunConfig:
         return np.float64 if self.precision == "f64" else np.float32
 
     @property
+    def variant(self) -> Variant:
+        return VARIANTS[self.method, self.ablation]
+
+    @property
     def warm_start(self) -> bool:
-        return self.ablation == "full"
+        return self.variant.warm_start
 
     def protocol_spec(self) -> tuple[int | None, list[int] | None]:
         """Parse the protocol string: "equal:K" or "unequal:a,b,c"."""

@@ -14,6 +14,8 @@ Methods:
               newest modulator, prediction over all classes seen).
     oracle    same training; evaluation is handed the true task id.
     finetune  naive sequential training of one shared model, nothing frozen.
+
+What each variant changes is read from the table `config.VARIANTS`.
 """
 
 from __future__ import annotations
@@ -25,19 +27,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backbone import Backbone, init_backbone
+from .backbone import init_backbone
 from .classifier import ClassifierHead
+from .datasets import resolve_dataset
 from .errors import ContractError
 from .graph import SparseGraph, induced_subgraph, normalize_adjacency, propagate
 from .prototypes import PrototypeBank
 from .rng import rng_for
 from .tensor import Tensor
-from .training import FinetuneModel, TaskTrainLog, train_finetune_task, train_task
+from .training import FinetuneModel, TaskTrainLog, train_task
 
 log = logging.getLogger(__name__)
-
-METHODS = ("taam", "oracle", "finetune")
-ABLATIONS = ("full", "retrieval_only", "nsm_only")
 
 
 @dataclass
@@ -157,6 +157,21 @@ def build_stream(
     return TaskStream(tasks=tasks, dropped_classes=[int(c) for c in dropped], source_nodes=g.num_nodes)
 
 
+def stream_from_config(cfg) -> TaskStream:
+    """Load cfg's dataset and cut it into the stream its protocol describes."""
+    g = resolve_dataset(cfg.dataset, cfg.seed, row_normalize=cfg.row_normalize)
+    classes_per_task, sizes = cfg.protocol_spec()
+    return build_stream(
+        g,
+        classes_per_task=classes_per_task or 2,
+        task_sizes=sizes,
+        seed=cfg.seed,
+        shuffle_classes=cfg.shuffle_classes,
+        train_frac=cfg.train_frac,
+        val_frac=cfg.val_frac,
+    )
+
+
 def average_accuracy(matrix: np.ndarray) -> float:
     """Mean of the final row (accuracy on every task after the last stage)."""
     last = matrix[-1]
@@ -237,40 +252,36 @@ class RunResult:
 
 def _evaluate_stage(stream, cfg, backbone, model, bank, head, stage, matrix, retrieval_log):
     """Fill row `stage` of the matrix and append retrieval decisions."""
-    dtype = cfg.np_dtype
+    variant = cfg.variant
     for j in range(1, stage + 1):
         task = stream.tasks[j - 1]
         x64 = task.propagated(cfg.hops)
-        x = x64.astype(dtype, copy=False)
-        test = task.test_idx
-        truth = task.graph.labels[test]
-        inferred = None
-        if cfg.method == "finetune":
-            emb = model.embed(Tensor(x[test])).data
-            pred = head.predict(emb, head.registered)
+        x = Tensor(x64.astype(cfg.np_dtype, copy=False)[task.test_idx])
+        truth = task.graph.labels[task.test_idx]
+        if variant.task_id is None:
+            inferred = None
+            emb = model.embed(x).data
         else:
-            if cfg.method == "oracle":
+            if variant.task_id == "true":
                 inferred = j
-            elif cfg.ablation == "nsm_only":
+            elif variant.task_id == "latest":
                 inferred = bank.latest_task()
             else:
-                inferred, _, _ = bank.retrieve(task.graph, test, cfg.hops, x_prop=x64)
-            mod = bank.modulator(inferred)
-            emb = backbone.forward(Tensor(x[test]), mod).embedding.data
-            if cfg.ablation == "nsm_only" or cfg.predict_over_all:
-                classes = head.registered
-            else:
-                classes = head.tasks[inferred - 1]
-            pred = head.predict(emb, classes)
-        acc = 100.0 * float((pred == truth).sum()) / truth.size
-        matrix[stage - 1, j - 1] = acc
-        entry = {"stage": stage, "task": j, "true": j, "inferred": inferred}
-        entry["correct"] = (inferred == j) if inferred is not None else None
-        retrieval_log.append(entry)
+                inferred, _, _ = bank.retrieve(task.graph, task.test_idx, cfg.hops, x_prop=x64)
+            emb = backbone.forward(x, bank.modulator(inferred)).data
+        if variant.label_space == "seen" or cfg.predict_over_all:
+            classes = head.registered
+        else:
+            classes = head.tasks[inferred - 1]
+        pred = head.predict(emb, classes)
+        matrix[stage - 1, j - 1] = 100.0 * float((pred == truth).sum()) / truth.size
+        correct = (inferred == j) if inferred is not None else None
+        retrieval_log.append({"stage": stage, "task": j, "true": j, "inferred": inferred, "correct": correct})
 
 
 def _per_stage_retrieval(cfg, retrieval_log, completed) -> list[float] | None:
-    if cfg.method == "finetune" or cfg.ablation == "nsm_only" and cfg.method == "taam":
+    """Share of correct task ids per stage, for variants that pick one per task."""
+    if cfg.variant.task_id not in ("retrieved", "true"):
         return None
     out = []
     for t in range(1, completed + 1):
@@ -289,14 +300,9 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
     """
     from .checkpoint import RunState, save_checkpoint  # local import, no cycle
 
-    if cfg.method not in METHODS:
-        raise ContractError(f"unknown method {cfg.method!r}; choose from {METHODS}")
-    if cfg.ablation not in ABLATIONS:
-        raise ContractError(f"unknown ablation {cfg.ablation!r}; choose from {ABLATIONS}")
+    cfg.validate()
     t_total = len(stream.tasks)
     started = time.perf_counter()
-    dtype = cfg.np_dtype
-    in_dim = stream.tasks[0].graph.feature_dim
 
     matrix = np.full((t_total, t_total), np.nan)
     retrieval_log: list[dict] = []
@@ -305,16 +311,13 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
     first_stage = 1
 
     if resume is None:
-        rng_bb = rng_for(cfg.seed, "backbone")
+        in_dim = stream.tasks[0].graph.feature_dim
+        backbone = init_backbone(in_dim, cfg.hidden_dim, rng_for(cfg.seed, "backbone"), dtype=cfg.np_dtype)
+        model = None
         if cfg.method == "finetune":
-            frozen = init_backbone(in_dim, cfg.hidden_dim, rng_bb, hops=cfg.hops, dtype=dtype)
-            model = FinetuneModel(frozen.w1, frozen.w2)
-            backbone = None
-        else:
-            backbone = init_backbone(in_dim, cfg.hidden_dim, rng_bb, hops=cfg.hops, dtype=dtype)
-            model = None
+            backbone, model = None, FinetuneModel(backbone.w1, backbone.w2)
         bank = PrototypeBank()
-        head = ClassifierHead(cfg.hidden_dim, dtype=dtype)
+        head = ClassifierHead(cfg.hidden_dim, dtype=cfg.np_dtype)
     else:
         resume.check_config(cfg)
         if resume.stage >= t_total:
@@ -330,65 +333,39 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
     if last < first_stage:
         raise ContractError(f"stop_after={stop_after} is before the first stage to run ({first_stage})")
 
-    completed = first_stage - 1
     for stage in range(first_stage, last + 1):
-        task = stream.tasks[stage - 1]
-        if cfg.method == "finetune":
-            task_logs.append(train_finetune_task(task, model, head, cfg))
-            donors.append(None)
-        else:
-            tl = train_task(task, backbone, bank, head, cfg)
-            task_logs.append(tl)
-            donors.append(tl.donor)
+        tl = train_task(stream.tasks[stage - 1], backbone or model, bank, head, cfg)
+        task_logs.append(tl)
+        donors.append(tl.donor)
         _evaluate_stage(stream, cfg, backbone, model, bank, head, stage, matrix, retrieval_log)
-        completed = stage
+        w1, w2 = (backbone.w1, backbone.w2) if model is None else (model.w1.data, model.w2.data)
+        state = RunState(
+            config=cfg.echo(),
+            stage=stage,
+            tasks_total=t_total,
+            backbone_w1=w1,
+            backbone_w2=w2,
+            bank=bank,
+            head=head,
+            matrix_rows=[list(map(float, matrix[t - 1, :t])) for t in range(1, stage + 1)],
+            retrieval_log=retrieval_log,
+            donors=donors,
+        )
         if checkpoint_path is not None:
-            w1, w2 = (model.w1.data, model.w2.data) if model is not None else (backbone.w1, backbone.w2)
-            state = RunState(
-                config=cfg.echo(),
-                stage=completed,
-                tasks_total=t_total,
-                backbone_w1=w1,
-                backbone_w2=w2,
-                bank=bank,
-                head=head,
-                matrix_rows=[list(map(float, matrix[t - 1, :t])) for t in range(1, completed + 1)],
-                retrieval_log=retrieval_log,
-                donors=donors,
-            )
             save_checkpoint(checkpoint_path, state)
 
-    aa = af = None
-    if completed >= 1:
-        aa = float(np.mean(matrix[completed - 1, :completed]))
-    if completed >= 2:
-        sub = matrix[:completed, :completed]
-        af = average_forgetting(sub)
-
-    w1, w2 = (model.w1.data, model.w2.data) if model is not None else (backbone.w1, backbone.w2)
-    final_state = RunState(
-        config=cfg.echo(),
-        stage=completed,
-        tasks_total=t_total,
-        backbone_w1=w1,
-        backbone_w2=w2,
-        bank=bank,
-        head=head,
-        matrix_rows=[list(map(float, matrix[t - 1, :t])) for t in range(1, completed + 1)],
-        retrieval_log=retrieval_log,
-        donors=donors,
-    )
+    final = matrix[:last, :last]
     return RunResult(
         matrix=matrix,
-        completed=completed,
-        aa=aa,
-        af=af,
+        completed=last,
+        aa=average_accuracy(final),
+        af=average_forgetting(final) if last >= 2 else None,
         retrieval_log=retrieval_log,
-        per_stage_retrieval=_per_stage_retrieval(cfg, retrieval_log, completed),
+        per_stage_retrieval=_per_stage_retrieval(cfg, retrieval_log, last),
         donors=donors,
         task_logs=task_logs,
         wall_time_seconds=time.perf_counter() - started,
-        state=final_state,
+        state=state,
     )
 
 

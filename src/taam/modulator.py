@@ -106,18 +106,15 @@ def node_attention(site: SiteParams, h: Tensor) -> Tensor:
     return softmax_rows(scores)
 
 
-def modulate(site: SiteParams, embedding: Tensor, h: Tensor, norm_fn=layer_norm) -> Tensor:
-    """Scale-and-shift the normalized activations with per-node coefficients.
-
-    `norm_fn` exists as a test hook; the model always uses layer_norm.
-    """
+def modulate(site: SiteParams, embedding: Tensor, h: Tensor) -> Tensor:
+    """Scale-and-shift the layer-normalized activations with per-node coefficients."""
     if h.data.ndim != 2 or h.data.shape[1] != site.width:
         raise ShapeError(f"activations shape {h.data.shape} does not match site width {site.width}")
     basis = base_heads(site, embedding)
     attn = node_attention(site, h)
     scale = matmul(attn, slice_cols(basis, 0, site.width))
     shift = matmul(attn, slice_cols(basis, site.width, 2 * site.width))
-    return add(mul(scale, norm_fn(h)), shift)
+    return add(mul(scale, layer_norm(h)), shift)
 
 
 def init_modulator(

@@ -1,10 +1,11 @@
-"""Optimization: Adam, the per-task loss, and the two training loops.
+"""Optimization: Adam, the per-task loss, and the one epoch loop.
 
-The continual loop (`train_task`) touches only the new task's modulator and
-the head columns of its classes; everything older is frozen by construction.
-The naive loop (`train_finetune_task`) is the no-protection baseline: one
-shared trainable backbone and every head column free, loss over all classes
-seen so far.
+`train_task` trains one task of the stream.  With modulators (methods taam
+and oracle) it touches only the new task's modulator and the head columns of
+its classes; everything older is frozen by construction.  For the naive
+baseline (method finetune) it trains one shared backbone and every head
+column, with the loss over all classes seen so far.  Both run the same epoch
+loop, `_fit`.
 """
 
 from __future__ import annotations
@@ -108,53 +109,27 @@ def _accuracy_percent(pred: np.ndarray, truth: np.ndarray) -> float:
     return 100.0 * float((pred == truth).sum()) / truth.size
 
 
-def train_task(task, backbone, bank, head, cfg) -> TaskTrainLog:
-    """Train one task's modulator and head columns; freeze and store them.
+def _fit(embed, params, w: Tensor, x_prop, task, labels, node_w, cfg) -> list[EpochLog]:
+    """Train `params` and the head block `w` on the task's train nodes.
 
-    Only the fresh modulator and the new columns receive gradients.  The
-    task's prototype is computed from its train nodes before training and
-    committed with the frozen modulator afterwards.
+    `embed` maps propagated features (a Tensor) to embeddings, `labels` gives
+    every node of the task graph its column of `w`, and `node_w` weights the
+    loss of each train node.  Logs loss and train/validation accuracy per
+    epoch; the validation pass is not recorded on the tape.
     """
-    dtype = cfg.np_dtype
-    x_prop64 = task.propagated(cfg.hops)
-    x_prop = x_prop64.astype(dtype, copy=False)
-
-    proto = compute_prototype(task.graph, task.train_idx, cfg.hops, x_prop=x_prop64)
-    rng_mod = rng_for(cfg.seed, "task", task.task_id, "nsm")
-    if cfg.warm_start:
-        mod, donor = task_aware_init(
-            bank, proto, backbone.site_widths, rng_mod,
-            embed_dim=cfg.embed_dim, heads=cfg.heads, dtype=dtype,
-        )
-    else:
-        mod = init_modulator(
-            backbone.site_widths, rng_mod,
-            embed_dim=cfg.embed_dim, heads=cfg.heads, dtype=dtype,
-        )
-        donor = None
-
-    head.extend(task.classes, rng_for(cfg.seed, "task", task.task_id, "head"))
-    w = Tensor(head.column_block(task.classes), requires_grad=True)
-
-    y_train = task.local_labels[task.train_idx]
-    y_val = task.local_labels[task.val_idx]
-    cw = class_weights(task.graph.labels[task.train_idx], task.classes)
+    y_train = labels[task.train_idx]
+    y_val = labels[task.val_idx]
     x_train = Tensor(x_prop[task.train_idx])
     x_val = Tensor(x_prop[task.val_idx]) if task.val_idx.size else None
-
-    opt = Adam(
-        mod.parameters() + [w],
-        lr=cfg.lr, weight_decay=cfg.weight_decay,
-    )
+    opt = Adam(params + [w], lr=cfg.lr, weight_decay=cfg.weight_decay)
     epochs: list[EpochLog] = []
     for epoch in range(1, cfg.epochs + 1):
         with Tape() as tape:
-            acts = backbone.forward(x_train, mod)
-            z = matmul(acts.embedding, w)
-            loss = weighted_ce(z, y_train, cw, reduction=cfg.reduction)
+            z = matmul(embed(x_train), w)
+            loss = weighted_cross_entropy(z, y_train, node_w, reduction=cfg.reduction)
         train_acc = _accuracy_percent(z.data.argmax(axis=1), y_train)
         if x_val is not None:
-            z_val = backbone.forward(x_val, mod).embedding.data @ w.data
+            z_val = embed(x_val).data @ w.data
             val_acc = _accuracy_percent(z_val.argmax(axis=1), y_val)
         else:
             val_acc = float("nan")
@@ -162,7 +137,44 @@ def train_task(task, backbone, bank, head, cfg) -> TaskTrainLog:
         opt.zero_grad()
         tape.backward(loss)
         opt.step()
+    return epochs
 
+
+def train_task(task, backbone, bank, head, cfg) -> TaskTrainLog:
+    """Train one task and register its classes in the head.
+
+    With modulators, only a fresh modulator and the task's new head columns
+    receive gradients.  The task's prototype is computed from its train nodes
+    before training and committed with the frozen modulator afterwards.
+
+    For method finetune, `backbone` is the shared trainable FinetuneModel and
+    `bank` is unused: everything is trained, over every class registered so
+    far, and nothing is frozen or stored.
+    """
+    x_prop64 = task.propagated(cfg.hops)
+    x_prop = x_prop64.astype(cfg.np_dtype, copy=False)
+    head.extend(task.classes, rng_for(cfg.seed, "task", task.task_id, "head"))
+    cw = class_weights(task.graph.labels[task.train_idx], task.classes)
+    node_w = cw[task.local_labels[task.train_idx]]
+
+    if cfg.method == "finetune":
+        cols = [c for group in head.tasks for c in group]
+        w = Tensor(head.column_block(cols), requires_grad=True)
+        labels = task.local_labels + (len(cols) - len(task.classes))
+        epochs = _fit(backbone.embed, backbone.parameters(), w, x_prop, task, labels, node_w, cfg)
+        head.set_columns(cols, w.data)
+        return TaskTrainLog(task_id=task.task_id, donor=None, epochs=epochs)
+
+    proto = compute_prototype(task.graph, task.train_idx, cfg.hops, x_prop=x_prop64)
+    rng_mod = rng_for(cfg.seed, "task", task.task_id, "nsm")
+    dims = {"embed_dim": cfg.embed_dim, "heads": cfg.heads, "dtype": cfg.np_dtype}
+    if cfg.warm_start:
+        mod, donor = task_aware_init(bank, proto, backbone.site_widths, rng_mod, **dims)
+    else:
+        mod, donor = init_modulator(backbone.site_widths, rng_mod, **dims), None
+    w = Tensor(head.column_block(task.classes), requires_grad=True)
+    embed = lambda x: backbone.forward(x, mod)
+    epochs = _fit(embed, mod.parameters(), w, x_prop, task, task.local_labels, node_w, cfg)
     head.set_columns(task.classes, w.data)
     head.freeze_classes(task.classes)
     bank.commit(proto, mod)
@@ -177,59 +189,11 @@ class FinetuneModel:
         self.w1 = Tensor(np.array(w1), requires_grad=True)
         self.w2 = Tensor(np.array(w2), requires_grad=True)
 
-    @property
-    def hidden_dim(self) -> int:
-        return int(self.w1.shape[1])
-
     def embed(self, x: Tensor) -> Tensor:
         return matmul(matmul(x, self.w1), self.w2)
 
     def parameters(self) -> list[Tensor]:
         return [self.w1, self.w2]
-
-
-def train_finetune_task(task, model: FinetuneModel, head, cfg) -> TaskTrainLog:
-    """Naive sequential training: everything trainable, loss over all classes
-    registered so far, nothing frozen and nothing stored."""
-    dtype = cfg.np_dtype
-    x_prop = task.propagated(cfg.hops).astype(dtype, copy=False)
-    head.extend(task.classes, rng_for(cfg.seed, "task", task.task_id, "head"))
-
-    col_order = [c for group in head.tasks for c in group]
-    w_all = Tensor(head.column_block(col_order), requires_grad=True)
-
-    y_global_train = task.graph.labels[task.train_idx]
-    y_global_val = task.graph.labels[task.val_idx]
-    col_of = {c: i for i, c in enumerate(col_order)}
-    y_train = np.array([col_of[int(c)] for c in y_global_train], dtype=np.int64)
-    y_val = np.array([col_of[int(c)] for c in y_global_val], dtype=np.int64)
-
-    counts = np.array([(y_global_train == c).sum() for c in task.classes], dtype=np.float64)
-    weight_of = {c: 1.0 / max(n, 1.0) for c, n in zip(task.classes, counts)}
-    node_w = np.array([weight_of[int(c)] for c in y_global_train])
-
-    x_train = Tensor(x_prop[task.train_idx])
-    x_val = Tensor(x_prop[task.val_idx]) if task.val_idx.size else None
-
-    opt = Adam(model.parameters() + [w_all], lr=cfg.lr, weight_decay=cfg.weight_decay)
-    epochs: list[EpochLog] = []
-    for epoch in range(1, cfg.epochs + 1):
-        with Tape() as tape:
-            z = matmul(model.embed(x_train), w_all)
-            loss = weighted_cross_entropy(z, y_train, node_w, reduction=cfg.reduction)
-        train_acc = _accuracy_percent(z.data.argmax(axis=1), y_train)
-        if x_val is not None:
-            z_val = model.embed(x_val).data @ w_all.data
-            val_acc = _accuracy_percent(z_val.argmax(axis=1), y_val)
-        else:
-            val_acc = float("nan")
-        epochs.append(EpochLog(epoch, loss.item(), train_acc, val_acc))
-        opt.zero_grad()
-        tape.backward(loss)
-        opt.step()
-
-    head.set_columns(col_order, w_all.data)
-    return TaskTrainLog(task_id=task.task_id, donor=None, epochs=epochs)
 
 
 def end_to_end_grad_check(
@@ -255,7 +219,7 @@ def end_to_end_grad_check(
         raise ContractError("num_nodes must be even (two equal classes)")
     g = generate_sbm(2, num_nodes // 2, 0.6, 0.3, in_dim, 4.0, seed)
     x_prop = propagate(normalize_adjacency(g), g.features, hops)
-    backbone = init_backbone(in_dim, hidden_dim, rng_for(seed, "gc-backbone"), hops=hops)
+    backbone = init_backbone(in_dim, hidden_dim, rng_for(seed, "gc-backbone"))
     mod = init_modulator(
         backbone.site_widths, rng_for(seed, "gc-mod"), embed_dim=embed_dim, heads=heads
     )
@@ -273,7 +237,7 @@ def end_to_end_grad_check(
     x = Tensor(x_prop)
 
     def loss_fn():
-        z = matmul(backbone.forward(x, mod).embedding, w)
+        z = matmul(backbone.forward(x, mod), w)
         return weighted_ce(z, g.labels, cw, reduction="sum")
 
     return grad_check(loss_fn, mod.parameters() + [w], step=step)

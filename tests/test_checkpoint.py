@@ -175,6 +175,14 @@ def test_header_missing_key_is_integrity_error(tmp_path, key):
         load_checkpoint(bad)
 
 
+def transposed(name):
+    return lambda h: [{**b, "shape": b["shape"][::-1]} if b["name"] == name else b for b in h["blocks"]]
+
+
+def classifier_with(**edits):
+    return lambda h: {**h["classifier"], **{k: edit(h["classifier"]) for k, edit in edits.items()}}
+
+
 @pytest.mark.parametrize(
     "field,value",
     [
@@ -186,11 +194,20 @@ def test_header_missing_key_is_integrity_error(tmp_path, key):
         ("modulators", [{"site_widths": 3}]),
         ("prototypes", [{"node_count": 1.5}, {"node_count": 3}]),
         ("classifier", {"hidden_dim": 16, "tasks": [["0"]], "frozen": []}),
+        # well typed, but disagreeing with the rest of the header (a callable
+        # value is applied to the header); payload size and CRC stay valid
+        ("blocks", transposed("task1.site0.w_attn")),
+        ("blocks", transposed("backbone.w1")),
+        ("classifier", classifier_with(hidden_dim=lambda c: 17)),
+        ("classifier", classifier_with(tasks=lambda c: c["tasks"][:-1] + [c["tasks"][-1] + [9]])),
+        ("stage", 5),
+        ("stage", 0),
     ],
 )
 def test_header_wrong_type_is_integrity_error(tmp_path, field, value):
     _, _, _, path = small_run(tmp_path)
-    bad = with_header(path, tmp_path / "bad.bin", lambda h: {**h, field: value})
+    edit = lambda h: {**h, field: value(h) if callable(value) else value}
+    bad = with_header(path, tmp_path / "bad.bin", edit)
     with pytest.raises(IntegrityError, match="malformed"):
         load_checkpoint(bad)
     assert main(["eval", "--checkpoint", str(bad)]) == 1

@@ -13,6 +13,7 @@ from taam.harness import (
     evaluate_final_row,
     read_matrix_csv,
     run_continual,
+    stream_from_config,
     write_matrix_csv,
 )
 
@@ -251,6 +252,16 @@ def test_bad_method_rejected():
     cfg.method = "svm"
     with pytest.raises(ContractError, match="unknown method"):
         run_continual(stream_for(cfg_for()), cfg)
+
+
+def test_identical_tasks_tie_to_the_lowest_task_id():
+    # sep=0 and noise=0: both tasks draw the same features, so retrieval and
+    # the warm-start donor tie, and the tie goes to the lowest task id
+    cfg = cfg_for(dataset="sbm:classes=4,npc=10,dim=4,sep=0,noise=0", epochs=20)
+    res = run_continual(stream_from_config(cfg), cfg)
+    assert [e["inferred"] for e in res.retrieval_log] == [1, 1, 1]
+    assert res.donors == [None, 1]
+    assert res.aa == 25.0
 
 
 def test_evaluate_final_row_matches_run():

@@ -26,7 +26,6 @@ from taam.training import (
     FinetuneModel,
     class_weights,
     end_to_end_grad_check,
-    train_finetune_task,
     train_task,
     weighted_ce,
 )
@@ -228,12 +227,13 @@ def test_finetune_trains_shared_weights_over_all_columns():
     bb = init_backbone(g.feature_dim, cfg.hidden_dim, rng_for(0, "backbone"))
     model = FinetuneModel(bb.w1, bb.w2)
     head = ClassifierHead(cfg.hidden_dim)
+    bank = PrototypeBank()
     w1_before = model.w1.data.copy()
-    train_finetune_task(stream.tasks[0], model, head, cfg)
+    train_task(stream.tasks[0], model, bank, head, cfg)
     assert not np.array_equal(model.w1.data, w1_before)  # backbone actually moves
-    train_finetune_task(stream.tasks[1], model, head, cfg)
+    train_task(stream.tasks[1], model, bank, head, cfg)
     assert head.num_classes == 4
-    assert not head.frozen.any()  # the naive loop freezes nothing
+    assert not head.frozen.any() and len(bank) == 0  # the naive loop freezes and stores nothing
 
     # second-task training happily overwrites first-task behavior: after task 2,
     # task-1 test nodes are mostly dragged to the new classes
