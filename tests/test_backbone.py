@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from taam import backbone, modulator
 from taam.backbone import init_backbone
 from taam.errors import ContractError
 from taam.modulator import SiteParams, Modulator, init_modulator
@@ -44,11 +45,23 @@ def test_forward_is_pure():
     assert np.array_equal(a, b)
 
 
-def test_forward_embedding_shape():
+def test_forward_records_sites_and_shapes(monkeypatch):
+    # record each insertion site by wrapping the module-level name the
+    # backbone calls; the model itself carries no hook
+    pre, post = [], []
+
+    def recording_modulate(site, embedding, h):
+        out = modulator.modulate(site, embedding, h)
+        pre.append(h.shape)
+        post.append(out.shape)
+        return out
+
+    monkeypatch.setattr(backbone, "modulate", recording_modulate)
     bb = small_backbone()
     mod = init_modulator(bb.site_widths, rng_for(1, "m"), embed_dim=4, heads=2)
     x = np.random.default_rng(2).normal(size=(6, 5))
     emb = bb.forward(x, mod)  # plain ndarray input is wrapped
+    assert pre == post == [(6, 5), (6, 4)]
     assert isinstance(emb, Tensor) and emb.shape == (6, 4)
 
 
