@@ -9,10 +9,14 @@ Layout (all integers little-endian):
     payload       parameter blocks, raw float64 little-endian, C order
     last 4 bytes  u32 CRC-32 of header bytes + payload bytes
 
-Block order: backbone w1, w2; then per stored task, per site, w_base,
-b_base, w_attn, b_attn, then the task embedding; then the classifier weight
-matrix; then the prototype vectors in task order.  The header's "blocks"
-list records every block's shape, so the payload is self-describing.
+Block order (`block_layout`): backbone w1, w2; then per stored task, per
+site, w_base, b_base, w_attn, b_attn, then the task embedding; then the
+classifier weight matrix; then the prototype vectors in task order.  The
+header's "blocks" list records every block's name and shape, and the loader
+requires it to equal the layout derived from the header's backbone,
+modulator and classifier metadata.  The stored config must also validate
+and agree with that metadata (dtype, hidden width, heads, embedding size).
+Every violation is an IntegrityError.
 
 Float32 runs upcast to float64 on save and cast back on load (exact).
 Checkpoints are written at stage boundaries, so no optimizer state is
@@ -26,11 +30,13 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
 from .backbone import Backbone
-from .classifier import ClassifierHead, ClassSlot
+from .classifier import ClassifierHead
+from .config import RunConfig, make_config
 from .errors import ContractError, IntegrityError, VersionError
 from .modulator import Modulator, SiteParams
 from .prototypes import Prototype, PrototypeBank
@@ -46,13 +52,17 @@ _CONFIG_KEYS_IGNORED_ON_RESUME = ("out_dir",)
 
 @dataclass
 class RunState:
-    """Everything needed to continue or re-evaluate a run at a stage boundary."""
+    """A run at a stage boundary: everything needed to continue or re-evaluate it.
+
+    `run_continual` advances one of these in place, stage by stage.  `net` is
+    the frozen Backbone, or for method finetune the trainable FinetuneModel;
+    either way `net.w1` and `net.w2` are ndarrays in the run's dtype.
+    """
 
     config: dict
     stage: int
     tasks_total: int
-    backbone_w1: np.ndarray
-    backbone_w2: np.ndarray
+    net: Backbone | FinetuneModel
     bank: PrototypeBank
     head: ClassifierHead
     matrix_rows: list[list[float]]
@@ -68,69 +78,62 @@ class RunState:
             )
             raise ContractError(f"checkpoint config does not match current config; differs in {diff}")
 
-    def rebuild(self, cfg):
-        """Materialize (backbone, finetune_model, bank, head) in cfg's dtype."""
-        dtype = cfg.np_dtype
-        if cfg.method == "finetune":
-            backbone = None
-            model = FinetuneModel(
-                self.backbone_w1.astype(dtype), self.backbone_w2.astype(dtype)
-            )
-        else:
-            backbone = Backbone(w1=self.backbone_w1.astype(dtype), w2=self.backbone_w2.astype(dtype))
-            model = None
-        return backbone, model, self.bank, self.head
 
-
-def _state_blocks(state: RunState) -> list[tuple[str, np.ndarray]]:
-    blocks = [("backbone.w1", state.backbone_w1), ("backbone.w2", state.backbone_w2)]
-    for t in range(1, len(state.bank) + 1):
-        mod = state.bank.modulator(t)
-        for s, site in enumerate(mod.sites):
-            blocks.append((f"task{t}.site{s}.w_base", site.w_base.data))
-            blocks.append((f"task{t}.site{s}.b_base", site.b_base.data))
-            blocks.append((f"task{t}.site{s}.w_attn", site.w_attn.data))
-            blocks.append((f"task{t}.site{s}.b_attn", site.b_attn.data))
-        blocks.append((f"task{t}.embedding", mod.embedding.data))
-    blocks.append(("classifier.weight", state.head.weight))
-    for t in range(1, len(state.bank) + 1):
-        blocks.append((f"task{t}.prototype", state.bank.prototype(t).vector))
-    return blocks
+def block_layout(backbone: dict, modulators: list[dict], classes: int) -> list[dict]:
+    """Every payload block's name and shape, in payload order, from the
+    backbone dims, each stored task's modulator dims and the class count."""
+    d_in, d_h = backbone["in_dim"], backbone["hidden_dim"]
+    blocks = [("backbone.w1", [d_in, d_h]), ("backbone.w2", [d_h, d_h])]
+    for t, m in enumerate(modulators, start=1):
+        heads, e = m["heads"], m["embed_dim"]
+        for s, width in enumerate(m["site_widths"]):
+            blocks += [
+                (f"task{t}.site{s}.w_base", [heads * 2 * width, e]),
+                (f"task{t}.site{s}.b_base", [heads * 2 * width, 1]),
+                (f"task{t}.site{s}.w_attn", [heads, width]),
+                (f"task{t}.site{s}.b_attn", [1, heads]),
+            ]
+        blocks.append((f"task{t}.embedding", [e, 1]))
+    blocks.append(("classifier.weight", [d_h, classes]))
+    blocks += [(f"task{t}.prototype", [d_in]) for t in range(1, len(modulators) + 1)]
+    return [{"name": name, "shape": shape} for name, shape in blocks]
 
 
 def save_checkpoint(path, state: RunState) -> None:
-    blocks = _state_blocks(state)
+    bank, head, w1 = state.bank, state.head, state.net.w1
+    tasks = range(1, len(bank) + 1)
+    backbone = {"in_dim": int(w1.shape[0]), "hidden_dim": int(w1.shape[1])}
+    modulators = [
+        {
+            "site_widths": list(bank.modulator(t).site_widths),
+            "embed_dim": bank.modulator(t).embed_dim,
+            "heads": bank.modulator(t).sites[0].heads,
+        }
+        for t in tasks
+    ]
+    layout = block_layout(backbone, modulators, head.num_classes)
+    arrays = [w1, state.net.w2]
+    arrays += [p.data for t in tasks for p in bank.modulator(t).parameters()]
+    arrays.append(head.weight)
+    arrays += [bank.prototype(t).vector for t in tasks]
     header = {
         "version": VERSION,
         "config": state.config,
         "stage": int(state.stage),
         "tasks_total": int(state.tasks_total),
-        "dtype": str(state.backbone_w1.dtype),
-        "backbone": {
-            "in_dim": int(state.backbone_w1.shape[0]),
-            "hidden_dim": int(state.backbone_w1.shape[1]),
-        },
-        "modulators": [
-            {
-                "site_widths": list(state.bank.modulator(t).site_widths),
-                "embed_dim": state.bank.modulator(t).embed_dim,
-                "heads": state.bank.modulator(t).sites[0].heads,
-            }
-            for t in range(1, len(state.bank) + 1)
-        ],
-        "prototypes": [
-            {"node_count": state.bank.prototype(t).node_count}
-            for t in range(1, len(state.bank) + 1)
-        ],
+        "dtype": str(w1.dtype),
+        "backbone": backbone,
+        "modulators": modulators,
+        "prototypes": [{"node_count": bank.prototype(t).node_count} for t in tasks],
         "classifier": {
-            "hidden_dim": state.head.hidden_dim,
-            "tasks": state.head.tasks,
-            "frozen": [bool(b) for b in state.head.frozen],
+            "hidden_dim": head.hidden_dim,
+            "tasks": head.tasks,
+            "frozen": [bool(b) for b in head.frozen],
         },
         "matrix_rows": state.matrix_rows,
         "retrieval_log": state.retrieval_log,
         "donors": state.donors,
-        "blocks": [{"name": n, "shape": list(a.shape)} for n, a in blocks],
+        "blocks": layout,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     crc = zlib.crc32(header_bytes)
@@ -139,7 +142,7 @@ def save_checkpoint(path, state: RunState) -> None:
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        for _, a in blocks:
+        for a in arrays:
             a = np.ascontiguousarray(a, dtype="<f8")
             crc = zlib.crc32(a, crc)
             fh.write(a)
@@ -168,9 +171,11 @@ def _is(value, kind) -> bool:
     return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
 
 
-def _check_header(header, path) -> None:
+def _check_header(header, path) -> tuple[RunConfig, list[dict]]:
     """Raise IntegrityError unless the header has every field the loader reads,
-    well typed, and its block shapes agree with the metadata and each other."""
+    well typed, holds a valid config that its metadata agrees with, and lists
+    exactly the blocks that its metadata implies.  Returns the config and the
+    block layout."""
 
     def need(ok, what):
         if not ok:
@@ -181,14 +186,10 @@ def _check_header(header, path) -> None:
         need(key in header, f"missing {key!r}")
         need(_is(header[key], kind), f"{key!r} is not a {kind.__name__}")
     need(header["dtype"] in ("float32", "float64"), f"unknown dtype {header['dtype']!r}")
-    for b in header["blocks"]:
-        need(
-            isinstance(b, dict)
-            and isinstance(b.get("name"), str)
-            and isinstance(b.get("shape"), list)
-            and all(_is(d, int) and d >= 0 for d in b["shape"]),
-            f"bad block entry {b!r}",
-        )
+    try:
+        cfg = make_config(header["config"])
+    except ContractError as e:
+        raise IntegrityError(f"{path} header is malformed: stored config is invalid: {e}") from None
     bb = header["backbone"]
     need(_is(bb.get("in_dim"), int) and _is(bb.get("hidden_dim"), int), "bad backbone entry")
     need(len(header["modulators"]) == len(header["prototypes"]), "modulator/prototype count differ")
@@ -196,6 +197,7 @@ def _check_header(header, path) -> None:
         need(
             isinstance(m, dict)
             and isinstance(m.get("site_widths"), list)
+            and all(_is(w, int) for w in m["site_widths"])
             and _is(m.get("embed_dim"), int)
             and _is(m.get("heads"), int),
             "bad modulator entry",
@@ -221,27 +223,30 @@ def _check_header(header, path) -> None:
         all(isinstance(r, list) and len(r) == t for t, r in enumerate(header["matrix_rows"], start=1)),
         "matrix row t must hold t entries",
     )
-    stored = 0 if header["config"].get("method") == "finetune" else stage
+    stored = 0 if cfg.method == "finetune" else stage
     need(len(header["modulators"]) == stored, f"{len(header['modulators'])} modulators at stage {stage}")
     classes = [x for g in c["tasks"] for x in g]
     need(len(set(classes)) == len(classes) == len(c["frozen"]), "classifier classes and frozen flags disagree")
     d_in, d_h = bb["in_dim"], bb["hidden_dim"]
     need(c["hidden_dim"] == d_h, f"classifier hidden_dim {c['hidden_dim']} != backbone {d_h}")
 
-    want = {"backbone.w1": [d_in, d_h], "backbone.w2": [d_h, d_h], "classifier.weight": [d_h, len(classes)]}
+    need(
+        header["dtype"] == np.dtype(cfg.np_dtype).name,
+        f"dtype {header['dtype']} does not match precision {cfg.precision!r}",
+    )
+    need(d_h == cfg.hidden_dim, f"backbone hidden_dim {d_h} != config hidden_dim {cfg.hidden_dim}")
     for t, m in enumerate(header["modulators"], start=1):
         need(m["site_widths"] == [d_in, d_h], f"task {t} site widths {m['site_widths']} != {[d_in, d_h]}")
-        heads, e = m["heads"], m["embed_dim"]
-        for s, width in enumerate(m["site_widths"]):
-            want[f"task{t}.site{s}.w_base"] = [heads * 2 * width, e]
-            want[f"task{t}.site{s}.b_base"] = [heads * 2 * width, 1]
-            want[f"task{t}.site{s}.w_attn"] = [heads, width]
-            want[f"task{t}.site{s}.b_attn"] = [1, heads]
-        want[f"task{t}.embedding"] = [e, 1]
-        want[f"task{t}.prototype"] = [d_in]
-    shapes = {b["name"]: b["shape"] for b in header["blocks"]}
-    for name, shape in want.items():
-        need(shapes.get(name) == shape, f"block {name!r} has shape {shapes.get(name)}, expected {shape}")
+        need(
+            (m["heads"], m["embed_dim"]) == (cfg.heads, cfg.embed_dim),
+            f"task {t} has heads {m['heads']} and embed_dim {m['embed_dim']}, "
+            f"config {cfg.heads} and {cfg.embed_dim}",
+        )
+    layout = block_layout(bb, header["modulators"], len(classes))
+    need(all(d >= 0 for b in layout for d in b["shape"]), "negative block dimension")
+    for got, want in zip_longest(header["blocks"], layout):
+        need(got == want, f"block entry {got} where the metadata implies {want}")
+    return cfg, layout
 
 
 def load_checkpoint(path) -> RunState:
@@ -261,9 +266,9 @@ def load_checkpoint(path) -> RunState:
         header = json.loads(str(header_bytes, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise IntegrityError(f"{path} header is corrupt: {e}") from None
-    _check_header(header, path)
+    cfg, layout = _check_header(header, path)
 
-    counts = [math.prod(b["shape"]) for b in header["blocks"]]
+    counts = [math.prod(b["shape"]) for b in layout]
     payload_len = 8 * sum(counts)
     if header_end + payload_len + 4 != len(raw):
         raise IntegrityError(f"{path} is truncated (payload)")
@@ -275,7 +280,7 @@ def load_checkpoint(path) -> RunState:
     # Read-only views into the file bytes; each is copied once, by astype, where used.
     views: dict[str, np.ndarray] = {}
     at = 0
-    for meta, count in zip(header["blocks"], counts):
+    for meta, count in zip(layout, counts):
         views[meta["name"]] = np.frombuffer(
             payload, dtype="<f8", count=count, offset=8 * at
         ).reshape(meta["shape"])
@@ -302,24 +307,14 @@ def load_checkpoint(path) -> RunState:
         bank.commit(proto, mod)
 
     cmeta = header["classifier"]
-    head = ClassifierHead(cmeta["hidden_dim"], dtype=dtype)
-    head.weight = block("classifier.weight")
-    head.frozen = np.array(cmeta["frozen"], dtype=bool)
-    head.tasks = [[int(c) for c in group] for group in cmeta["tasks"]]
-    col = 0
-    for task_no, group in enumerate(head.tasks, start=1):
-        for local, c in enumerate(group):
-            head.slots[c] = ClassSlot(task=task_no, local=local, column=col)
-            col += 1
-
+    net = FinetuneModel if cfg.method == "finetune" else Backbone
     return RunState(
         config=header["config"],
-        stage=int(header["stage"]),
-        tasks_total=int(header["tasks_total"]),
-        backbone_w1=block("backbone.w1"),
-        backbone_w2=block("backbone.w2"),
+        stage=header["stage"],
+        tasks_total=header["tasks_total"],
+        net=net(block("backbone.w1"), block("backbone.w2")),
         bank=bank,
-        head=head,
+        head=ClassifierHead.restore(block("classifier.weight"), cmeta["tasks"], cmeta["frozen"]),
         matrix_rows=header["matrix_rows"],
         retrieval_log=header["retrieval_log"],
         donors=header["donors"],

@@ -8,18 +8,9 @@ this module only does bookkeeping and inference math.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractError, ShapeError
-
-
-@dataclass(frozen=True)
-class ClassSlot:
-    task: int
-    local: int
-    column: int
 
 
 class ClassifierHead:
@@ -27,8 +18,19 @@ class ClassifierHead:
         self.hidden_dim = int(hidden_dim)
         self.weight = np.zeros((self.hidden_dim, 0), dtype=dtype)
         self.frozen = np.zeros(0, dtype=bool)
-        self.slots: dict[int, ClassSlot] = {}
+        self.columns: dict[int, int] = {}  # class id -> column, in column order
         self.tasks: list[list[int]] = []
+
+    @classmethod
+    def restore(cls, weight: np.ndarray, tasks, frozen) -> "ClassifierHead":
+        """A head holding `weight`, whose columns belong to the class groups
+        `tasks` in order, with the given per-column frozen flags."""
+        head = cls(weight.shape[0], dtype=weight.dtype)
+        head.weight = weight
+        head.frozen = np.array(frozen, dtype=bool)
+        head.tasks = [[int(c) for c in group] for group in tasks]
+        head.columns = {c: col for col, c in enumerate(c for group in head.tasks for c in group)}
+        return head
 
     @property
     def num_classes(self) -> int:
@@ -36,26 +38,24 @@ class ClassifierHead:
 
     @property
     def registered(self) -> list[int]:
-        return sorted(self.slots)
+        return sorted(self.columns)
 
     def extend(self, new_classes, rng: np.random.Generator) -> None:
         """Append one column per class, uniform +-1/sqrt(hidden_dim), unfrozen.
 
-        Class ids are global and must be new; the task id is the extension
-        ordinal (1-based), the local index is the position in `new_classes`.
+        Class ids are global and must be new; they form the next task group.
         """
         new_classes = [int(c) for c in new_classes]
         if len(set(new_classes)) != len(new_classes):
             raise ContractError(f"duplicate class in {new_classes}")
         for c in new_classes:
-            if c in self.slots:
+            if c in self.columns:
                 raise ContractError(f"class {c} already registered")
-        task = len(self.tasks) + 1
         bound = 1.0 / np.sqrt(self.hidden_dim)
         block = rng.uniform(-bound, bound, size=(self.hidden_dim, len(new_classes)))
         base = self.num_classes
         for local, c in enumerate(new_classes):
-            self.slots[c] = ClassSlot(task=task, local=local, column=base + local)
+            self.columns[c] = base + local
         self.tasks.append(new_classes)
         self.weight = np.concatenate([self.weight, block.astype(self.weight.dtype)], axis=1)
         self.frozen = np.concatenate([self.frozen, np.zeros(len(new_classes), dtype=bool)])
@@ -63,17 +63,17 @@ class ClassifierHead:
     def _columns(self, classes) -> np.ndarray:
         cols = []
         for c in classes:
-            slot = self.slots.get(int(c))
-            if slot is None:
+            col = self.columns.get(int(c))
+            if col is None:
                 raise ContractError(f"class {c} is not registered")
-            cols.append(slot.column)
+            cols.append(col)
         return np.asarray(cols, dtype=np.int64)
 
     def class_order(self, classes) -> list[int]:
-        """The subset in logit column order: by (task, local index)."""
+        """The subset in logit column order, i.e. in registration order."""
         uniq = sorted(set(int(c) for c in classes))
         self._columns(uniq)
-        return sorted(uniq, key=lambda c: (self.slots[c].task, self.slots[c].local))
+        return sorted(uniq, key=self.columns.__getitem__)
 
     def column_block(self, classes) -> np.ndarray:
         """Copy of the columns for `classes`, in the order given."""

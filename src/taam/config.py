@@ -165,7 +165,7 @@ def make_config(file_values: dict | None = None, overrides: dict | None = None) 
                     coerced = float(value)
                 else:
                     coerced = str(value)
-            except (TypeError, ValueError) as e:
+            except (TypeError, ValueError, OverflowError) as e:
                 raise ContractError(f"bad value for {key}: {value!r}") from e
             setattr(cfg, key, coerced)
     return cfg.validate()

@@ -250,9 +250,13 @@ class RunResult:
         }
 
 
-def _evaluate_stage(stream, cfg, backbone, model, bank, head, stage, matrix, retrieval_log):
-    """Fill row `stage` of the matrix and append retrieval decisions."""
+def _evaluate_stage(stream, cfg, state, stage) -> tuple[list[float], list[dict]]:
+    """Matrix row `stage` (accuracy on each task seen so far) and the task-id
+    decision made for each of those tasks."""
     variant = cfg.variant
+    net, bank, head = state.net, state.bank, state.head
+    row: list[float] = []
+    decisions: list[dict] = []
     for j in range(1, stage + 1):
         task = stream.tasks[j - 1]
         x64 = task.propagated(cfg.hops)
@@ -260,23 +264,24 @@ def _evaluate_stage(stream, cfg, backbone, model, bank, head, stage, matrix, ret
         truth = task.graph.labels[task.test_idx]
         if variant.task_id is None:
             inferred = None
-            emb = model.embed(x).data
+            emb = net.embed(x).data
         else:
             if variant.task_id == "true":
                 inferred = j
             elif variant.task_id == "latest":
                 inferred = bank.latest_task()
             else:
-                inferred, _, _ = bank.retrieve(task.graph, task.test_idx, cfg.hops, x_prop=x64)
-            emb = backbone.forward(x, bank.modulator(inferred)).data
+                inferred = bank.retrieve(x64, task.test_idx)
+            emb = net.forward(x, bank.modulator(inferred)).data
         if variant.label_space == "seen" or cfg.predict_over_all:
             classes = head.registered
         else:
             classes = head.tasks[inferred - 1]
         pred = head.predict(emb, classes)
-        matrix[stage - 1, j - 1] = 100.0 * float((pred == truth).sum()) / truth.size
+        row.append(100.0 * float((pred == truth).sum()) / truth.size)
         correct = (inferred == j) if inferred is not None else None
-        retrieval_log.append({"stage": stage, "task": j, "true": j, "inferred": inferred, "correct": correct})
+        decisions.append({"stage": stage, "task": j, "true": j, "inferred": inferred, "correct": correct})
+    return row, decisions
 
 
 def _per_stage_retrieval(cfg, retrieval_log, completed) -> list[float] | None:
@@ -295,74 +300,70 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
 
     `resume` is a RunState from a saved checkpoint: training continues after
     its last completed stage and, because every random draw is keyed by
-    (seed, purpose, task), reproduces the uninterrupted run exactly.
-    `checkpoint_path` is rewritten after each completed stage.
+    (seed, purpose, task), reproduces the uninterrupted run exactly.  The run
+    advances that state in place.  `checkpoint_path` is rewritten after each
+    completed stage.
     """
     from .checkpoint import RunState, save_checkpoint  # local import, no cycle
 
     cfg.validate()
     t_total = len(stream.tasks)
     started = time.perf_counter()
-
-    matrix = np.full((t_total, t_total), np.nan)
-    retrieval_log: list[dict] = []
-    donors: list[int | None] = []
-    task_logs: list[TaskTrainLog] = []
-    first_stage = 1
-
-    if resume is None:
-        in_dim = stream.tasks[0].graph.feature_dim
-        backbone = init_backbone(in_dim, cfg.hidden_dim, rng_for(cfg.seed, "backbone"), dtype=cfg.np_dtype)
-        model = None
-        if cfg.method == "finetune":
-            backbone, model = None, FinetuneModel(backbone.w1, backbone.w2)
-        bank = PrototypeBank()
-        head = ClassifierHead(cfg.hidden_dim, dtype=cfg.np_dtype)
-    else:
+    if resume is not None:
         resume.check_config(cfg)
+        if resume.tasks_total != t_total:
+            raise ContractError(f"checkpoint is for {resume.tasks_total} tasks, the stream has {t_total}")
         if resume.stage >= t_total:
             raise ContractError(f"checkpoint already covers all {t_total} stages")
-        backbone, model, bank, head = resume.rebuild(cfg)
-        for t in range(1, resume.stage + 1):
-            matrix[t - 1, :t] = resume.matrix_rows[t - 1]
-        retrieval_log = [dict(e) for e in resume.retrieval_log]
-        donors = list(resume.donors)
-        first_stage = resume.stage + 1
-
+    first_stage = 1 if resume is None else resume.stage + 1
     last = t_total if stop_after is None else min(int(stop_after), t_total)
     if last < first_stage:
         raise ContractError(f"stop_after={stop_after} is before the first stage to run ({first_stage})")
 
-    for stage in range(first_stage, last + 1):
-        tl = train_task(stream.tasks[stage - 1], backbone or model, bank, head, cfg)
-        task_logs.append(tl)
-        donors.append(tl.donor)
-        _evaluate_stage(stream, cfg, backbone, model, bank, head, stage, matrix, retrieval_log)
-        w1, w2 = (backbone.w1, backbone.w2) if model is None else (model.w1.data, model.w2.data)
+    if resume is None:
+        in_dim = stream.tasks[0].graph.feature_dim
+        net = init_backbone(in_dim, cfg.hidden_dim, rng_for(cfg.seed, "backbone"), dtype=cfg.np_dtype)
+        if cfg.method == "finetune":
+            net = FinetuneModel(net.w1, net.w2)
         state = RunState(
             config=cfg.echo(),
-            stage=stage,
+            stage=0,
             tasks_total=t_total,
-            backbone_w1=w1,
-            backbone_w2=w2,
-            bank=bank,
-            head=head,
-            matrix_rows=[list(map(float, matrix[t - 1, :t])) for t in range(1, stage + 1)],
-            retrieval_log=retrieval_log,
-            donors=donors,
+            net=net,
+            bank=PrototypeBank(),
+            head=ClassifierHead(cfg.hidden_dim, dtype=cfg.np_dtype),
+            matrix_rows=[],
+            retrieval_log=[],
+            donors=[],
         )
+    else:
+        state = resume
+        state.config = cfg.echo()
+
+    task_logs: list[TaskTrainLog] = []
+    for stage in range(first_stage, last + 1):
+        tl = train_task(stream.tasks[stage - 1], state.net, state.bank, state.head, cfg)
+        task_logs.append(tl)
+        row, decisions = _evaluate_stage(stream, cfg, state, stage)
+        state.matrix_rows.append(row)
+        state.retrieval_log.extend(decisions)
+        state.donors.append(tl.donor)
+        state.stage = stage
         if checkpoint_path is not None:
             save_checkpoint(checkpoint_path, state)
 
+    matrix = np.full((t_total, t_total), np.nan)
+    for t, row in enumerate(state.matrix_rows, start=1):
+        matrix[t - 1, :t] = row
     final = matrix[:last, :last]
     return RunResult(
         matrix=matrix,
         completed=last,
         aa=average_accuracy(final),
         af=average_forgetting(final) if last >= 2 else None,
-        retrieval_log=retrieval_log,
-        per_stage_retrieval=_per_stage_retrieval(cfg, retrieval_log, last),
-        donors=donors,
+        retrieval_log=state.retrieval_log,
+        per_stage_retrieval=_per_stage_retrieval(cfg, state.retrieval_log, last),
+        donors=state.donors,
         task_logs=task_logs,
         wall_time_seconds=time.perf_counter() - started,
         state=state,
@@ -371,9 +372,5 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
 
 def evaluate_final_row(stream: TaskStream, cfg, state) -> tuple[np.ndarray, list[dict]]:
     """Re-run the evaluation of the last completed stage from a restored state."""
-    backbone, model, bank, head = state.rebuild(cfg)
-    t_total = len(stream.tasks)
-    matrix = np.full((t_total, t_total), np.nan)
-    log_entries: list[dict] = []
-    _evaluate_stage(stream, cfg, backbone, model, bank, head, state.stage, matrix, log_entries)
-    return matrix[state.stage - 1, : state.stage], log_entries
+    row, decisions = _evaluate_stage(stream, cfg, state, state.stage)
+    return np.array(row), decisions

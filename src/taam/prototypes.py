@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .graph import SparseGraph, normalize_adjacency, propagate
 from .modulator import EMBED_DIM, NUM_HEADS, Modulator, clone_structural, init_modulator
 
 
@@ -29,26 +28,14 @@ class Prototype:
         self.vector = np.asarray(self.vector, dtype=np.float64).reshape(-1)
 
 
-def compute_prototype(
-    g: SparseGraph,
-    node_set,
-    hops: int,
-    x_prop: np.ndarray | None = None,
-) -> Prototype:
-    """Mean of the propagated feature rows of `node_set`.
-
-    Pass `x_prop` (the precomputed propagated features of g) to skip the
-    propagation; the result is identical.
-    """
+def compute_prototype(x_prop: np.ndarray, node_set) -> Prototype:
+    """Mean of the propagated feature rows `x_prop[node_set]`."""
     idx = np.asarray(sorted(int(v) for v in node_set), dtype=np.int64)
     if idx.size == 0:
         raise ContractError("prototype needs a non-empty node set")
-    if idx[0] < 0 or idx[-1] >= g.num_nodes:
-        raise ContractError(f"node id out of range for graph with {g.num_nodes} nodes")
-    if x_prop is None:
-        x_prop = propagate(normalize_adjacency(g), g.features, hops)
-    vec = x_prop[idx].mean(axis=0)
-    return Prototype(vector=vec, node_count=int(idx.size))
+    if idx[0] < 0 or idx[-1] >= x_prop.shape[0]:
+        raise ContractError(f"node id out of range for {x_prop.shape[0]} propagated rows")
+    return Prototype(vector=x_prop[idx].mean(axis=0), node_count=int(idx.size))
 
 
 class PrototypeBank:
@@ -104,17 +91,9 @@ class PrototypeBank:
         self._entries.append((proto, mod))
         return proto.task_id
 
-    def retrieve(
-        self,
-        g_test: SparseGraph,
-        node_set,
-        hops: int,
-        x_prop: np.ndarray | None = None,
-    ) -> tuple[int, Modulator, Prototype]:
-        """Infer the task id for a test batch and hand back its modulator."""
-        p = compute_prototype(g_test, node_set, hops, x_prop=x_prop)
-        task_id = self.nearest_task(p)
-        return task_id, self.modulator(task_id), p
+    def retrieve(self, x_prop: np.ndarray, node_set) -> int:
+        """Infer the task id of a test batch: the rows `x_prop[node_set]`."""
+        return self.nearest_task(compute_prototype(x_prop, node_set))
 
 
 def task_aware_init(

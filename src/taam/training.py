@@ -165,7 +165,7 @@ def train_task(task, backbone, bank, head, cfg) -> TaskTrainLog:
         head.set_columns(cols, w.data)
         return TaskTrainLog(task_id=task.task_id, donor=None, epochs=epochs)
 
-    proto = compute_prototype(task.graph, task.train_idx, cfg.hops, x_prop=x_prop64)
+    proto = compute_prototype(x_prop64, task.train_idx)
     rng_mod = rng_for(cfg.seed, "task", task.task_id, "nsm")
     dims = {"embed_dim": cfg.embed_dim, "heads": cfg.heads, "dtype": cfg.np_dtype}
     if cfg.warm_start:
@@ -183,17 +183,23 @@ def train_task(task, backbone, bank, head, cfg) -> TaskTrainLog:
 
 class FinetuneModel:
     """Trainable two-matrix backbone for the naive baseline (no modulators,
-    no normalization, weights shared and overwritten across tasks)."""
+    no normalization, weights shared and overwritten across tasks).
+
+    `w1` and `w2` are ndarrays, like a Backbone's; the trainable Tensors wrap
+    the same buffers, which Adam updates in place.
+    """
 
     def __init__(self, w1: np.ndarray, w2: np.ndarray):
-        self.w1 = Tensor(np.array(w1), requires_grad=True)
-        self.w2 = Tensor(np.array(w2), requires_grad=True)
+        self.w1 = np.array(w1)
+        self.w2 = np.array(w2)
+        self._params = [Tensor(self.w1, requires_grad=True), Tensor(self.w2, requires_grad=True)]
 
     def embed(self, x: Tensor) -> Tensor:
-        return matmul(matmul(x, self.w1), self.w2)
+        t1, t2 = self._params
+        return matmul(matmul(x, t1), t2)
 
     def parameters(self) -> list[Tensor]:
-        return [self.w1, self.w2]
+        return self._params
 
 
 def end_to_end_grad_check(

@@ -7,12 +7,14 @@ import zlib
 import numpy as np
 import pytest
 
+from taam.backbone import Backbone
 from taam.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from taam.cli import main
 from taam.config import make_config
 from taam.errors import ContractError, IntegrityError, VersionError
 from taam.graph import generate_sbm
 from taam.harness import build_stream, run_continual
+from taam.training import FinetuneModel
 
 
 def small_run(tmp_path, **overrides):
@@ -33,8 +35,8 @@ def test_round_trip_restores_everything(tmp_path):
 
     assert state.stage == 2 and state.tasks_total == 2
     assert state.config == res.state.config
-    assert np.array_equal(state.backbone_w1, res.state.backbone_w1)
-    assert np.array_equal(state.backbone_w2, res.state.backbone_w2)
+    assert np.array_equal(state.net.w1, res.state.net.w1)
+    assert np.array_equal(state.net.w2, res.state.net.w2)
     assert state.matrix_rows == res.state.matrix_rows
     assert state.retrieval_log == res.state.retrieval_log
     assert state.donors == res.state.donors
@@ -50,7 +52,7 @@ def test_round_trip_restores_everything(tmp_path):
     assert np.array_equal(state.head.weight, res.state.head.weight)
     assert np.array_equal(state.head.frozen, res.state.head.frozen)
     assert state.head.tasks == res.state.head.tasks
-    assert state.head.slots == res.state.head.slots
+    assert list(state.head.columns.items()) == list(res.state.head.columns.items())
 
 
 def test_save_is_deterministic(tmp_path):
@@ -62,24 +64,24 @@ def test_save_is_deterministic(tmp_path):
 
 def test_f32_round_trip_exact(tmp_path):
     cfg, stream, res, path = small_run(tmp_path, precision="f32")
-    assert res.state.backbone_w1.dtype == np.float32
+    assert res.state.net.w1.dtype == np.float32
     state = load_checkpoint(path)
-    assert state.backbone_w1.dtype == np.float32
-    assert np.array_equal(state.backbone_w1, res.state.backbone_w1)
+    assert state.net.w1.dtype == np.float32
+    assert np.array_equal(state.net.w1, res.state.net.w1)
     assert state.head.weight.dtype == np.float32
     assert state.bank.modulator(1).embedding.dtype == np.float32
 
 
-def test_rebuild_by_method(tmp_path):
-    cfg, stream, res, path = small_run(tmp_path)
-    backbone, model, bank, head = load_checkpoint(path).rebuild(cfg)
-    assert backbone is not None and model is None
-    assert np.array_equal(backbone.w1, res.state.backbone_w1)
+def test_loader_builds_the_net_by_method(tmp_path):
+    _, _, res, path = small_run(tmp_path)
+    net = load_checkpoint(path).net
+    assert isinstance(net, Backbone)
+    assert np.array_equal(net.w1, res.state.net.w1) and np.array_equal(net.w2, res.state.net.w2)
 
-    cfg_ft, _, res_ft, path_ft = small_run(tmp_path, method="finetune")
-    backbone, model, bank, head = load_checkpoint(path_ft).rebuild(cfg_ft)
-    assert backbone is None and model is not None
-    assert np.array_equal(model.w1.data, res_ft.state.backbone_w1)
+    _, _, res_ft, path_ft = small_run(tmp_path, method="finetune")
+    net = load_checkpoint(path_ft).net
+    assert isinstance(net, FinetuneModel)
+    assert np.array_equal(net.w1, res_ft.state.net.w1) and np.array_equal(net.w2, res_ft.state.net.w2)
 
 
 def test_bad_magic(tmp_path):
@@ -183,6 +185,19 @@ def classifier_with(**edits):
     return lambda h: {**h["classifier"], **{k: edit(h["classifier"]) for k, edit in edits.items()}}
 
 
+def config_with(**values):
+    return lambda h: {**h["config"], **values}
+
+
+def extra_block(h):
+    return h["blocks"] + [{"name": "extra", "shape": [0]}]
+
+
+def swapped_prototype_names(h):
+    names = {"task1.prototype": "task2.prototype", "task2.prototype": "task1.prototype"}
+    return [{**b, "name": names.get(b["name"], b["name"])} for b in h["blocks"]]
+
+
 @pytest.mark.parametrize(
     "field,value",
     [
@@ -202,6 +217,16 @@ def classifier_with(**edits):
         ("classifier", classifier_with(tasks=lambda c: c["tasks"][:-1] + [c["tasks"][-1] + [9]])),
         ("stage", 5),
         ("stage", 0),
+        # the stored config must be valid and agree with the metadata, and the
+        # block list must be exactly the layout the metadata implies
+        ("config", config_with(bogus=1)),
+        ("config", config_with(method="svm")),
+        ("config", config_with(precision="f32")),
+        ("config", config_with(hidden_dim=17)),
+        ("config", config_with(heads=2)),
+        ("config", config_with(seed=float("inf"))),
+        ("blocks", extra_block),
+        ("blocks", swapped_prototype_names),
     ],
 )
 def test_header_wrong_type_is_integrity_error(tmp_path, field, value):

@@ -76,7 +76,7 @@ def test_logits_subset_and_shape_check():
     head = head_with([5, 3], [0, 7])
     emb = np.random.default_rng(0).normal(size=(6, 4))
     z = head.logits(emb, [0, 7])
-    cols = [head.slots[0].column, head.slots[7].column]
+    cols = [head.columns[0], head.columns[7]]
     assert np.array_equal(z, emb @ head.weight[:, cols])
     with pytest.raises(ShapeError):
         head.logits(np.zeros((2, 3)), [0])

@@ -1,5 +1,7 @@
 """Stream construction, metrics, matrix IO, and the continual loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -243,8 +245,13 @@ def test_resume_contracts():
     other = cfg_for(seed=1)
     with pytest.raises(ContractError, match="seed"):
         run_continual(stream, other, resume=part.state)
+    longer = dataclasses.replace(part.state, tasks_total=len(stream) + 1)
+    with pytest.raises(ContractError, match="the stream has"):
+        run_continual(stream, cfg, resume=longer)
     with pytest.raises(ContractError):
         run_continual(stream, cfg, resume=part.state, stop_after=1)
+    # every check runs before the state is advanced
+    assert part.state.stage == 1 and len(part.state.matrix_rows) == 1
 
 
 def test_bad_method_rejected():

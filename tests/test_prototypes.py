@@ -46,20 +46,20 @@ def test_compute_prototype_is_mean_of_propagated_rows():
     g = generate_sbm(2, 10, 0.5, 0.1, 4, 5.0, seed=3)
     x_prop = propagate(normalize_adjacency(g), g.features, 2)
     nodes = [0, 3, 7, 12]
-    p = compute_prototype(g, nodes, hops=2)
+    p = compute_prototype(x_prop, nodes)
     assert np.allclose(p.vector, x_prop[nodes].mean(axis=0), rtol=1e-14)
     assert p.node_count == 4 and p.task_id is None
-    # handing in the precomputed matrix changes nothing
-    p2 = compute_prototype(g, nodes, hops=2, x_prop=x_prop)
-    assert np.array_equal(p.vector, p2.vector)
 
 
 def test_compute_prototype_contracts():
     g = generate_sbm(2, 5, 0.5, 0.1, 3, 5.0, seed=0)
+    x_prop = propagate(normalize_adjacency(g), g.features, 2)
     with pytest.raises(ContractError):
-        compute_prototype(g, [], hops=2)
+        compute_prototype(x_prop, [])
     with pytest.raises(ContractError):
-        compute_prototype(g, [99], hops=2)
+        compute_prototype(x_prop, [99])
+    with pytest.raises(ContractError):
+        compute_prototype(x_prop, [-1])
 
 
 def test_nearest_exact_tie_prefers_lowest_task():
@@ -159,9 +159,5 @@ def test_retrieve_uses_the_given_node_set():
     p_a = x_prop[g.labels == 0].mean(axis=0)
     p_b = x_prop[g.labels == 1].mean(axis=0)
     bank = bank_with([p_a, p_b], widths=(3,))
-    tid, mod, query = bank.retrieve(g, np.where(g.labels == 1)[0], hops=2)
-    assert tid == 2
-    assert mod is bank.modulator(2)
-    assert np.allclose(query.vector, x_prop[g.labels == 1].mean(axis=0), rtol=1e-14)
-    tid_a, _, _ = bank.retrieve(g, np.where(g.labels == 0)[0], hops=2, x_prop=x_prop)
-    assert tid_a == 1
+    assert bank.retrieve(x_prop, np.where(g.labels == 1)[0]) == 2
+    assert bank.retrieve(x_prop, np.where(g.labels == 0)[0]) == 1

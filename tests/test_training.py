@@ -228,9 +228,9 @@ def test_finetune_trains_shared_weights_over_all_columns():
     model = FinetuneModel(bb.w1, bb.w2)
     head = ClassifierHead(cfg.hidden_dim)
     bank = PrototypeBank()
-    w1_before = model.w1.data.copy()
+    w1_before = model.w1.copy()
     train_task(stream.tasks[0], model, bank, head, cfg)
-    assert not np.array_equal(model.w1.data, w1_before)  # backbone actually moves
+    assert not np.array_equal(model.w1, w1_before)  # backbone actually moves
     train_task(stream.tasks[1], model, bank, head, cfg)
     assert head.num_classes == 4
     assert not head.frozen.any() and len(bank) == 0  # the naive loop freezes and stores nothing
