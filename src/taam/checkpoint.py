@@ -9,14 +9,15 @@ Layout (all integers little-endian):
     payload       parameter blocks, raw float64 little-endian, C order
     last 4 bytes  u32 CRC-32 of header bytes + payload bytes
 
-Block order (`block_layout`): backbone w1, w2; then per stored task, per
-site, w_base, b_base, w_attn, b_attn, then the task embedding; then the
-classifier weight matrix; then the prototype vectors in task order.  The
-header's "blocks" list records every block's name and shape, and the loader
-requires it to equal the layout derived from the header's backbone,
-modulator and classifier metadata.  The stored config must also validate
-and agree with that metadata (dtype, hidden width, heads, embedding size).
-Every violation is an IntegrityError.
+Block order: backbone w1, w2; then per stored task its modulator's
+parameters in `modulator.param_layout` order; then the classifier weight
+matrix; then the prototype vectors in task order.  The header's metadata
+(dtype, backbone and modulator dims) and its "blocks" list of every block's
+name and shape are derived from the stored config, the input width, the
+stage and the class count (`derived_metadata`).  The loader requires the
+stored config to validate, the resume fields (matrix rows, retrieval log,
+donors) to be well typed, and each derived key to equal what that config
+implies.  Every violation is an IntegrityError.
 
 Float32 runs upcast to float64 on save and cast back on load (exact).
 Checkpoints are written at stage boundaries, so no optimizer state is
@@ -30,7 +31,7 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 
 import numpy as np
 
@@ -38,9 +39,8 @@ from .backbone import Backbone
 from .classifier import ClassifierHead
 from .config import RunConfig, make_config
 from .errors import ContractError, IntegrityError, VersionError
-from .modulator import Modulator, SiteParams
+from .modulator import Modulator, param_layout
 from .prototypes import Prototype, PrototypeBank
-from .tensor import Tensor
 from .training import FinetuneModel
 
 MAGIC = b"TAAMCKPT"
@@ -79,51 +79,53 @@ class RunState:
             raise ContractError(f"checkpoint config does not match current config; differs in {diff}")
 
 
-def block_layout(backbone: dict, modulators: list[dict], classes: int) -> list[dict]:
-    """Every payload block's name and shape, in payload order, from the
-    backbone dims, each stored task's modulator dims and the class count."""
-    d_in, d_h = backbone["in_dim"], backbone["hidden_dim"]
-    blocks = [("backbone.w1", [d_in, d_h]), ("backbone.w2", [d_h, d_h])]
-    for t, m in enumerate(modulators, start=1):
-        heads, e = m["heads"], m["embed_dim"]
-        for s, width in enumerate(m["site_widths"]):
-            blocks += [
-                (f"task{t}.site{s}.w_base", [heads * 2 * width, e]),
-                (f"task{t}.site{s}.b_base", [heads * 2 * width, 1]),
-                (f"task{t}.site{s}.w_attn", [heads, width]),
-                (f"task{t}.site{s}.b_attn", [1, heads]),
-            ]
-        blocks.append((f"task{t}.embedding", [e, 1]))
-    blocks.append(("classifier.weight", [d_h, classes]))
-    blocks += [(f"task{t}.prototype", [d_in]) for t in range(1, len(modulators) + 1)]
-    return [{"name": name, "shape": shape} for name, shape in blocks]
+def derived_metadata(cfg: RunConfig, in_dim: int, stage: int, classes: int) -> dict:
+    """The header keys that the config, the input width, the stage and the
+    class count fix: dtype, backbone and modulator dims, and the block list
+    (every payload block's name and shape, in payload order)."""
+    d_h = cfg.hidden_dim
+    stored = [] if cfg.method == "finetune" else range(1, stage + 1)
+    widths = [in_dim, d_h]
+    blocks = [("backbone.w1", (in_dim, d_h)), ("backbone.w2", (d_h, d_h))]
+    params = param_layout(widths, cfg.heads, cfg.embed_dim)
+    blocks += [(f"task{t}.{name}", shape) for t in stored for name, shape in params]
+    blocks.append(("classifier.weight", (d_h, classes)))
+    blocks += [(f"task{t}.prototype", (in_dim,)) for t in stored]
+    return {
+        "dtype": np.dtype(cfg.np_dtype).name,
+        "backbone": {"in_dim": in_dim, "hidden_dim": d_h},
+        "modulators": [
+            {"site_widths": widths, "embed_dim": cfg.embed_dim, "heads": cfg.heads} for _ in stored
+        ],
+        "blocks": [{"name": name, "shape": list(shape)} for name, shape in blocks],
+    }
+
+
+def _canonical(value) -> str:
+    """JSON text with sorted keys, so that equal text means equal JSON (true != 1)."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def save_checkpoint(path, state: RunState) -> None:
-    bank, head, w1 = state.bank, state.head, state.net.w1
+    bank, head, net = state.bank, state.head, state.net
     tasks = range(1, len(bank) + 1)
-    backbone = {"in_dim": int(w1.shape[0]), "hidden_dim": int(w1.shape[1])}
-    modulators = [
-        {
-            "site_widths": list(bank.modulator(t).site_widths),
-            "embed_dim": bank.modulator(t).embed_dim,
-            "heads": bank.modulator(t).sites[0].heads,
-        }
-        for t in tasks
-    ]
-    layout = block_layout(backbone, modulators, head.num_classes)
-    arrays = [w1, state.net.w2]
+    meta = derived_metadata(
+        make_config(state.config), int(net.w1.shape[0]), state.stage, head.num_classes
+    )
+    arrays = [net.w1, net.w2]
     arrays += [p.data for t in tasks for p in bank.modulator(t).parameters()]
     arrays.append(head.weight)
     arrays += [bank.prototype(t).vector for t in tasks]
+    shapes = [list(a.shape) for a in arrays]
+    wanted = [b["shape"] for b in meta["blocks"]]
+    if shapes != wanted:
+        raise ContractError(f"run state arrays have shapes {shapes}; its config implies {wanted}")
     header = {
+        **meta,
         "version": VERSION,
         "config": state.config,
         "stage": int(state.stage),
         "tasks_total": int(state.tasks_total),
-        "dtype": str(w1.dtype),
-        "backbone": backbone,
-        "modulators": modulators,
         "prototypes": [{"node_count": bank.prototype(t).node_count} for t in tasks],
         "classifier": {
             "hidden_dim": head.hidden_dim,
@@ -133,15 +135,11 @@ def save_checkpoint(path, state: RunState) -> None:
         "matrix_rows": state.matrix_rows,
         "retrieval_log": state.retrieval_log,
         "donors": state.donors,
-        "blocks": layout,
     }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header_bytes = _canonical(header).encode("utf-8")
     crc = zlib.crc32(header_bytes)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
+        fh.write(MAGIC + struct.pack("<IQ", VERSION, len(header_bytes)) + header_bytes)
         for a in arrays:
             a = np.ascontiguousarray(a, dtype="<f8")
             crc = zlib.crc32(a, crc)
@@ -149,16 +147,14 @@ def save_checkpoint(path, state: RunState) -> None:
         fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
 
 
-# Keys the loader reads or checks in the header, with the JSON type each must have.
+# Keys the loader reads in the header, with the JSON type each must have.  The
+# keys of `derived_metadata` are checked against its output instead.
 _HEADER_TYPES = {
     "backbone": dict,
-    "blocks": list,
     "classifier": dict,
     "config": dict,
     "donors": list,
-    "dtype": str,
     "matrix_rows": list,
-    "modulators": list,
     "prototypes": list,
     "retrieval_log": list,
     "stage": int,
@@ -167,15 +163,14 @@ _HEADER_TYPES = {
 
 
 def _is(value, kind) -> bool:
-    """isinstance, except that a JSON true/false is not an int."""
-    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+    """isinstance, except that a JSON true/false is not a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _check_header(header, path) -> tuple[RunConfig, list[dict]]:
     """Raise IntegrityError unless the header has every field the loader reads,
-    well typed, holds a valid config that its metadata agrees with, and lists
-    exactly the blocks that its metadata implies.  Returns the config and the
-    block layout."""
+    well typed, holds a valid config, and its derived keys are exactly the
+    `derived_metadata` of that config.  Returns the config and the block list."""
 
     def need(ok, what):
         if not ok:
@@ -185,68 +180,61 @@ def _check_header(header, path) -> tuple[RunConfig, list[dict]]:
     for key, kind in _HEADER_TYPES.items():
         need(key in header, f"missing {key!r}")
         need(_is(header[key], kind), f"{key!r} is not a {kind.__name__}")
-    need(header["dtype"] in ("float32", "float64"), f"unknown dtype {header['dtype']!r}")
     try:
         cfg = make_config(header["config"])
     except ContractError as e:
         raise IntegrityError(f"{path} header is malformed: stored config is invalid: {e}") from None
-    bb = header["backbone"]
-    need(_is(bb.get("in_dim"), int) and _is(bb.get("hidden_dim"), int), "bad backbone entry")
-    need(len(header["modulators"]) == len(header["prototypes"]), "modulator/prototype count differ")
-    for m in header["modulators"]:
-        need(
-            isinstance(m, dict)
-            and isinstance(m.get("site_widths"), list)
-            and all(_is(w, int) for w in m["site_widths"])
-            and _is(m.get("embed_dim"), int)
-            and _is(m.get("heads"), int),
-            "bad modulator entry",
-        )
+    in_dim = header["backbone"].get("in_dim")
+    need(_is(in_dim, int) and in_dim >= 1, "bad backbone entry")
     for p in header["prototypes"]:
         need(isinstance(p, dict) and _is(p.get("node_count"), int), "bad prototype entry")
     c = header["classifier"]
     need(
-        _is(c.get("hidden_dim"), int)
+        _canonical(c.get("hidden_dim")) == _canonical(cfg.hidden_dim)
         and isinstance(c.get("frozen"), list)
+        and all(isinstance(b, bool) for b in c["frozen"])
         and isinstance(c.get("tasks"), list)
-        and all(isinstance(g, list) and all(_is(x, int) for x in g) for g in c["tasks"]),
+        and all(isinstance(g, list) and g and all(_is(x, int) for x in g) for g in c["tasks"]),
         "bad classifier entry",
     )
+    classes = [x for g in c["tasks"] for x in g]
+    need(len(set(classes)) == len(classes) == len(c["frozen"]), "classifier classes and frozen flags disagree")
 
     stage, total = header["stage"], header["tasks_total"]
     need(1 <= stage <= total, f"stage {stage} is outside 1..{total}")
+    rows, decisions, donors = header["matrix_rows"], header["retrieval_log"], header["donors"]
     need(
-        len(header["matrix_rows"]) == len(c["tasks"]) == stage,
-        f"{len(header['matrix_rows'])} matrix rows and {len(c['tasks'])} classifier tasks at stage {stage}",
+        len(rows) == len(c["tasks"]) == len(donors) == stage,
+        f"{len(rows)} matrix rows, {len(c['tasks'])} class groups, {len(donors)} donors at stage {stage}",
     )
+    is_accuracy = lambda v: _is(v, (int, float)) and 0 <= v <= 100
     need(
-        all(isinstance(r, list) and len(r) == t for t, r in enumerate(header["matrix_rows"], start=1)),
-        "matrix row t must hold t entries",
+        all(isinstance(r, list) and len(r) == t and all(map(is_accuracy, r)) for t, r in enumerate(rows, 1)),
+        "matrix row t must hold t accuracies in [0, 100]",
     )
-    stored = 0 if cfg.method == "finetune" else stage
-    need(len(header["modulators"]) == stored, f"{len(header['modulators'])} modulators at stage {stage}")
-    classes = [x for g in c["tasks"] for x in g]
-    need(len(set(classes)) == len(classes) == len(c["frozen"]), "classifier classes and frozen flags disagree")
-    d_in, d_h = bb["in_dim"], bb["hidden_dim"]
-    need(c["hidden_dim"] == d_h, f"classifier hidden_dim {c['hidden_dim']} != backbone {d_h}")
-
+    need(all(d is None or _is(d, int) for d in donors), "a donor is neither null nor a task id")
+    asked = [(s, j) for s in range(1, stage + 1) for j in range(1, s + 1)]
+    inferred = [e.get("inferred") if isinstance(e, dict) else None for e in decisions]
+    logged = [
+        {"stage": s, "task": j, "true": j, "inferred": i, "correct": None if i is None else i == j}
+        for (s, j), i in zip(asked, inferred)
+    ]
     need(
-        header["dtype"] == np.dtype(cfg.np_dtype).name,
-        f"dtype {header['dtype']} does not match precision {cfg.precision!r}",
+        len(decisions) == len(asked)
+        and all(i is None or _is(i, int) for i in inferred)
+        and decisions == logged,
+        "retrieval log is not one decision per (stage, task) up to this stage",
     )
-    need(d_h == cfg.hidden_dim, f"backbone hidden_dim {d_h} != config hidden_dim {cfg.hidden_dim}")
-    for t, m in enumerate(header["modulators"], start=1):
-        need(m["site_widths"] == [d_in, d_h], f"task {t} site widths {m['site_widths']} != {[d_in, d_h]}")
-        need(
-            (m["heads"], m["embed_dim"]) == (cfg.heads, cfg.embed_dim),
-            f"task {t} has heads {m['heads']} and embed_dim {m['embed_dim']}, "
-            f"config {cfg.heads} and {cfg.embed_dim}",
-        )
-    layout = block_layout(bb, header["modulators"], len(classes))
-    need(all(d >= 0 for b in layout for d in b["shape"]), "negative block dimension")
-    for got, want in zip_longest(header["blocks"], layout):
-        need(got == want, f"block entry {got} where the metadata implies {want}")
-    return cfg, layout
+    derived = derived_metadata(cfg, in_dim, stage, len(classes))
+    for key, want in derived.items():
+        need(key in header, f"missing {key!r}")
+        got = header[key]
+        same = _canonical(got) == _canonical(want)
+        if not same and isinstance(got, list):  # name the first entry that differs
+            got, want = next((g, w) for g, w in zip_longest(got, want) if _canonical(g) != _canonical(w))
+        need(same, f"{key!r} has {got} where the stored config implies {want}")
+    need(len(header["prototypes"]) == len(header["modulators"]), "modulator/prototype count differ")
+    return cfg, derived["blocks"]
 
 
 def load_checkpoint(path) -> RunState:
@@ -278,31 +266,16 @@ def load_checkpoint(path) -> RunState:
         raise IntegrityError(f"{path} failed its checksum")
 
     # Read-only views into the file bytes; each is copied once, by astype, where used.
-    views: dict[str, np.ndarray] = {}
-    at = 0
-    for meta, count in zip(layout, counts):
-        views[meta["name"]] = np.frombuffer(
-            payload, dtype="<f8", count=count, offset=8 * at
-        ).reshape(meta["shape"])
-        at += count
-    dtype = np.dtype(header["dtype"])
+    flat = np.frombuffer(payload, dtype="<f8")
+    ends = accumulate(counts)
+    views = {b["name"]: flat[end - n : end].reshape(b["shape"]) for b, n, end in zip(layout, counts, ends)}
 
-    def block(name, as_dtype=dtype):
+    def block(name, as_dtype=cfg.np_dtype):
         return views[name].astype(as_dtype)
 
     bank = PrototypeBank()
     for t, (mmeta, pmeta) in enumerate(zip(header["modulators"], header["prototypes"]), start=1):
-        sites = []
-        for s in range(len(mmeta["site_widths"])):
-            sites.append(
-                SiteParams(
-                    Tensor(block(f"task{t}.site{s}.w_base"), requires_grad=True),
-                    Tensor(block(f"task{t}.site{s}.b_base"), requires_grad=True),
-                    Tensor(block(f"task{t}.site{s}.w_attn"), requires_grad=True),
-                    Tensor(block(f"task{t}.site{s}.b_attn"), requires_grad=True),
-                )
-            )
-        mod = Modulator(Tensor(block(f"task{t}.embedding"), requires_grad=True), sites)
+        mod = Modulator.from_arrays([block(f"task{t}.{name}") for name, _ in param_layout(**mmeta)])
         proto = Prototype(block(f"task{t}.prototype", np.float64), node_count=pmeta["node_count"])
         bank.commit(proto, mod)
 

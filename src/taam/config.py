@@ -13,6 +13,7 @@ task id, and which label space it predicts over.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +85,14 @@ class RunConfig:
             raise ContractError(f"reduction must be one of {REDUCTIONS}, got {self.reduction!r}")
         if self.precision not in PRECISIONS:
             raise ContractError(f"precision must be one of {PRECISIONS}, got {self.precision!r}")
-        if self.epochs < 1 or self.hops < 0 or self.hidden_dim < 1:
-            raise ContractError("epochs >= 1, hops >= 0, hidden_dim >= 1 required")
+        if min(self.epochs, self.hidden_dim, self.embed_dim, self.heads) < 1 or self.hops < 0:
+            raise ContractError("epochs, hidden_dim, embed_dim and heads >= 1, hops >= 0 required")
+        if not (0 < self.lr < math.inf and 0 <= self.weight_decay < math.inf):
+            raise ContractError(
+                f"lr must be finite and > 0 and weight_decay finite and >= 0, "
+                f"got lr={self.lr} weight_decay={self.weight_decay}"
+            )
+        check_split_fractions(self.train_frac, self.val_frac)
         self.protocol_spec()
         return self
 
@@ -118,6 +125,12 @@ class RunConfig:
 
     def echo(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+
+
+def check_split_fractions(train_frac: float, val_frac: float) -> None:
+    """Train and validation shares must leave a non-empty share for test."""
+    if not 0 < train_frac < 1 or not 0 <= val_frac < 1 or train_frac + val_frac >= 1:
+        raise ContractError(f"bad split fractions train={train_frac} val={val_frac}")
 
 
 def parse_bool(text: str) -> bool:

@@ -29,6 +29,7 @@ import numpy as np
 
 from .backbone import init_backbone
 from .classifier import ClassifierHead
+from .config import check_split_fractions
 from .datasets import resolve_dataset
 from .errors import ContractError
 from .graph import SparseGraph, induced_subgraph, normalize_adjacency, propagate
@@ -94,8 +95,7 @@ def build_stream(
     train/val/test by `train_frac`/`val_frac` (test gets the remainder) with
     a per-class seeded shuffle, so splits do not depend on stream order.
     """
-    if not 0 < train_frac < 1 or not 0 <= val_frac < 1 or train_frac + val_frac >= 1:
-        raise ContractError(f"bad split fractions train={train_frac} val={val_frac}")
+    check_split_fractions(train_frac, val_frac)
     order = [int(c) for c in np.unique(g.labels)]
     if shuffle_classes:
         perm = rng_for(seed, "class-shuffle").permutation(len(order))

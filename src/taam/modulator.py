@@ -35,23 +35,34 @@ NUM_HEADS = 3
 EMBED_INIT_STD = 0.02
 
 
+def param_layout(site_widths, heads: int, embed_dim: int) -> list[tuple[str, tuple[int, int]]]:
+    """Every parameter's name and shape: per site w_base, b_base, w_attn,
+    b_attn, then the embedding.  This one order is `Modulator.parameters()`,
+    the draw order of `init_modulator` and the checkpoint's payload order."""
+    layout = []
+    for s, width in enumerate(site_widths):
+        layout += [
+            (f"site{s}.w_base", (heads * 2 * width, embed_dim)),
+            (f"site{s}.b_base", (heads * 2 * width, 1)),
+            (f"site{s}.w_attn", (heads, width)),
+            (f"site{s}.b_attn", (1, heads)),
+        ]
+    return layout + [("embedding", (embed_dim, 1))]
+
+
 class SiteParams:
     """Trainable parameters of one insertion site."""
 
     def __init__(self, w_base, b_base, w_attn, b_attn):
-        self.w_base = w_base if isinstance(w_base, Tensor) else Tensor(w_base, requires_grad=True)
-        self.b_base = b_base if isinstance(b_base, Tensor) else Tensor(b_base, requires_grad=True)
-        self.w_attn = w_attn if isinstance(w_attn, Tensor) else Tensor(w_attn, requires_grad=True)
-        self.b_attn = b_attn if isinstance(b_attn, Tensor) else Tensor(b_attn, requires_grad=True)
+        self.w_base, self.b_base, self.w_attn, self.b_attn = (
+            t if isinstance(t, Tensor) else Tensor(t, requires_grad=True)
+            for t in (w_base, b_base, w_attn, b_attn)
+        )
         heads, width = self.w_attn.shape
-        if self.w_base.shape[0] != heads * 2 * width:
-            raise ShapeError(
-                f"w_base rows {self.w_base.shape[0]} != heads*2*width = {heads * 2 * width}"
-            )
-        if self.b_base.shape != (heads * 2 * width, 1):
-            raise ShapeError(f"b_base shape {self.b_base.shape} != ({heads * 2 * width}, 1)")
-        if self.b_attn.shape != (1, heads):
-            raise ShapeError(f"b_attn shape {self.b_attn.shape} != (1, {heads})")
+        shapes = [t.shape for t in self.tensors()]
+        wanted = [shape for _, shape in param_layout([width], heads, self.w_base.shape[-1])[:4]]
+        if shapes != wanted:
+            raise ShapeError(f"site parameter shapes {shapes} != {wanted} for {heads} heads of width {width}")
         self.width = int(width)
         self.heads = int(heads)
 
@@ -70,20 +81,19 @@ class Modulator:
         self.frozen = False
 
     @property
-    def embed_dim(self) -> int:
-        return int(self.embedding.shape[0])
-
-    @property
     def site_widths(self) -> tuple[int, ...]:
         return tuple(s.width for s in self.sites)
 
+    @classmethod
+    def from_arrays(cls, arrays) -> "Modulator":
+        """Trainable modulator from arrays in `param_layout` order."""
+        *site_arrays, embedding = arrays
+        sites = [SiteParams(*site_arrays[i : i + 4]) for i in range(0, len(site_arrays), 4)]
+        return cls(Tensor(embedding, requires_grad=True), sites)
+
     def parameters(self) -> list[Tensor]:
-        """All tensors, in checkpoint order: per-site params, then embedding."""
-        out: list[Tensor] = []
-        for s in self.sites:
-            out.extend(s.tensors())
-        out.append(self.embedding)
-        return out
+        """All tensors, in `param_layout` order."""
+        return [t for s in self.sites for t in s.tensors()] + [self.embedding]
 
     def freeze(self) -> None:
         """Make every parameter non-trainable and its buffer read-only."""
@@ -124,33 +134,19 @@ def init_modulator(
     heads: int = NUM_HEADS,
     dtype=np.float64,
 ) -> Modulator:
-    """Fresh trainable modulator.
+    """Fresh trainable modulator, drawn in `param_layout` order.
 
     Weights and biases are uniform +-1/sqrt(fan_in) (fan_in = embed_dim for
     the basis generator, site width for the attention); the task embedding is
-    N(0, 0.02^2).  Draw order is fixed: per site w_base, b_base, w_attn,
-    b_attn, then the embedding.
+    N(0, 0.02^2).
     """
-    sites = []
-    for width in site_widths:
-        if width < 1:
-            raise ContractError(f"site width must be >= 1, got {width}")
-        be = 1.0 / np.sqrt(embed_dim)
-        ba = 1.0 / np.sqrt(width)
-        w_base = rng.uniform(-be, be, size=(heads * 2 * width, embed_dim)).astype(dtype)
-        b_base = rng.uniform(-be, be, size=(heads * 2 * width, 1)).astype(dtype)
-        w_attn = rng.uniform(-ba, ba, size=(heads, width)).astype(dtype)
-        b_attn = rng.uniform(-ba, ba, size=(1, heads)).astype(dtype)
-        sites.append(
-            SiteParams(
-                Tensor(w_base, requires_grad=True),
-                Tensor(b_base, requires_grad=True),
-                Tensor(w_attn, requires_grad=True),
-                Tensor(b_attn, requires_grad=True),
-            )
-        )
-    e = rng.normal(0.0, EMBED_INIT_STD, size=(embed_dim, 1)).astype(dtype)
-    return Modulator(Tensor(e, requires_grad=True), sites)
+    if min(site_widths, default=1) < 1:
+        raise ContractError(f"site widths must be >= 1, got {tuple(site_widths)}")
+    *site_shapes, (_, e_shape) = param_layout(site_widths, heads, embed_dim)
+    bounds = [1.0 / np.sqrt(fan) for w in site_widths for fan in (embed_dim, embed_dim, w, w)]
+    arrays = [rng.uniform(-b, b, size=shape).astype(dtype) for b, (_, shape) in zip(bounds, site_shapes)]
+    arrays.append(rng.normal(0.0, EMBED_INIT_STD, size=e_shape).astype(dtype))
+    return Modulator.from_arrays(arrays)
 
 
 def clone_structural(src: Modulator, rng: np.random.Generator) -> Modulator:
@@ -160,16 +156,6 @@ def clone_structural(src: Modulator, rng: np.random.Generator) -> Modulator:
     """
     if not src.frozen:
         raise ContractError("clone source must be a frozen modulator")
-    sites = []
-    for s in src.sites:
-        sites.append(
-            SiteParams(
-                Tensor(np.array(s.w_base.data), requires_grad=True),
-                Tensor(np.array(s.b_base.data), requires_grad=True),
-                Tensor(np.array(s.w_attn.data), requires_grad=True),
-                Tensor(np.array(s.b_attn.data), requires_grad=True),
-            )
-        )
-    dtype = src.embedding.data.dtype
-    e = rng.normal(0.0, EMBED_INIT_STD, size=(src.embed_dim, 1)).astype(dtype)
-    return Modulator(Tensor(e, requires_grad=True), sites)
+    *site_params, embedding = src.parameters()
+    e = rng.normal(0.0, EMBED_INIT_STD, size=embedding.shape).astype(embedding.dtype)
+    return Modulator.from_arrays([np.array(p.data) for p in site_params] + [e])

@@ -6,6 +6,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taam.backbone import Backbone
 from taam.checkpoint import MAGIC, load_checkpoint, save_checkpoint
@@ -60,6 +62,15 @@ def test_save_is_deterministic(tmp_path):
     twice = tmp_path / "again.bin"
     save_checkpoint(twice, res.state)
     assert path.read_bytes() == twice.read_bytes()
+
+
+def test_save_refuses_arrays_its_config_does_not_imply(tmp_path):
+    _, _, res, _ = small_run(tmp_path)
+    res.state.config = {**res.state.config, "heads": 2}
+    target = tmp_path / "never.bin"
+    with pytest.raises(ContractError, match="shapes"):
+        save_checkpoint(target, res.state)
+    assert not target.exists()
 
 
 def test_f32_round_trip_exact(tmp_path):
@@ -147,14 +158,17 @@ def test_check_config_guards_resume(tmp_path):
     assert "lr" in str(e.value) and "seed" in str(e.value)
 
 
-def with_header(path, out, edit):
-    """Copy a checkpoint with `edit` applied to its header and a recomputed CRC."""
+def read_header(path):
+    """A checkpoint's parsed header and its payload bytes."""
     raw = path.read_bytes()
     (hlen,) = struct.unpack("<Q", raw[12:20])
-    header = json.loads(raw[20 : 20 + hlen])
-    header = edit(header)
-    hb = json.dumps(header).encode("utf-8")
-    payload = raw[20 + hlen : -4]
+    return json.loads(raw[20 : 20 + hlen]), raw[20 + hlen : -4]
+
+
+def with_header(path, out, edit):
+    """Copy a checkpoint with `edit` applied to its header and a recomputed CRC."""
+    header, payload = read_header(path)
+    hb = json.dumps(edit(header)).encode("utf-8")
     crc = zlib.crc32(payload, zlib.crc32(hb))
     out.write_bytes(MAGIC + struct.pack("<IQ", 1, len(hb)) + hb + payload + struct.pack("<I", crc))
     return out
@@ -225,6 +239,8 @@ def swapped_prototype_names(h):
         ("config", config_with(hidden_dim=17)),
         ("config", config_with(heads=2)),
         ("config", config_with(seed=float("inf"))),
+        ("config", config_with(train_frac=1.5)),
+        ("config", config_with(heads=0)),
         ("blocks", extra_block),
         ("blocks", swapped_prototype_names),
     ],
@@ -247,3 +263,60 @@ def test_header_naming_a_missing_block_is_integrity_error(tmp_path):
 
     with pytest.raises(IntegrityError, match="backbone.w1"):
         load_checkpoint(with_header(path, tmp_path / "bad.bin", rename))
+
+
+@pytest.fixture(scope="module")
+def stage_one(tmp_path_factory):
+    """A config file and the checkpoint of its run stopped after stage 1 of 2."""
+    root = tmp_path_factory.mktemp("stage-one")
+    conf = root / "run.conf"
+    conf.write_text("dataset = sbm:classes=4,npc=25,dim=8,sep=10\nhidden_dim = 16\nepochs = 5\n")
+    assert main(["run", "--config", str(conf), "--out", str(root), "--stop-after", "1"]) == 0
+    return conf, root / "checkpoint.bin"
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("matrix_rows", [["a"]]),
+        ("matrix_rows", [[None]]),
+        ("matrix_rows", [[True]]),
+        ("matrix_rows", [[float("nan")]]),
+        ("retrieval_log", [7, 8]),
+        ("retrieval_log", []),
+        ("retrieval_log", [{"stage": 1, "task": 1, "true": 1, "inferred": 1}]),
+        ("donors", ["x"]),
+        ("donors", []),
+    ],
+)
+def test_bad_resume_fields_are_integrity_errors(tmp_path, stage_one, field, value):
+    conf, path = stage_one
+    bad = with_header(path, tmp_path / "bad.bin", lambda h: {**h, field: value})
+    with pytest.raises(IntegrityError, match="malformed"):
+        load_checkpoint(bad)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(conf), "--out", str(out), "--resume", str(bad)]) == 1
+    assert not (out / "summary.json").exists()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_header_fuzz_is_loaded_or_integrity_error(tmp_path_factory, stage_one, data):
+    _, path = stage_one
+    header, _ = read_header(path)
+    field = data.draw(st.sampled_from(sorted(header)), label="field")
+    value = data.draw(JSON_VALUES, label="value")
+    root = tmp_path_factory.mktemp("fuzz")
+    bad = with_header(path, root / "bad.bin", lambda h: {**h, field: value})
+    try:
+        load_checkpoint(bad)
+    except IntegrityError:
+        pass
+    assert main(["eval", "--checkpoint", str(bad), "--out", str(root)]) in (0, 1)

@@ -1,14 +1,21 @@
 """Command-line surface: artifacts, exit codes, resume flow, env overrides."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import shutil
 import subprocess
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taam.checkpoint import load_checkpoint
 from taam.cli import main
+from taam.config import RunConfig
 from taam.datasets import parse_planetoid
 from taam.harness import read_matrix_csv
 
@@ -149,6 +156,76 @@ def test_data_errors_exit_1(tmp_path):
     garbage = tmp_path / "garbage.bin"
     garbage.write_bytes(b"NOTACKPT" + b"\0" * 64)
     assert run_cli("eval", "--checkpoint", str(garbage)) == 1
+
+
+DEGENERATE = {
+    "edgeless": "sbm:classes=4,npc=10,p_in=0,p_out=0,dim=4,sep=6",
+    "two-nodes-per-class": "sbm:classes=4,npc=2,dim=4,sep=6",
+    "three-classes": "sbm:classes=3,npc=10,dim=4,sep=6",
+}
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_degenerate_streams_run_to_a_finite_aa(tmp_path, name, precision):
+    conf = write_tiny_config(tmp_path, dataset=DEGENERATE[name], hidden_dim=8, epochs=3,
+                             precision=precision)
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(conf), "--out", str(out)) == 0
+    assert np.isfinite(json.loads((out / "summary.json").read_text())["AA"])
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_one_node_per_class_is_a_usage_error(tmp_path, capsys, precision):
+    conf = write_tiny_config(tmp_path, dataset="sbm:classes=4,npc=1,dim=4,sep=6",
+                             precision=precision)
+    assert run_cli("run", "--config", str(conf), "--out", str(tmp_path / "out")) == 2
+    assert "class 0 too small to split" in capsys.readouterr().err
+
+
+# Config-file values for the fuzzer: each key's default or a bad value.  Size
+# fields draw only small or invalid values, so that no example allocates much.
+BAD = ["0", "-1", "inf", "-inf", "nan", "1e400", "1.5", "x", "", "true"]
+SIZES = st.sampled_from(BAD + ["1", "2"])
+FUZZ_BASE = {"dataset": "sbm:classes=4,npc=4,dim=4,sep=6", "hidden_dim": 4, "embed_dim": 2,
+             "heads": 1, "epochs": 1, "hops": 1}
+FUZZ_VALUES = {
+    **{key: SIZES for key in ("hidden_dim", "embed_dim", "heads", "epochs", "hops")},
+    "dataset": st.sampled_from([FUZZ_BASE["dataset"], "no/such/prefix"]) | st.builds(
+        "sbm:classes={},npc={},p_in={},p_out={},dim={},sep={}".format,
+        st.sampled_from(BAD + ["2", "4"]),
+        SIZES,
+        st.sampled_from(BAD + ["0.5", "1"]),
+        st.sampled_from(BAD + ["0.1"]),
+        SIZES,
+        st.sampled_from(BAD + ["4"]),
+    ),
+}
+ANY_BAD = st.sampled_from(BAD) | st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+FIELDS = [f.name for f in dataclasses.fields(RunConfig)]
+
+
+def fuzz_value(key):
+    if key in FUZZ_VALUES:
+        return FUZZ_VALUES[key]
+    return st.just(str(getattr(RunConfig(), key))) | ANY_BAD
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.lists(st.sampled_from(FIELDS), min_size=1, max_size=3, unique=True), st.data())
+def test_config_fuzz_exits_cleanly(keys, data):
+    values = dict(FUZZ_BASE)
+    for key in keys:
+        values[key] = data.draw(fuzz_value(key), label=key)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as root:
+        conf = f"{root}/run.conf"
+        with open(conf, "w") as fh:
+            fh.write("".join(f"{k} = {v}\n" for k, v in values.items()))
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--config", conf, "--out", f"{root}/out"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_console_script_is_installed(tmp_path):

@@ -88,6 +88,18 @@ def test_validation_rules():
         make_config(None, {"precision": "f16"})
     with pytest.raises(ContractError):
         make_config(None, {"epochs": 0})
+    for key in ("heads", "embed_dim"):
+        with pytest.raises(ContractError, match="heads >= 1"):
+            make_config(None, {key: 0})
+    for key, value in [("lr", 0), ("lr", -1), ("lr", "nan"), ("lr", "inf"),
+                       ("weight_decay", -1), ("weight_decay", "nan"), ("weight_decay", "inf")]:
+        with pytest.raises(ContractError, match="weight_decay finite"):
+            make_config(None, {key: value})
+    assert make_config(None, {"weight_decay": 0}).weight_decay == 0
+    for fractions in ({"train_frac": 1.5}, {"train_frac": 0}, {"val_frac": -0.1},
+                      {"train_frac": 0.6, "val_frac": 0.4}, {"val_frac": "nan"}):
+        with pytest.raises(ContractError, match="split fractions"):
+            make_config(None, fractions)
 
 
 def test_precision_dtype_and_echo_round_trip():
