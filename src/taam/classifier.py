@@ -1,9 +1,10 @@
 """Class-incremental linear head.
 
-One weight matrix that grows a column per class.  Columns of finished tasks
-are frozen: they can be read for logits but never written again.  Training
-code pulls a copy of the new columns, optimizes it, and writes it back once;
-this module only does bookkeeping and inference math.
+One weight matrix that grows a block of columns per task, one column per
+class, so task t's columns are one slice (`span`).  Columns of finished tasks
+are frozen: they can be read for scores but never written again.  Training
+code pulls a copy of a block, optimizes it, and writes it back once; this
+module only does bookkeeping and inference math.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ class ClassifierHead:
         self.hidden_dim = int(hidden_dim)
         self.weight = np.zeros((self.hidden_dim, 0), dtype=dtype)
         self.frozen = np.zeros(0, dtype=bool)
-        self.columns: dict[int, int] = {}  # class id -> column, in column order
-        self.tasks: list[list[int]] = []
+        self.tasks: list[list[int]] = []  # global class ids of each task, in column order
 
     @classmethod
     def restore(cls, weight: np.ndarray, tasks, frozen) -> "ClassifierHead":
@@ -29,84 +29,65 @@ class ClassifierHead:
         head.weight = weight
         head.frozen = np.array(frozen, dtype=bool)
         head.tasks = [[int(c) for c in group] for group in tasks]
-        head.columns = {c: col for col, c in enumerate(c for group in head.tasks for c in group)}
         return head
 
     @property
     def num_classes(self) -> int:
         return self.weight.shape[1]
 
-    @property
-    def registered(self) -> list[int]:
-        return sorted(self.columns)
-
-    def extend(self, new_classes, rng: np.random.Generator) -> None:
-        """Append one column per class, uniform +-1/sqrt(hidden_dim), unfrozen.
-
-        Class ids are global and must be new; they form the next task group.
-        """
+    def extend(self, new_classes, rng: np.random.Generator) -> int:
+        """Append the next task's block: one column per class, uniform
+        +-1/sqrt(hidden_dim), unfrozen.  Class ids are global and must be new.
+        Returns the new task's number (1-based)."""
         new_classes = [int(c) for c in new_classes]
         if len(set(new_classes)) != len(new_classes):
             raise ContractError(f"duplicate class in {new_classes}")
-        for c in new_classes:
-            if c in self.columns:
-                raise ContractError(f"class {c} already registered")
+        taken = set(new_classes).intersection(c for group in self.tasks for c in group)
+        if taken:
+            raise ContractError(f"classes {sorted(taken)} already registered")
         bound = 1.0 / np.sqrt(self.hidden_dim)
         block = rng.uniform(-bound, bound, size=(self.hidden_dim, len(new_classes)))
-        base = self.num_classes
-        for local, c in enumerate(new_classes):
-            self.columns[c] = base + local
         self.tasks.append(new_classes)
         self.weight = np.concatenate([self.weight, block.astype(self.weight.dtype)], axis=1)
         self.frozen = np.concatenate([self.frozen, np.zeros(len(new_classes), dtype=bool)])
+        return len(self.tasks)
 
-    def _columns(self, classes) -> np.ndarray:
-        cols = []
-        for c in classes:
-            col = self.columns.get(int(c))
-            if col is None:
-                raise ContractError(f"class {c} is not registered")
-            cols.append(col)
-        return np.asarray(cols, dtype=np.int64)
+    def span(self, task: int | None = None) -> slice:
+        """The columns of task `task` (1-based), or of every task when None."""
+        if task is None:
+            return slice(0, self.num_classes)
+        if not 1 <= task <= len(self.tasks):
+            raise ContractError(f"unknown task {task} (head holds {len(self.tasks)})")
+        start = sum(len(group) for group in self.tasks[: task - 1])
+        return slice(start, start + len(self.tasks[task - 1]))
 
-    def class_order(self, classes) -> list[int]:
-        """The subset in logit column order, i.e. in registration order."""
-        uniq = sorted(set(int(c) for c in classes))
-        self._columns(uniq)
-        return sorted(uniq, key=self.columns.__getitem__)
+    def block(self, task: int | None = None) -> np.ndarray:
+        """Copy of the columns of `span(task)`."""
+        return self.weight[:, self.span(task)].copy()
 
-    def column_block(self, classes) -> np.ndarray:
-        """Copy of the columns for `classes`, in the order given."""
-        return self.weight[:, self._columns(classes)].copy()
-
-    def set_columns(self, classes, values: np.ndarray) -> None:
-        """Write columns back (order given); refuses frozen columns."""
-        cols = self._columns(classes)
+    def set_block(self, values: np.ndarray, task: int | None = None) -> None:
+        """Write the columns of `span(task)`; refuses frozen columns."""
+        cols = self.span(task)
         if self.frozen[cols].any():
-            bad = [int(c) for c, col in zip(classes, cols) if self.frozen[col]]
-            raise ContractError(f"classes {bad} are frozen")
-        if values.shape != (self.hidden_dim, len(cols)):
-            raise ShapeError(f"column block shape {values.shape} != ({self.hidden_dim}, {len(cols)})")
+            raise ContractError(f"columns {cols.start}..{cols.stop - 1} hold frozen classes")
+        if values.shape != (self.hidden_dim, cols.stop - cols.start):
+            raise ShapeError(f"block shape {values.shape} != ({self.hidden_dim}, {cols.stop - cols.start})")
         self.weight[:, cols] = values
 
-    def freeze_classes(self, classes) -> None:
-        self.frozen[self._columns(classes)] = True
+    def freeze(self, task: int) -> None:
+        self.frozen[self.span(task)] = True
 
-    def logits(self, embeddings: np.ndarray, classes) -> np.ndarray:
-        """Scores over the subset, columns ordered per class_order()."""
-        emb = np.asarray(embeddings)
-        if emb.ndim != 2 or emb.shape[1] != self.hidden_dim:
-            raise ShapeError(f"embeddings shape {emb.shape} does not match hidden dim {self.hidden_dim}")
-        order = self.class_order(classes)
-        return emb @ self.weight[:, self._columns(order)]
-
-    def predict(self, embeddings: np.ndarray, classes) -> np.ndarray:
-        """Argmax over the subset, returned as global class ids.
+    def predict(self, embeddings: np.ndarray, task: int | None = None) -> np.ndarray:
+        """Argmax over the columns of `span(task)`, as global class ids.
 
         Exact score ties resolve to the numerically lowest global class id.
         """
-        order = np.asarray(self.class_order(classes), dtype=np.int64)
-        z = self.logits(embeddings, order)
+        emb = np.asarray(embeddings)
+        if emb.ndim != 2 or emb.shape[1] != self.hidden_dim:
+            raise ShapeError(f"embeddings shape {emb.shape} does not match hidden dim {self.hidden_dim}")
+        cols = self.span(task)
+        ids = np.concatenate(self.tasks).astype(np.int64)[cols]
+        z = emb @ self.weight[:, cols]
         top = z.max(axis=1, keepdims=True)
-        candidates = np.where(z == top, order[None, :], np.iinfo(np.int64).max)
+        candidates = np.where(z == top, ids[None, :], np.iinfo(np.int64).max)
         return candidates.min(axis=1)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint
 from .config import ABLATIONS, METHODS, PRECISIONS, RunConfig, make_config, read_config_file
-from .datasets import write_planetoid
+from .datasets import SBM_DEFAULTS, write_planetoid
 from .errors import ContractError, IntegrityError, NumericError, ParseError
 from .graph import generate_sbm
 from .harness import evaluate_final_row, run_continual, stream_from_config, write_matrix_csv
@@ -71,13 +71,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-sbm", help="write a synthetic graph as .content/.cites")
     gen.add_argument("--out", required=True, help="output file prefix")
-    gen.add_argument("--classes", type=int, default=6)
-    gen.add_argument("--nodes-per-class", type=int, default=60)
-    gen.add_argument("--p-in", type=float, default=0.1)
-    gen.add_argument("--p-out", type=float, default=0.02)
-    gen.add_argument("--dim", type=int, default=32)
-    gen.add_argument("--separation", type=float, default=8.0)
-    gen.add_argument("--noise", type=float, default=1.0)
+    flags = {"classes": "--classes", "npc": "--nodes-per-class", "p_in": "--p-in", "p_out": "--p-out",
+             "dim": "--dim", "sep": "--separation", "noise": "--noise"}
+    for key, flag in flags.items():
+        gen.add_argument(flag, type=type(SBM_DEFAULTS[key]), default=SBM_DEFAULTS[key])
     gen.add_argument("--seed", type=int, default=0)
     return parser
 

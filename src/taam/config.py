@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, text_lines
 
 
 @dataclass(frozen=True)
@@ -144,15 +144,14 @@ def parse_bool(text: str) -> bool:
 
 def read_config_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ContractError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    for lineno, raw in text_lines(path, ContractError):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ContractError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
     return values
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ParseError
+from .errors import ContractError, ParseError, text_lines
 from .graph import SparseGraph, generate_sbm
 
 log = logging.getLogger(__name__)
@@ -49,29 +49,26 @@ def parse_planetoid(content_path, cites_path) -> tuple[SparseGraph, PlanetoidSta
     rows: list[np.ndarray] = []
     label_strings: list[str] = []
     width = None
-    with open(content_path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) < 3:
-                raise ParseError(f"{content_path}:{lineno}: expected id, features, label")
-            node_id, feats, label = parts[0], parts[1:-1], parts[-1]
-            if node_id in ids:
-                raise ParseError(f"{content_path}:{lineno}: duplicate node id {node_id!r}")
-            if width is None:
-                width = len(feats)
-            elif len(feats) != width:
-                raise ParseError(
-                    f"{content_path}:{lineno}: {len(feats)} features, expected {width}"
-                )
-            try:
-                rows.append(np.array([float(v) for v in feats], dtype=np.float64))
-            except ValueError:
-                raise ParseError(f"{content_path}:{lineno}: non-numeric feature value") from None
-            ids[node_id] = len(ids)
-            label_strings.append(label)
+    for lineno, raw in text_lines(content_path, ParseError):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) < 3:
+            raise ParseError(f"{content_path}:{lineno}: expected id, features, label")
+        node_id, feats, label = parts[0], parts[1:-1], parts[-1]
+        if node_id in ids:
+            raise ParseError(f"{content_path}:{lineno}: duplicate node id {node_id!r}")
+        if width is None:
+            width = len(feats)
+        elif len(feats) != width:
+            raise ParseError(f"{content_path}:{lineno}: {len(feats)} features, expected {width}")
+        try:
+            rows.append(np.array([float(v) for v in feats], dtype=np.float64))
+        except ValueError:
+            raise ParseError(f"{content_path}:{lineno}: non-numeric feature value") from None
+        ids[node_id] = len(ids)
+        label_strings.append(label)
     if not rows:
         raise ParseError(f"{content_path}: no content lines")
 
@@ -82,19 +79,18 @@ def parse_planetoid(content_path, cites_path) -> tuple[SparseGraph, PlanetoidSta
 
     edges = []
     dangling = 0
-    with open(cites_path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"{cites_path}:{lineno}: expected cited<TAB>citing")
-            a, b = ids.get(parts[0]), ids.get(parts[1])
-            if a is None or b is None:
-                dangling += 1
-                continue
-            edges.append((a, b))
+    for lineno, raw in text_lines(cites_path, ParseError):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(f"{cites_path}:{lineno}: expected cited<TAB>citing")
+        a, b = ids.get(parts[0]), ids.get(parts[1])
+        if a is None or b is None:
+            dangling += 1
+            continue
+        edges.append((a, b))
     if dangling:
         log.warning("skipped %d citation(s) referencing unknown node ids", dangling)
 
@@ -108,14 +104,7 @@ def load_planetoid(content_path, cites_path, row_normalize: bool = False) -> Spa
         log.info("row-normalizing features to unit sum")
         sums = graph.features.sum(axis=1, keepdims=True)
         scale = np.where(sums == 0.0, 1.0, sums)
-        graph = SparseGraph(
-            num_nodes=graph.num_nodes,
-            indptr=graph.indptr,
-            indices=graph.indices,
-            values=graph.values,
-            features=graph.features / scale,
-            labels=graph.labels,
-        )
+        graph = SparseGraph(graph.adj, graph.features / scale, graph.labels)
     return graph
 
 
@@ -132,7 +121,7 @@ def write_planetoid(graph: SparseGraph, prefix, node_prefix: str = "n") -> tuple
         for i in range(graph.num_nodes):
             feats = "\t".join(repr(float(v)) for v in graph.features[i])
             fh.write(f"{node_prefix}{i}\t{feats}\tclass_{int(graph.labels[i]):02d}\n")
-    adj = graph.adjacency().tocoo()
+    adj = graph.adj.tocoo()
     with open(cites_path, "w") as fh:
         for i, j in zip(adj.row, adj.col):
             if i < j:

@@ -2,6 +2,7 @@
 
 Each maps to one failure family so callers (and tests) can distinguish
 bad shapes from bad numerics from bad files without string matching.
+`text_lines` reads the package's text inputs and types their decode errors.
 """
 
 
@@ -27,3 +28,15 @@ class IntegrityError(ValueError):
 
 class VersionError(IntegrityError):
     """Checkpoint was written by an incompatible format version."""
+
+
+def text_lines(path, error: type[Exception]):
+    """Yield (line number, line) of a UTF-8 text file, split as open() splits
+    it.  A line that is not UTF-8 raises `error` naming the file and line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise error(f"{path}:{lineno}: not UTF-8 text") from None
+            yield lineno, line

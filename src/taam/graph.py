@@ -1,9 +1,7 @@
 """Undirected graphs in CSR form, normalization, and feature propagation.
 
-The graph type stores the adjacency structure directly (row offsets, column
-indices, edge values) together with node features and integer labels.
-scipy.sparse supplies the sparse-dense products; the stored arrays are the
-source of truth.
+The graph type holds its adjacency as one scipy CSR matrix together with
+node features and integer labels.
 """
 
 from __future__ import annotations
@@ -21,59 +19,51 @@ from .rng import rng_for
 class SparseGraph:
     """Symmetric unweighted graph with dense node features and labels.
 
-    indptr/indices/values are standard CSR arrays of the adjacency matrix
-    (values all 1.0, no self-loops).  features is (n, d) float64, labels is
-    (n,) int64.
+    adj is the (n, n) CSR adjacency matrix (values all 1.0, no self-loops),
+    features is (n, d) float64, labels is (n,) int64.
     """
 
-    num_nodes: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    values: np.ndarray
+    adj: sp.csr_matrix
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        self.indptr = np.asarray(self.indptr, dtype=np.int64)
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.validate()
 
     @property
+    def num_nodes(self) -> int:
+        return int(self.adj.shape[0])
+
+    @property
     def num_edges(self) -> int:
         """Directed entry count; each undirected edge contributes two."""
-        return int(self.indices.shape[0])
+        return int(self.adj.nnz)
 
     @property
     def feature_dim(self) -> int:
         return int(self.features.shape[1])
 
-    def adjacency(self) -> sp.csr_matrix:
-        n = self.num_nodes
-        return sp.csr_matrix((self.values, self.indices, self.indptr), shape=(n, n))
-
     def validate(self) -> None:
+        a = self.adj
+        if not isinstance(a, sp.csr_matrix):
+            raise ContractError(f"adjacency must be a scipy.sparse.csr_matrix, got {type(a).__name__}")
+        # scipy's constructor leaves index ranges unchecked, and scipy
+        # kernels given a malformed CSR can corrupt memory, so check it first.
+        try:
+            a.check_format(full_check=True)
+        except ValueError as e:
+            raise ContractError(f"malformed CSR adjacency: {e}") from None
         n = self.num_nodes
-        if self.indptr.shape != (n + 1,) or self.indptr[0] != 0:
-            raise ShapeError(f"bad indptr: shape {self.indptr.shape} for {n} nodes")
-        if np.any(np.diff(self.indptr) < 0):
-            raise ContractError("indptr must be non-decreasing")
-        nnz = int(self.indptr[-1])
-        if self.indices.shape != (nnz,) or self.values.shape != (nnz,):
-            raise ShapeError(
-                f"indices/values shapes {self.indices.shape}/{self.values.shape} != nnz {nnz}"
-            )
-        if nnz and (self.indices.min() < 0 or self.indices.max() >= n):
-            raise ContractError("column index out of range")
+        if a.shape != (n, n):
+            raise ShapeError(f"adjacency shape {a.shape} is not square")
         if self.features.ndim != 2 or self.features.shape[0] != n:
             raise ShapeError(f"features shape {self.features.shape} does not match {n} nodes")
         if not np.isfinite(self.features).all():
             raise NumericError("non-finite feature value")
         if self.labels.shape != (n,):
             raise ShapeError(f"labels shape {self.labels.shape} does not match {n} nodes")
-        a = self.adjacency()
         if (a != a.T).nnz != 0:
             raise ContractError("adjacency is not symmetric")
 
@@ -99,7 +89,8 @@ class SparseGraph:
         rows, cols = np.divmod(keys, num_nodes)
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
-        return cls(num_nodes, indptr, cols, np.ones(keys.shape[0]), features, labels)
+        adj = sp.csr_matrix((np.ones(keys.shape[0]), cols, indptr), shape=(num_nodes, num_nodes))
+        return cls(adj, features, labels)
 
 
 def normalize_adjacency(g: SparseGraph) -> sp.csr_matrix:
@@ -109,7 +100,7 @@ def normalize_adjacency(g: SparseGraph) -> sp.csr_matrix:
     Self-loops guarantee every row has positive degree, so isolated nodes get
     the identity row.
     """
-    a = g.adjacency() + sp.identity(g.num_nodes, format="csr")
+    a = g.adj + sp.identity(g.num_nodes, format="csr")
     deg = np.asarray(a.sum(axis=1)).ravel()
     inv_sqrt = 1.0 / np.sqrt(deg)
     d = sp.diags(inv_sqrt)
@@ -129,28 +120,15 @@ def propagate(s: sp.csr_matrix, x: np.ndarray, hops: int) -> np.ndarray:
     return np.ascontiguousarray(out)
 
 
-def induced_subgraph(g: SparseGraph, node_set) -> tuple[SparseGraph, dict[int, int]]:
-    """Subgraph on `node_set`, keeping only edges with both endpoints inside.
-
-    Nodes are relabeled in ascending original-id order.  Returns the subgraph
-    and the old-to-new index map.
-    """
-    nodes = np.unique(np.asarray(sorted(node_set), dtype=np.int64))
+def induced_subgraph(g: SparseGraph, nodes) -> SparseGraph:
+    """Subgraph on the node ids `nodes`, keeping only edges with both
+    endpoints inside; node nodes[k] of `g` becomes node k."""
+    nodes = np.asarray(nodes, dtype=np.int64)
     if nodes.size == 0:
         raise ContractError("induced_subgraph needs a non-empty node set")
-    if nodes[0] < 0 or nodes[-1] >= g.num_nodes:
+    if nodes.min() < 0 or nodes.max() >= g.num_nodes:
         raise ContractError(f"node id out of range for graph with {g.num_nodes} nodes")
-    sub = g.adjacency()[nodes][:, nodes].tocsr()
-    new = SparseGraph(
-        num_nodes=int(nodes.size),
-        indptr=sub.indptr,
-        indices=sub.indices,
-        values=sub.data,
-        features=g.features[nodes].copy(),
-        labels=g.labels[nodes].copy(),
-    )
-    mapping = {int(old): new_id for new_id, old in enumerate(nodes)}
-    return new, mapping
+    return SparseGraph(g.adj[nodes][:, nodes], g.features[nodes], g.labels[nodes])
 
 
 def generate_sbm(

@@ -138,20 +138,22 @@ def build_stream(
 
     tasks = []
     for tid, classes in enumerate(groups, start=1):
-        members = np.sort(np.concatenate([np.where(g.labels == c)[0] for c in classes]))
-        sub, old2new = induced_subgraph(g, members)
-        to_local = lambda ids: np.sort(np.array([old2new[int(v)] for v in ids], dtype=np.int64))
-        lab2local = {c: i for i, c in enumerate(classes)}
+        members = np.flatnonzero(np.isin(g.labels, classes))
+        sub = induced_subgraph(g, members)
+        train_idx, val_idx, test_idx = (
+            np.searchsorted(members, np.sort(np.concatenate(parts)))
+            for parts in zip(*(split_of[c] for c in classes))
+        )
         tasks.append(
             TaskSpec(
                 task_id=tid,
                 classes=list(classes),
                 graph=sub,
                 orig_nodes=members,
-                train_idx=to_local(np.concatenate([split_of[c][0] for c in classes])),
-                val_idx=to_local(np.concatenate([split_of[c][1] for c in classes])),
-                test_idx=to_local(np.concatenate([split_of[c][2] for c in classes])),
-                local_labels=np.array([lab2local[int(l)] for l in sub.labels], dtype=np.int64),
+                train_idx=train_idx,
+                val_idx=val_idx,
+                test_idx=test_idx,
+                local_labels=(sub.labels[:, None] == np.asarray(classes)).argmax(1),
             )
         )
     return TaskStream(tasks=tasks, dropped_classes=[int(c) for c in dropped], source_nodes=g.num_nodes)
@@ -273,11 +275,8 @@ def _evaluate_stage(stream, cfg, state, stage) -> tuple[list[float], list[dict]]
             else:
                 inferred = bank.retrieve(x64, task.test_idx)
             emb = net.forward(x, bank.modulator(inferred)).data
-        if variant.label_space == "seen" or cfg.predict_over_all:
-            classes = head.registered
-        else:
-            classes = head.tasks[inferred - 1]
-        pred = head.predict(emb, classes)
+        seen = variant.label_space == "seen" or cfg.predict_over_all
+        pred = head.predict(emb, None if seen else inferred)
         row.append(100.0 * float((pred == truth).sum()) / truth.size)
         correct = (inferred == j) if inferred is not None else None
         decisions.append({"stage": stage, "task": j, "true": j, "inferred": inferred, "correct": correct})

@@ -22,7 +22,6 @@ from .modulator import EMBED_DIM, NUM_HEADS, Modulator, clone_structural, init_m
 class Prototype:
     vector: np.ndarray
     node_count: int
-    task_id: int | None = None
 
     def __post_init__(self):
         self.vector = np.asarray(self.vector, dtype=np.float64).reshape(-1)
@@ -86,10 +85,9 @@ class PrototypeBank:
                 f"prototype dim {proto.vector.shape} != stored {self._entries[0][0].vector.shape}"
             )
         mod.freeze()
-        proto.task_id = len(self._entries) + 1
         proto.vector.setflags(write=False)
         self._entries.append((proto, mod))
-        return proto.task_id
+        return len(self._entries)
 
     def retrieve(self, x_prop: np.ndarray, node_set) -> int:
         """Infer the task id of a test batch: the rows `x_prop[node_set]`."""

@@ -153,16 +153,15 @@ def train_task(task, backbone, bank, head, cfg) -> TaskTrainLog:
     """
     x_prop64 = task.propagated(cfg.hops)
     x_prop = x_prop64.astype(cfg.np_dtype, copy=False)
-    head.extend(task.classes, rng_for(cfg.seed, "task", task.task_id, "head"))
+    t = head.extend(task.classes, rng_for(cfg.seed, "task", task.task_id, "head"))
     cw = class_weights(task.graph.labels[task.train_idx], task.classes)
     node_w = cw[task.local_labels[task.train_idx]]
 
     if cfg.method == "finetune":
-        cols = [c for group in head.tasks for c in group]
-        w = Tensor(head.column_block(cols), requires_grad=True)
-        labels = task.local_labels + (len(cols) - len(task.classes))
+        w = Tensor(head.block(), requires_grad=True)
+        labels = task.local_labels + head.span(t).start
         epochs = _fit(backbone.embed, backbone.parameters(), w, x_prop, task, labels, node_w, cfg)
-        head.set_columns(cols, w.data)
+        head.set_block(w.data)
         return TaskTrainLog(task_id=task.task_id, donor=None, epochs=epochs)
 
     proto = compute_prototype(x_prop64, task.train_idx)
@@ -172,11 +171,11 @@ def train_task(task, backbone, bank, head, cfg) -> TaskTrainLog:
         mod, donor = task_aware_init(bank, proto, backbone.site_widths, rng_mod, **dims)
     else:
         mod, donor = init_modulator(backbone.site_widths, rng_mod, **dims), None
-    w = Tensor(head.column_block(task.classes), requires_grad=True)
+    w = Tensor(head.block(t), requires_grad=True)
     embed = lambda x: backbone.forward(x, mod)
     epochs = _fit(embed, mod.parameters(), w, x_prop, task, task.local_labels, node_w, cfg)
-    head.set_columns(task.classes, w.data)
-    head.freeze_classes(task.classes)
+    head.set_block(w.data, t)
+    head.freeze(t)
     bank.commit(proto, mod)
     return TaskTrainLog(task_id=task.task_id, donor=donor, epochs=epochs)
 

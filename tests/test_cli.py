@@ -202,6 +202,8 @@ FUZZ_VALUES = {
     ),
 }
 ANY_BAD = st.sampled_from(BAD) | st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+# Raw bytes around \xff, which no UTF-8 text contains.
+NOT_UTF8 = st.builds(lambda a, b: a + b"\xff" + b, st.binary(max_size=3), st.binary(max_size=3))
 FIELDS = [f.name for f in dataclasses.fields(RunConfig)]
 
 
@@ -214,18 +216,25 @@ def fuzz_value(key):
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(st.lists(st.sampled_from(FIELDS), min_size=1, max_size=3, unique=True), st.data())
 def test_config_fuzz_exits_cleanly(keys, data):
-    values = dict(FUZZ_BASE)
+    values = {key: str(v).encode() for key, v in FUZZ_BASE.items()}
     for key in keys:
-        values[key] = data.draw(fuzz_value(key), label=key)
+        values[key] = data.draw(fuzz_value(key).map(str.encode) | NOT_UTF8, label=key)
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as root:
         conf = f"{root}/run.conf"
-        with open(conf, "w") as fh:
-            fh.write("".join(f"{k} = {v}\n" for k, v in values.items()))
+        with open(conf, "wb") as fh:
+            fh.write(b"".join(k.encode() + b" = " + v + b"\n" for k, v in values.items()))
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(["run", "--config", conf, "--out", f"{root}/out"])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def test_non_utf8_config_is_a_usage_error(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_bytes(b"epochs = 1\nseed = \xff\xfe\n")
+    assert run_cli("run", "--config", str(conf), "--out", str(tmp_path / "out")) == 2
+    assert "run.conf:2: not UTF-8" in capsys.readouterr().err
 
 
 def test_console_script_is_installed(tmp_path):

@@ -52,7 +52,7 @@ def test_parse_fixture(tmp_path, caplog):
     # n9 is unknown (1 dangling), n4->n4 is a self-loop and vanishes
     assert stats.dangling_citations == 1
     assert "skipped 1 citation(s)" in caplog.text
-    a = graph.adjacency().toarray()
+    a = graph.adj.toarray()
     assert np.array_equal(a, np.array([
         [0, 1, 1, 0],
         [1, 0, 0, 0],
@@ -87,6 +87,15 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         parse_planetoid(c, e)
 
 
+@pytest.mark.parametrize("suffix,line", [("content", 2), ("cites", 1)])
+def test_non_utf8_file_is_a_parse_error(tmp_path, suffix, line):
+    c, e = write_fixture(tmp_path)
+    path = c if suffix == "content" else e
+    path.write_bytes(path.read_bytes().replace(b"n2", b"n\xff2", 1))
+    with pytest.raises(ParseError, match=rf"toy\.{suffix}:{line}: not UTF-8"):
+        parse_planetoid(c, e)
+
+
 def test_row_normalize_leaves_zero_rows_alone(tmp_path):
     c, e = write_fixture(tmp_path)
     g = load_planetoid(c, e, row_normalize=True)
@@ -104,8 +113,8 @@ def test_write_then_parse_round_trips_bitwise(tmp_path):
     back, stats = parse_planetoid(content, cites)
     assert np.array_equal(back.features, g.features)
     assert np.array_equal(back.labels, g.labels)
-    assert np.array_equal(back.indptr, g.indptr)
-    assert np.array_equal(back.indices, g.indices)
+    assert np.array_equal(back.adj.indptr, g.adj.indptr)
+    assert np.array_equal(back.adj.indices, g.adj.indices)
     assert stats.label_names == ["class_00", "class_01", "class_02"]
     assert stats.dangling_citations == 0
 

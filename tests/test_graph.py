@@ -24,7 +24,7 @@ def path_graph(n=3, dim=2):
 
 
 def dense_norm(g):
-    a = g.adjacency().toarray() + np.eye(g.num_nodes)
+    a = g.adj.toarray() + np.eye(g.num_nodes)
     d = a.sum(axis=1)
     inv = 1.0 / np.sqrt(d)
     return inv[:, None] * a * inv[None, :]
@@ -83,7 +83,7 @@ def test_from_edges_symmetrizes_dedups_drops_loops():
     g = SparseGraph.from_edges(
         3, [(0, 1), (1, 0), (0, 1), (2, 2)], np.zeros((3, 1)), np.zeros(3, int)
     )
-    a = g.adjacency().toarray()
+    a = g.adj.toarray()
     assert np.array_equal(a, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
     assert g.num_edges == 2  # one undirected edge, two directed entries
     with pytest.raises(ContractError):
@@ -102,40 +102,54 @@ def test_from_edges_matches_dense_oracle(n, data, as_array):
             want[i, j] = want[j, i] = 1.0
     edges = np.array(pairs, dtype=np.int64).reshape(-1, 2) if as_array else pairs
     g = SparseGraph.from_edges(n, edges, np.zeros((n, 1)), np.zeros(n, int))
-    assert np.array_equal(g.adjacency().toarray(), want)
+    assert np.array_equal(g.adj.toarray(), want)
     assert g.num_edges == int(want.sum())
     for r in range(n):
-        assert np.all(np.diff(g.indices[g.indptr[r] : g.indptr[r + 1]]) > 0)
+        assert np.all(np.diff(g.adj.indices[g.adj.indptr[r] : g.adj.indptr[r + 1]]) > 0)
 
 
 def test_validate_rejects_asymmetric():
     a = sp.csr_matrix(np.array([[0, 1], [0, 0]], dtype=float))
     with pytest.raises(ContractError, match="symmetric"):
-        SparseGraph(2, a.indptr, a.indices, a.data, np.zeros((2, 1)), np.zeros(2, int))
+        SparseGraph(a, np.zeros((2, 1)), np.zeros(2, int))
 
 
 def test_validate_rejects_bad_shapes_and_values():
     g = path_graph()
     with pytest.raises(NumericError):
-        SparseGraph(3, g.indptr, g.indices, g.values, np.full((3, 2), np.nan), g.labels)
+        SparseGraph(g.adj, np.full((3, 2), np.nan), g.labels)
     with pytest.raises(ShapeError):
-        SparseGraph(3, g.indptr, g.indices, g.values, np.zeros((2, 2)), g.labels)
+        SparseGraph(g.adj, np.zeros((2, 2)), g.labels)
     with pytest.raises(ShapeError):
-        SparseGraph(3, g.indptr, g.indices, g.values, g.features, np.zeros(2, int))
+        SparseGraph(g.adj, g.features, np.zeros(2, int))
     with pytest.raises(ShapeError):
-        SparseGraph(3, g.indptr[:-1], g.indices, g.values, g.features, g.labels)
+        SparseGraph(g.adj[:, :2], g.features, g.labels)  # not square
+    with pytest.raises(ContractError):
+        SparseGraph(g.adj.toarray(), g.features, g.labels)  # not a CSR matrix
+
+
+@pytest.mark.parametrize(
+    "indices,indptr",
+    [([1, 3], [0, 1, 2, 2]), ([1, -1], [0, 1, 2, 2]), ([1, 0], [0, 2, 1, 2])],
+    ids=["column-out-of-range", "negative-column", "decreasing-indptr"],
+)
+def test_malformed_csr_is_a_contract_error(indices, indptr):
+    # scipy's constructor accepts these; read unchecked, they can corrupt memory
+    a = sp.csr_matrix((np.ones(2), np.array(indices), np.array(indptr)), shape=(3, 3))
+    with pytest.raises(ContractError, match="malformed CSR"):
+        SparseGraph(a, np.zeros((3, 1)), np.zeros(3, int))
 
 
 def test_induced_subgraph_path():
     g = path_graph(3)
-    sub, mapping = induced_subgraph(g, {0, 2})
-    assert mapping == {0: 0, 2: 1}
+    sub = induced_subgraph(g, [0, 2])
+    assert sub.num_nodes == 2
     assert sub.num_edges == 0  # 0-2 were never adjacent
     assert np.array_equal(sub.features, g.features[[0, 2]])
 
-    sub, mapping = induced_subgraph(g, [1, 2])
-    assert mapping == {1: 0, 2: 1}
+    sub = induced_subgraph(g, [2, 1])  # node nodes[k] becomes node k
     assert sub.num_edges == 2
+    assert np.array_equal(sub.features, g.features[[2, 1]])
 
 
 def test_induced_subgraph_edge_oracle():
@@ -144,10 +158,11 @@ def test_induced_subgraph_edge_oracle():
     edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.25}
     g = SparseGraph.from_edges(n, list(edges), rng.normal(size=(n, 2)), np.zeros(n, int))
     keep = [0, 2, 3, 7, 8, 11, 14]
-    sub, m = induced_subgraph(g, keep)
+    sub = induced_subgraph(g, keep)
+    m = {old: new for new, old in enumerate(keep)}
     want = {(m[i], m[j]) for i, j in edges if i in m and j in m}
     got = set()
-    coo = sub.adjacency().tocoo()
+    coo = sub.adj.tocoo()
     for i, j in zip(coo.row, coo.col):
         if i < j:
             got.add((int(i), int(j)))
@@ -167,16 +182,17 @@ def test_sbm_deterministic_per_seed():
     a = generate_sbm(3, 10, 0.5, 0.1, 4, 6.0, seed=42)
     b = generate_sbm(3, 10, 0.5, 0.1, 4, 6.0, seed=42)
     c = generate_sbm(3, 10, 0.5, 0.1, 4, 6.0, seed=43)
-    for name in ("indptr", "indices", "values", "features", "labels"):
+    assert (a.adj != b.adj).nnz == 0
+    for name in ("features", "labels"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert not np.array_equal(a.features, c.features)
-    assert not np.array_equal(a.indices, c.indices)
+    assert (a.adj != c.adj).nnz != 0
 
 
 def test_sbm_labels_and_block_structure():
     g = generate_sbm(3, 8, 1.0, 0.0, 3, 5.0, seed=1)
     assert np.array_equal(g.labels, np.repeat([0, 1, 2], 8))
-    coo = g.adjacency().tocoo()
+    coo = g.adj.tocoo()
     same = g.labels[coo.row] == g.labels[coo.col]
     assert same.all()  # p_out = 0: no cross-class edge
     # p_in = 1: each block is complete
@@ -197,7 +213,7 @@ def block_oracle(labels, p_in, p_out):
 def test_sbm_extreme_probabilities_are_exact(classes, npc, p_in, p_out):
     # both 1: the complete graph; both 0: no edges; p_in = 1, p_out = 0: complete blocks
     g = generate_sbm(classes, npc, p_in, p_out, classes, 5.0, seed=1)
-    assert np.array_equal(g.adjacency().toarray(), block_oracle(g.labels, p_in, p_out))
+    assert np.array_equal(g.adj.toarray(), block_oracle(g.labels, p_in, p_out))
 
 
 @pytest.mark.parametrize(
@@ -205,19 +221,19 @@ def test_sbm_extreme_probabilities_are_exact(classes, npc, p_in, p_out):
 )
 def test_sbm_csr_is_clean(classes, npc, p_in, p_out):
     g = generate_sbm(classes, npc, p_in, p_out, classes, 5.0, seed=3)
-    a = g.adjacency()
+    a = g.adj
     assert (a != a.T).nnz == 0
     assert np.all(a.diagonal() == 0)
-    assert np.all(g.values == 1.0)
-    rows = np.repeat(np.arange(g.num_nodes), np.diff(g.indptr))
+    assert np.all(a.data == 1.0)
+    rows = np.repeat(np.arange(g.num_nodes), np.diff(a.indptr))
     # strictly increasing columns within each row: sorted, and no edge twice
-    assert np.all(np.diff(g.indices)[rows[1:] == rows[:-1]] > 0)
+    assert np.all(np.diff(a.indices)[rows[1:] == rows[:-1]] > 0)
 
 
 def test_sbm_edge_counts_match_expectation():
     classes, npc, p_in, p_out = 8, 150, 0.05, 0.004
     g = generate_sbm(classes, npc, p_in, p_out, classes, 5.0, seed=0)
-    coo = sp.triu(g.adjacency(), k=1).tocoo()
+    coo = sp.triu(g.adj, k=1).tocoo()
     within = int(np.sum(g.labels[coo.row] == g.labels[coo.col]))
     cross = coo.nnz - within
     pairs_in = classes * npc * (npc - 1) // 2

@@ -48,7 +48,7 @@ def test_compute_prototype_is_mean_of_propagated_rows():
     nodes = [0, 3, 7, 12]
     p = compute_prototype(x_prop, nodes)
     assert np.allclose(p.vector, x_prop[nodes].mean(axis=0), rtol=1e-14)
-    assert p.node_count == 4 and p.task_id is None
+    assert p.node_count == 4
 
 
 def test_compute_prototype_contracts():
@@ -92,7 +92,6 @@ def test_commit_assigns_sequential_ids_and_freezes():
         proto = Prototype(np.array([float(i)]), node_count=2)
         mod = mod_for((1,), seed=i)
         assert bank.commit(proto, mod) == i + 1
-        assert proto.task_id == i + 1
         assert mod.frozen
         with pytest.raises(ValueError):
             proto.vector[0] = 99.0  # stored prototype is write-locked
