@@ -1,23 +1,37 @@
-"""Binary run checkpoints.
+"""Binary run checkpoints, format 2: a small file rewritten at every stage
+plus an append-only sidecar of frozen blocks.
 
-Layout (all integers little-endian):
+`path` holds what changes from stage to stage (integers little-endian):
 
     bytes 0..7    magic "TAAMCKPT"
-    bytes 8..11   u32 format version (currently 1)
+    bytes 8..11   u32 format version (currently 2)
     bytes 12..19  u64 header length H
     next H bytes  header, UTF-8 JSON (sorted keys)
-    payload       parameter blocks, raw float64 little-endian, C order
+    payload       the classifier weight matrix, then for method finetune its
+                  trained w1 and w2; raw float64 little-endian, C order
     last 4 bytes  u32 CRC-32 of header bytes + payload bytes
 
-Block order: backbone w1, w2; then per stored task its modulator's
-parameters in `modulator.param_layout` order; then the classifier weight
-matrix; then the prototype vectors in task order.  The header's metadata
-(dtype, backbone and modulator dims) and its "blocks" list of every block's
-name and shape are derived from the stored config, the input width, the
-stage and the class count (`derived_metadata`).  The loader requires the
-stored config to validate, the resume fields (matrix rows, retrieval log,
-donors) to be well typed, and each derived key to equal what that config
-implies.  Every violation is an IntegrityError.
+`frozen_path(path)` (`path` + ".frozen") holds the blocks that never change
+once written, as consecutive segments of raw float64 little-endian, C order.
+Segment 0 is the backbone's w1 and w2; segment t is task t's modulator
+parameters in `modulator.param_layout` order, then its prototype.  Method
+finetune trains its net and stores no modulators, so its sidecar is empty.
+The header's "segments" list holds each segment's byte length and CRC-32, so
+the CRC of `path` pins the sidecar's content too.  Move a run by copying
+both files.
+
+A run's first save writes a fresh sidecar; each later save appends only the
+newly frozen segment.  The sidecar is written and fsynced before `path` is
+replaced (temp file, fsync, rename; see `fileio`), and the loader reads only
+the segments that `path` lists.  A crash at any point thus leaves the last
+completed stage loadable, whatever torn tail the sidecar has.
+
+Block shapes are not stored: `payload_layout` derives them from the stored
+config, the input width, the stage and the class count.  The loader requires
+the header to have exactly the keys it reads, each well typed; the stored
+config to validate; the resume fields (matrix rows, retrieval log, donors) to
+be consistent; and every length and checksum to match.  Every violation is an
+IntegrityError, and a file of another format version is a VersionError.
 
 Float32 runs upcast to float64 on save and cast back on load (exact).
 Checkpoints are written at stage boundaries, so no optimizer state is
@@ -28,10 +42,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
-from itertools import accumulate, zip_longest
+from itertools import accumulate
 
 import numpy as np
 
@@ -39,12 +54,13 @@ from .backbone import Backbone
 from .classifier import ClassifierHead
 from .config import RunConfig, make_config
 from .errors import ContractError, IntegrityError, VersionError
+from .fileio import write_at, write_atomic
 from .modulator import Modulator, param_layout
 from .prototypes import Prototype, PrototypeBank
 from .training import FinetuneModel
 
 MAGIC = b"TAAMCKPT"
-VERSION = 1
+VERSION = 2
 
 # Resuming in a different place is fine; resuming different run semantics is not.
 _CONFIG_KEYS_IGNORED_ON_RESUME = ("out_dir",)
@@ -79,76 +95,85 @@ class RunState:
             raise ContractError(f"checkpoint config does not match current config; differs in {diff}")
 
 
-def derived_metadata(cfg: RunConfig, in_dim: int, stage: int, classes: int) -> dict:
-    """The header keys that the config, the input width, the stage and the
-    class count fix: dtype, backbone and modulator dims, and the block list
-    (every payload block's name and shape, in payload order)."""
+def frozen_path(path) -> str:
+    """The sidecar file that holds the frozen segments of the checkpoint at `path`."""
+    return f"{os.fspath(path)}.frozen"
+
+
+def payload_layout(cfg: RunConfig, in_dim: int, stage: int, classes: int):
+    """Shapes of every stored array, in storage order: those of the payload
+    of `path`, and those of each frozen segment of the sidecar."""
     d_h = cfg.hidden_dim
-    stored = [] if cfg.method == "finetune" else range(1, stage + 1)
-    widths = [in_dim, d_h]
-    blocks = [("backbone.w1", (in_dim, d_h)), ("backbone.w2", (d_h, d_h))]
-    params = param_layout(widths, cfg.heads, cfg.embed_dim)
-    blocks += [(f"task{t}.{name}", shape) for t in stored for name, shape in params]
-    blocks.append(("classifier.weight", (d_h, classes)))
-    blocks += [(f"task{t}.prototype", (in_dim,)) for t in stored]
-    return {
-        "dtype": np.dtype(cfg.np_dtype).name,
-        "backbone": {"in_dim": in_dim, "hidden_dim": d_h},
-        "modulators": [
-            {"site_widths": widths, "embed_dim": cfg.embed_dim, "heads": cfg.heads} for _ in stored
-        ],
-        "blocks": [{"name": name, "shape": list(shape)} for name, shape in blocks],
-    }
+    head, backbone = [(d_h, classes)], [(in_dim, d_h), (d_h, d_h)]
+    if cfg.method == "finetune":
+        return head + backbone, []
+    params = param_layout([in_dim, d_h], cfg.heads, cfg.embed_dim)
+    task = [shape for _, shape in params] + [(in_dim,)]
+    return head, [backbone] + [task] * stage
 
 
-def _canonical(value) -> str:
-    """JSON text with sorted keys, so that equal text means equal JSON (true != 1)."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+def _f8(arrays) -> list[np.ndarray]:
+    return [np.ascontiguousarray(a, dtype="<f8") for a in arrays]
 
 
-def save_checkpoint(path, state: RunState) -> None:
+def _crc(chunks, crc: int = 0) -> int:
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    return crc
+
+
+def save_checkpoint(path, state: RunState, segments: list[dict] | None = None) -> list[dict]:
+    """Write `state` to `path` and its sidecar; return the segment table.
+
+    `segments` is the table that this run's previous save to `path` returned.
+    Its segments are in the sidecar already, so only newer ones are appended.
+    None, for a run's first save, writes a fresh sidecar.
+    """
     bank, head, net = state.bank, state.head, state.net
+    cfg = make_config(state.config)
     tasks = range(1, len(bank) + 1)
-    meta = derived_metadata(
-        make_config(state.config), int(net.w1.shape[0]), state.stage, head.num_classes
-    )
-    arrays = [net.w1, net.w2]
-    arrays += [p.data for t in tasks for p in bank.modulator(t).parameters()]
-    arrays.append(head.weight)
-    arrays += [bank.prototype(t).vector for t in tasks]
-    shapes = [list(a.shape) for a in arrays]
-    wanted = [b["shape"] for b in meta["blocks"]]
+    mutable = [head.weight]
+    frozen = [[p.data for p in bank.modulator(t).parameters()] + [bank.prototype(t).vector] for t in tasks]
+    if cfg.method == "finetune":
+        mutable += [net.w1, net.w2]
+    else:
+        frozen.insert(0, [net.w1, net.w2])
+    shapes = ([a.shape for a in mutable], [[a.shape for a in seg] for seg in frozen])
+    wanted = payload_layout(cfg, int(net.w1.shape[0]), state.stage, head.num_classes)
     if shapes != wanted:
         raise ContractError(f"run state arrays have shapes {shapes}; its config implies {wanted}")
+
+    table = list(segments or [])
+    fresh = [_f8(seg) for seg in frozen[len(table) :]]
+    table += [{"length": sum(a.nbytes for a in seg), "crc": _crc(seg)} for seg in fresh]
+    chunks = [a for seg in fresh for a in seg]
+    if segments is None:
+        write_atomic(frozen_path(path), chunks)
+    else:
+        write_at(frozen_path(path), sum(s["length"] for s in segments), chunks)
+
     header = {
-        **meta,
         "version": VERSION,
         "config": state.config,
         "stage": int(state.stage),
         "tasks_total": int(state.tasks_total),
+        "backbone": {"in_dim": int(net.w1.shape[0])},
         "prototypes": [{"node_count": bank.prototype(t).node_count} for t in tasks],
-        "classifier": {
-            "hidden_dim": head.hidden_dim,
-            "tasks": head.tasks,
-            "frozen": [bool(b) for b in head.frozen],
-        },
+        "classifier": {"tasks": head.tasks, "frozen": [bool(b) for b in head.frozen]},
         "matrix_rows": state.matrix_rows,
         "retrieval_log": state.retrieval_log,
         "donors": state.donors,
+        "segments": table,
     }
-    header_bytes = _canonical(header).encode("utf-8")
-    crc = zlib.crc32(header_bytes)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<IQ", VERSION, len(header_bytes)) + header_bytes)
-        for a in arrays:
-            a = np.ascontiguousarray(a, dtype="<f8")
-            crc = zlib.crc32(a, crc)
-            fh.write(a)
-        fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    payload = _f8(mutable)
+    crc = _crc(payload, zlib.crc32(header_bytes))
+    prefix = MAGIC + struct.pack("<IQ", VERSION, len(header_bytes))
+    write_atomic(path, [prefix, header_bytes, *payload, struct.pack("<I", crc)])
+    return table
 
 
-# Keys the loader reads in the header, with the JSON type each must have.  The
-# keys of `derived_metadata` are checked against its output instead.
+# Every header key, with the JSON type it must have.
 _HEADER_TYPES = {
     "backbone": dict,
     "classifier": dict,
@@ -157,8 +182,10 @@ _HEADER_TYPES = {
     "matrix_rows": list,
     "prototypes": list,
     "retrieval_log": list,
+    "segments": list,
     "stage": int,
     "tasks_total": int,
+    "version": int,
 }
 
 
@@ -167,10 +194,19 @@ def _is(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _check_header(header, path) -> tuple[RunConfig, list[dict]]:
-    """Raise IntegrityError unless the header has every field the loader reads,
-    well typed, holds a valid config, and its derived keys are exactly the
-    `derived_metadata` of that config.  Returns the config and the block list."""
+def _fields(value, **kinds) -> bool:
+    """`value` is a JSON object with exactly these keys, each of its kind."""
+    return (
+        isinstance(value, dict)
+        and set(value) == set(kinds)
+        and all(_is(value[k], kind) for k, kind in kinds.items())
+    )
+
+
+def _check_header(header, path):
+    """Raise IntegrityError unless the header has exactly the fields the
+    loader reads, well typed and consistent, and holds a valid config.
+    Returns the config and the `payload_layout` it implies."""
 
     def need(ok, what):
         if not ok:
@@ -180,20 +216,19 @@ def _check_header(header, path) -> tuple[RunConfig, list[dict]]:
     for key, kind in _HEADER_TYPES.items():
         need(key in header, f"missing {key!r}")
         need(_is(header[key], kind), f"{key!r} is not a {kind.__name__}")
+    need(set(header) == set(_HEADER_TYPES), f"unexpected keys {sorted(set(header) - set(_HEADER_TYPES))}")
+    need(header["version"] == VERSION, f"version {header['version']} in a format {VERSION} file")
     try:
         cfg = make_config(header["config"])
     except ContractError as e:
         raise IntegrityError(f"{path} header is malformed: stored config is invalid: {e}") from None
-    in_dim = header["backbone"].get("in_dim")
-    need(_is(in_dim, int) and in_dim >= 1, "bad backbone entry")
-    for p in header["prototypes"]:
-        need(isinstance(p, dict) and _is(p.get("node_count"), int), "bad prototype entry")
+    need(_fields(header["backbone"], in_dim=int) and header["backbone"]["in_dim"] >= 1, "bad backbone entry")
+    in_dim = header["backbone"]["in_dim"]
+    need(all(_fields(p, node_count=int) for p in header["prototypes"]), "bad prototype entry")
     c = header["classifier"]
     need(
-        _canonical(c.get("hidden_dim")) == _canonical(cfg.hidden_dim)
-        and isinstance(c.get("frozen"), list)
+        _fields(c, tasks=list, frozen=list)
         and all(isinstance(b, bool) for b in c["frozen"])
-        and isinstance(c.get("tasks"), list)
         and all(isinstance(g, list) and g and all(_is(x, int) for x in g) for g in c["tasks"]),
         "bad classifier entry",
     )
@@ -225,16 +260,45 @@ def _check_header(header, path) -> tuple[RunConfig, list[dict]]:
         and decisions == logged,
         "retrieval log is not one decision per (stage, task) up to this stage",
     )
-    derived = derived_metadata(cfg, in_dim, stage, len(classes))
-    for key, want in derived.items():
-        need(key in header, f"missing {key!r}")
-        got = header[key]
-        same = _canonical(got) == _canonical(want)
-        if not same and isinstance(got, list):  # name the first entry that differs
-            got, want = next((g, w) for g, w in zip_longest(got, want) if _canonical(g) != _canonical(w))
-        need(same, f"{key!r} has {got} where the stored config implies {want}")
-    need(len(header["prototypes"]) == len(header["modulators"]), "modulator/prototype count differ")
-    return cfg, derived["blocks"]
+    blocks, segments = payload_layout(cfg, in_dim, stage, len(classes))
+    stored = 0 if cfg.method == "finetune" else stage
+    need(len(header["prototypes"]) == stored, f"{len(header['prototypes'])} prototypes, {stored} stored tasks")
+    table = header["segments"]
+    need(all(_fields(s, length=int, crc=int) and 0 <= s["crc"] < 2**32 for s in table), "bad segment entry")
+    need(len(table) == len(segments), f"{len(table)} segments where the stored config implies {len(segments)}")
+    for i, (entry, shapes) in enumerate(zip(table, segments)):
+        want, got = 8 * sum(math.prod(s) for s in shapes), entry["length"]
+        need(got == want, f"segment {i} has {got} bytes where the stored config implies {want}")
+    return cfg, blocks, segments
+
+
+def _views(buf, shapes) -> list[np.ndarray]:
+    """Read-only float64 views of consecutive arrays of these shapes in `buf`;
+    each is copied once, by astype, where used."""
+    flat = np.frombuffer(buf, dtype="<f8")
+    counts = [math.prod(s) for s in shapes]
+    return [flat[end - n : end].reshape(s) for s, n, end in zip(shapes, counts, accumulate(counts))]
+
+
+def _read_segments(path, table, segments) -> list[list[np.ndarray]]:
+    """The frozen segments listed in `table`, read from the sidecar of `path`."""
+    sidecar = frozen_path(path)
+    total = sum(entry["length"] for entry in table)
+    try:
+        with open(sidecar, "rb") as fh:
+            raw = memoryview(fh.read(total))
+    except FileNotFoundError:
+        raise IntegrityError(f"{sidecar} is missing; copy it along with {path}") from None
+    if len(raw) < total:
+        raise IntegrityError(f"{sidecar} is truncated")
+    out, at = [], 0
+    for t, (entry, shapes) in enumerate(zip(table, segments)):
+        seg = raw[at : at + entry["length"]]
+        if zlib.crc32(seg) != entry["crc"]:
+            raise IntegrityError(f"{sidecar} failed its checksum (segment {t})")
+        out.append(_views(seg, shapes))
+        at += entry["length"]
+    return out
 
 
 def load_checkpoint(path) -> RunState:
@@ -254,40 +318,45 @@ def load_checkpoint(path) -> RunState:
         header = json.loads(str(header_bytes, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise IntegrityError(f"{path} header is corrupt: {e}") from None
-    cfg, layout = _check_header(header, path)
+    cfg, blocks, segments = _check_header(header, path)
 
-    counts = [math.prod(b["shape"]) for b in layout]
-    payload_len = 8 * sum(counts)
+    payload_len = 8 * sum(math.prod(s) for s in blocks)
     if header_end + payload_len + 4 != len(raw):
         raise IntegrityError(f"{path} is truncated (payload)")
     payload = raw[header_end : header_end + payload_len]
     (crc_stored,) = struct.unpack_from("<I", raw, len(raw) - 4)
-    if zlib.crc32(payload, zlib.crc32(header_bytes)) & 0xFFFFFFFF != crc_stored:
+    if zlib.crc32(payload, zlib.crc32(header_bytes)) != crc_stored:
         raise IntegrityError(f"{path} failed its checksum")
+    head_weight, *finetune_net = _views(payload, blocks)
+    frozen = _read_segments(path, header["segments"], segments)
 
-    # Read-only views into the file bytes; each is copied once, by astype, where used.
-    flat = np.frombuffer(payload, dtype="<f8")
-    ends = accumulate(counts)
-    views = {b["name"]: flat[end - n : end].reshape(b["shape"]) for b, n, end in zip(layout, counts, ends)}
-
-    def block(name, as_dtype=cfg.np_dtype):
-        return views[name].astype(as_dtype)
+    def cast(view):
+        """The stored values in the run's dtype, which must hold them exactly
+        (compared bit for bit, so that a NaN equals itself)."""
+        out = view.astype(cfg.np_dtype)
+        bits = lambda a: a.astype(view.dtype, copy=False).view(np.uint64)
+        if out.dtype != view.dtype and not np.array_equal(bits(out), bits(view)):
+            raise IntegrityError(f"{path} header is malformed: {cfg.precision} cannot hold the stored values")
+        return out
 
     bank = PrototypeBank()
-    for t, (mmeta, pmeta) in enumerate(zip(header["modulators"], header["prototypes"]), start=1):
-        mod = Modulator.from_arrays([block(f"task{t}.{name}") for name, _ in param_layout(**mmeta)])
-        proto = Prototype(block(f"task{t}.prototype", np.float64), node_count=pmeta["node_count"])
-        bank.commit(proto, mod)
+    if cfg.method == "finetune":
+        net = FinetuneModel(*map(cast, finetune_net))
+    else:
+        (w1, w2), *tasks = frozen
+        net = Backbone(cast(w1), cast(w2))
+        for (*params, vector), pmeta in zip(tasks, header["prototypes"]):
+            mod = Modulator.from_arrays([cast(p) for p in params])
+            bank.commit(Prototype(vector.astype(np.float64), node_count=pmeta["node_count"]), mod)
 
     cmeta = header["classifier"]
-    net = FinetuneModel if cfg.method == "finetune" else Backbone
     return RunState(
         config=header["config"],
         stage=header["stage"],
         tasks_total=header["tasks_total"],
-        net=net(block("backbone.w1"), block("backbone.w2")),
+        net=net,
         bank=bank,
-        head=ClassifierHead.restore(block("classifier.weight"), cmeta["tasks"], cmeta["frozen"]),
+        head=ClassifierHead.restore(cast(head_weight), cmeta["tasks"], cmeta["frozen"]),
         matrix_rows=header["matrix_rows"],
         retrieval_log=header["retrieval_log"],
         donors=header["donors"],

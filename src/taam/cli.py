@@ -2,7 +2,8 @@
 
 Subcommands:
     run        train a stream and write matrix.csv, summary.json, per-task
-               training logs, and checkpoint.bin into the output directory
+               training logs, and checkpoint.bin with its sidecar
+               checkpoint.bin.frozen into the output directory
     eval       re-evaluate the last completed stage of a saved checkpoint
     ablate     run the three method variants and print a comparison table
     gradcheck  end-to-end finite-difference check of the training gradients
@@ -26,6 +27,7 @@ from .checkpoint import load_checkpoint
 from .config import ABLATIONS, METHODS, PRECISIONS, RunConfig, make_config, read_config_file
 from .datasets import SBM_DEFAULTS, write_planetoid
 from .errors import ContractError, IntegrityError, NumericError, ParseError
+from .fileio import write_atomic
 from .graph import generate_sbm
 from .harness import evaluate_final_row, run_continual, stream_from_config, write_matrix_csv
 from .training import end_to_end_grad_check
@@ -95,9 +97,7 @@ def _resolve_config(args, forced: dict | None = None) -> RunConfig:
 
 
 def _dump_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")])
 
 
 def _run_one(cfg: RunConfig, out_dir: str, resume_path=None, stop_after=None) -> dict:
@@ -113,9 +113,7 @@ def _run_one(cfg: RunConfig, out_dir: str, resume_path=None, stop_after=None) ->
     _dump_json(os.path.join(out_dir, "summary.json"), summary)
     for task_log in result.task_logs:
         log_path = os.path.join(out_dir, f"task_{task_log.task_id:02d}_train.log")
-        with open(log_path, "w") as fh:
-            for entry in task_log.epochs:
-                fh.write(entry.line() + "\n")
+        write_atomic(log_path, [(entry.line() + "\n").encode("utf-8") for entry in task_log.epochs])
     return summary
 
 

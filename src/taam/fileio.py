@@ -1,0 +1,34 @@
+"""Durable file writes.
+
+Every artifact is written whole or not at all: `write_atomic` writes a temp
+file next to the target, fsyncs it and renames it over the target, so a
+crash leaves either the old file or the new one.  `write_at` extends a file
+in place (the checkpoint's append-only sidecar).
+"""
+
+from __future__ import annotations
+
+import os
+
+
+def write_atomic(path, chunks) -> None:
+    """Replace `path` by the concatenation of `chunks` (bytes-like objects)."""
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
+def write_at(path, offset: int, chunks) -> None:
+    """Write `chunks` at byte `offset` of the existing file `path`, cut it
+    there, and fsync.  Bytes before `offset` are never touched."""
+    with open(path, "r+b") as fh:
+        fh.seek(offset)
+        for chunk in chunks:
+            fh.write(chunk)
+        fh.truncate()
+        fh.flush()
+        os.fsync(fh.fileno())

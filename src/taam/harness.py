@@ -21,6 +21,7 @@ What each variant changes is read from the table `config.VARIANTS`.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import time
 from dataclasses import dataclass, field
@@ -32,6 +33,7 @@ from .classifier import ClassifierHead
 from .config import check_split_fractions
 from .datasets import resolve_dataset
 from .errors import ContractError
+from .fileio import write_atomic
 from .graph import SparseGraph, induced_subgraph, normalize_adjacency, propagate
 from .prototypes import PrototypeBank
 from .rng import rng_for
@@ -91,7 +93,7 @@ def build_stream(
     Classes are taken in ascending label order (or a seeded shuffle).  With
     `task_sizes` the groups have the given sizes in order; otherwise equal
     groups of `classes_per_task`.  Classes that do not fill a group are
-    dropped from the stream.  Within each class the nodes are split
+    dropped from the stream.  Within each kept class the nodes are split
     train/val/test by `train_frac`/`val_frac` (test gets the remainder) with
     a per-class seeded shuffle, so splits do not depend on stream order.
     """
@@ -125,7 +127,7 @@ def build_stream(
         log.info("stream drops classes %s (do not fill a task)", dropped)
 
     split_of: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for c in order:
+    for c in (c for classes in groups for c in classes):
         nodes = np.where(g.labels == c)[0]
         perm = rng_for(seed, "split", c).permutation(nodes.size)
         nodes = nodes[perm]
@@ -198,14 +200,15 @@ def average_forgetting(matrix: np.ndarray) -> float:
 def write_matrix_csv(path, matrix: np.ndarray, completed: int) -> None:
     """Rows `stage,task_1..task_T`; cells use repr() so values round-trip exactly."""
     t_total = matrix.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stage"] + [f"task_{j}" for j in range(1, t_total + 1)])
-        for t in range(1, completed + 1):
-            row = [str(t)]
-            for j in range(t_total):
-                row.append(repr(float(matrix[t - 1, j])) if j < t else "")
-            writer.writerow(row)
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(["stage"] + [f"task_{j}" for j in range(1, t_total + 1)])
+    for t in range(1, completed + 1):
+        row = [str(t)]
+        for j in range(t_total):
+            row.append(repr(float(matrix[t - 1, j])) if j < t else "")
+        writer.writerow(row)
+    write_atomic(path, [text.getvalue().encode("utf-8")])
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -252,9 +255,15 @@ class RunResult:
         }
 
 
-def _evaluate_stage(stream, cfg, state, stage) -> tuple[list[float], list[dict]]:
+def _evaluate_stage(stream, cfg, state, stage, embeddings: dict) -> tuple[list[float], list[dict]]:
     """Matrix row `stage` (accuracy on each task seen so far) and the task-id
-    decision made for each of those tasks."""
+    decision made for each of those tasks.
+
+    `embeddings` maps (task j, modulator id) to task j's test embedding.  The
+    backbone and every stored modulator are frozen, so within a run each
+    entry is a constant; pass the same dict at every stage to compute each
+    one once.  Finetune's net changes every stage and never uses it.
+    """
     variant = cfg.variant
     net, bank, head = state.net, state.bank, state.head
     row: list[float] = []
@@ -274,7 +283,9 @@ def _evaluate_stage(stream, cfg, state, stage) -> tuple[list[float], list[dict]]
                 inferred = bank.latest_task()
             else:
                 inferred = bank.retrieve(x64, task.test_idx)
-            emb = net.forward(x, bank.modulator(inferred)).data
+            if (j, inferred) not in embeddings:
+                embeddings[j, inferred] = net.forward(x, bank.modulator(inferred)).data
+            emb = embeddings[j, inferred]
         seen = variant.label_space == "seen" or cfg.predict_over_all
         pred = head.predict(emb, None if seen else inferred)
         row.append(100.0 * float((pred == truth).sum()) / truth.size)
@@ -300,8 +311,9 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
     `resume` is a RunState from a saved checkpoint: training continues after
     its last completed stage and, because every random draw is keyed by
     (seed, purpose, task), reproduces the uninterrupted run exactly.  The run
-    advances that state in place.  `checkpoint_path` is rewritten after each
-    completed stage.
+    advances that state in place.  After each completed stage the checkpoint
+    at `checkpoint_path` is saved: its first save writes it whole, each later
+    one appends only the newly frozen blocks.
     """
     from .checkpoint import RunState, save_checkpoint  # local import, no cycle
 
@@ -340,16 +352,18 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
         state.config = cfg.echo()
 
     task_logs: list[TaskTrainLog] = []
+    embeddings: dict = {}
+    segments = None
     for stage in range(first_stage, last + 1):
         tl = train_task(stream.tasks[stage - 1], state.net, state.bank, state.head, cfg)
         task_logs.append(tl)
-        row, decisions = _evaluate_stage(stream, cfg, state, stage)
+        row, decisions = _evaluate_stage(stream, cfg, state, stage, embeddings)
         state.matrix_rows.append(row)
         state.retrieval_log.extend(decisions)
         state.donors.append(tl.donor)
         state.stage = stage
         if checkpoint_path is not None:
-            save_checkpoint(checkpoint_path, state)
+            segments = save_checkpoint(checkpoint_path, state, segments)
 
     matrix = np.full((t_total, t_total), np.nan)
     for t, row in enumerate(state.matrix_rows, start=1):
@@ -371,5 +385,5 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
 
 def evaluate_final_row(stream: TaskStream, cfg, state) -> tuple[np.ndarray, list[dict]]:
     """Re-run the evaluation of the last completed stage from a restored state."""
-    row, decisions = _evaluate_stage(stream, cfg, state, state.stage)
+    row, decisions = _evaluate_stage(stream, cfg, state, state.stage, {})
     return np.array(row), decisions

@@ -1,16 +1,25 @@
-"""Checkpoint container: round trips, corruption detection, config guard."""
+"""Checkpoint container: round trips, corruption detection, config guard,
+crash safety."""
 
 import json
+import os
+import shutil
+import signal
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import taam
+from taam import checkpoint, fileio
 from taam.backbone import Backbone
-from taam.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from taam.checkpoint import MAGIC, VERSION, frozen_path, load_checkpoint, save_checkpoint
 from taam.cli import main
 from taam.config import make_config
 from taam.errors import ContractError, IntegrityError, VersionError
@@ -19,12 +28,12 @@ from taam.harness import build_stream, run_continual
 from taam.training import FinetuneModel
 
 
-def small_run(tmp_path, **overrides):
-    base = {"dataset": "sbm:classes=4,npc=25,dim=8,sep=10",
+def small_run(tmp_path, classes=4, **overrides):
+    base = {"dataset": f"sbm:classes={classes},npc=25,dim=8,sep=10",
             "hidden_dim": 16, "epochs": 20, "seed": 0}
     base.update(overrides)
     cfg = make_config(None, base)
-    g = generate_sbm(4, 25, 0.1, 0.02, 8, 10.0, seed=cfg.seed)
+    g = generate_sbm(classes, 25, 0.1, 0.02, 8, 10.0, seed=cfg.seed)
     stream = build_stream(g, classes_per_task=2, seed=cfg.seed)
     path = tmp_path / "run.bin"
     res = run_continual(stream, cfg, checkpoint_path=path)
@@ -61,6 +70,7 @@ def test_save_is_deterministic(tmp_path):
     twice = tmp_path / "again.bin"
     save_checkpoint(twice, res.state)
     assert path.read_bytes() == twice.read_bytes()
+    assert Path(frozen_path(path)).read_bytes() == Path(frozen_path(twice)).read_bytes()
 
 
 def test_save_refuses_arrays_its_config_does_not_imply(tmp_path):
@@ -69,7 +79,7 @@ def test_save_refuses_arrays_its_config_does_not_imply(tmp_path):
     target = tmp_path / "never.bin"
     with pytest.raises(ContractError, match="shapes"):
         save_checkpoint(target, res.state)
-    assert not target.exists()
+    assert not target.exists() and not Path(frozen_path(target)).exists()
 
 
 def test_f32_round_trip_exact(tmp_path):
@@ -114,6 +124,17 @@ def test_unsupported_version(tmp_path):
         load_checkpoint(bad)
 
 
+def test_format_1_file_is_a_version_error(tmp_path):
+    _, _, _, path = small_run(tmp_path)
+    raw = bytearray(path.read_bytes())
+    raw[8:12] = struct.pack("<I", 1)
+    old = tmp_path / "v1.bin"
+    old.write_bytes(bytes(raw))
+    with pytest.raises(VersionError, match="format 1 unsupported"):
+        load_checkpoint(old)
+    assert main(["eval", "--checkpoint", str(old)]) == 1
+
+
 def test_truncation_detected(tmp_path):
     _, _, _, path = small_run(tmp_path)
     raw = path.read_bytes()
@@ -133,9 +154,161 @@ def test_bit_flip_fails_checksum(tmp_path):
         load_checkpoint(flipped)
 
 
+def cut_sidecar(path):
+    sidecar = Path(frozen_path(path))
+    sidecar.write_bytes(sidecar.read_bytes()[:-8])
+
+
+def flip_sidecar_byte(path):
+    sidecar = Path(frozen_path(path))
+    raw = bytearray(sidecar.read_bytes())
+    raw[len(raw) // 2] ^= 0xFF
+    sidecar.write_bytes(bytes(raw))
+
+
+def swap_task_segments(path):
+    # tasks 1 and 2 have equal lengths, so only their checksums tell them apart
+    swap = lambda h: {**h, "segments": [h["segments"][0], h["segments"][2], h["segments"][1]]}
+    os.replace(with_header(path, path.with_name("swapped.bin"), swap), path)
+
+
+@pytest.mark.parametrize(
+    "damage,message",
+    [
+        (lambda path: os.remove(frozen_path(path)), "missing"),
+        (cut_sidecar, "truncated"),
+        (flip_sidecar_byte, "checksum"),
+        (swap_task_segments, "checksum"),
+    ],
+    ids=["missing", "truncated", "bit_flip", "swapped_segments"],
+)
+def test_sidecar_damage_is_integrity_error(tmp_path, damage, message):
+    _, _, _, path = small_run(tmp_path)
+    damage(path)
+    with pytest.raises(IntegrityError, match=message):
+        load_checkpoint(path)
+    assert main(["eval", "--checkpoint", str(path)]) == 1
+
+
+def test_sidecar_bytes_past_the_listed_segments_are_ignored(tmp_path):
+    _, _, res, path = small_run(tmp_path)
+    with open(frozen_path(path), "ab") as fh:
+        fh.write(b"torn append")
+    state = load_checkpoint(path)
+    assert np.array_equal(state.bank.prototype(2).vector, res.state.bank.prototype(2).vector)
+
+
+def snapshot_each_save(monkeypatch):
+    """Record both files' bytes after every save_checkpoint call."""
+    save, seen = checkpoint.save_checkpoint, []
+
+    def saving(path, state, segments=None):
+        table = save(path, state, segments)
+        seen.append((Path(path).read_bytes(), Path(frozen_path(path)).read_bytes()))
+        return table
+
+    monkeypatch.setattr(checkpoint, "save_checkpoint", saving)
+    return seen
+
+
+def test_sidecar_only_grows(tmp_path, monkeypatch):
+    seen = snapshot_each_save(monkeypatch)
+    small_run(tmp_path, classes=8)
+    sidecars = [frozen for _, frozen in seen]
+    assert len(sidecars) == 4
+    for before, after in zip(sidecars, sidecars[1:]):
+        assert len(after) > len(before) and after.startswith(before)
+
+
+def test_a_run_writes_at_most_twice_its_final_checkpoint(tmp_path, monkeypatch):
+    written = [0]
+
+    class Counted:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, data):
+            written[0] += memoryview(data).nbytes
+            return self.fh.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+    monkeypatch.setattr(fileio, "open", lambda *a, **k: Counted(open(*a, **k)), raising=False)
+    _, _, res, path = small_run(tmp_path, classes=8)
+    assert res.state.stage == 4
+    final = os.path.getsize(path) + os.path.getsize(frozen_path(path))
+    assert final < written[0] <= 2 * final
+
+
+# Runs `taam run` with its argv after two leading arguments, and SIGKILLs
+# itself at stage 2's save: at the rename that would replace the checkpoint
+# ("replace"), or after cutting the sidecar's last 8 bytes just before the
+# fsync of the segment that stage 2 appends to it ("append").
+KILL_AT_STAGE_2_SAVE = """
+import os, signal, sys
+from taam.cli import main
+
+target, where, argv = sys.argv[1], sys.argv[2], sys.argv[3:]
+sidecar = target + ".frozen"
+replace, fsync, renames = os.replace, os.fsync, []
+
+def dying_replace(src, dst):
+    if where == "replace" and os.fspath(dst) == target:
+        renames.append(dst)
+        if len(renames) == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+    replace(src, dst)
+
+def dying_fsync(fd):
+    if where == "append" and os.path.exists(sidecar) and os.fstat(fd).st_ino == os.stat(sidecar).st_ino:
+        os.ftruncate(fd, os.fstat(fd).st_size - 8)
+        os.kill(os.getpid(), signal.SIGKILL)
+    fsync(fd)
+
+os.replace, os.fsync = dying_replace, dying_fsync
+sys.exit(main(argv))
+"""
+
+
+@pytest.mark.parametrize("where", ["replace", "append"])
+def test_run_killed_in_a_save_resumes_bitwise(tmp_path, where):
+    conf = tmp_path / "run.conf"
+    conf.write_text("dataset = sbm:classes=6,npc=25,dim=8,sep=10\nhidden_dim = 16\nepochs = 5\n")
+    out = tmp_path / "out"
+    ckpt = out / "checkpoint.bin"
+    run = ["run", "--config", str(conf), "--out", str(out)]
+    assert main(run) == 0
+    full = {p.name: p.read_bytes() for p in out.iterdir()}
+    shutil.rmtree(out)
+
+    src = str(Path(taam.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-c", KILL_AT_STAGE_2_SAVE, str(ckpt), where, *run],
+        env=env, capture_output=True, timeout=300,
+    )
+    assert child.returncode == -signal.SIGKILL, child.stderr.decode()
+    assert load_checkpoint(ckpt).stage == 1
+
+    assert main([*run, "--resume", str(ckpt)]) == 0
+    resumed = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(resumed) == set(full) - {"task_01_train.log"}
+    summary = lambda data: {k: v for k, v in json.loads(data).items() if k != "wall_time_seconds"}
+    assert summary(resumed.pop("summary.json")) == summary(full["summary.json"])
+    for name in sorted(resumed):
+        assert resumed[name] == full[name], name
+
+
 def test_garbage_header_is_integrity_error(tmp_path):
     junk = b"notjson"
-    body = MAGIC + struct.pack("<I", 1) + struct.pack("<Q", len(junk)) + junk
+    body = MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", len(junk)) + junk
     body += struct.pack("<I", zlib.crc32(junk) & 0xFFFFFFFF)
     p = tmp_path / "junk.bin"
     p.write_bytes(body)
@@ -165,24 +338,26 @@ def read_header(path):
 
 
 def with_header(path, out, edit):
-    """Copy a checkpoint with `edit` applied to its header and a recomputed CRC."""
+    """Copy a checkpoint (both files) with `edit` applied to its header and a
+    recomputed CRC."""
     header, payload = read_header(path)
     hb = json.dumps(edit(header)).encode("utf-8")
     crc = zlib.crc32(payload, zlib.crc32(hb))
-    out.write_bytes(MAGIC + struct.pack("<IQ", 1, len(hb)) + hb + payload + struct.pack("<I", crc))
+    out.write_bytes(MAGIC + struct.pack("<IQ", VERSION, len(hb)) + hb + payload + struct.pack("<I", crc))
+    shutil.copyfile(frozen_path(path), frozen_path(out))
     return out
 
 
 def test_header_with_only_a_version_is_integrity_error(tmp_path):
-    hb = b'{"version":1}'
+    hb = json.dumps({"version": VERSION}).encode()
     p = tmp_path / "bare.bin"
-    p.write_bytes(MAGIC + struct.pack("<IQ", 1, len(hb)) + hb + struct.pack("<I", zlib.crc32(hb)))
+    p.write_bytes(MAGIC + struct.pack("<IQ", VERSION, len(hb)) + hb + struct.pack("<I", zlib.crc32(hb)))
     with pytest.raises(IntegrityError, match="missing"):
         load_checkpoint(p)
     assert main(["eval", "--checkpoint", str(p)]) == 1
 
 
-@pytest.mark.parametrize("key", ["blocks", "dtype", "classifier", "stage", "donors"])
+@pytest.mark.parametrize("key", ["segments", "backbone", "classifier", "stage", "donors"])
 def test_header_missing_key_is_integrity_error(tmp_path, key):
     _, _, _, path = small_run(tmp_path)
     bad = with_header(path, tmp_path / "bad.bin", lambda h: {k: h[k] for k in h if k != key})
@@ -190,8 +365,11 @@ def test_header_missing_key_is_integrity_error(tmp_path, key):
         load_checkpoint(bad)
 
 
-def transposed(name):
-    return lambda h: [{**b, "shape": b["shape"][::-1]} if b["name"] == name else b for b in h["blocks"]]
+def segment_length(index, delta):
+    """A segment table whose entry `index` is off by `delta` bytes."""
+    return lambda h: [
+        {**s, "length": s["length"] + delta} if i == index else s for i, s in enumerate(h["segments"])
+    ]
 
 
 def classifier_with(**edits):
@@ -202,18 +380,16 @@ def config_with(**values):
     return lambda h: {**h["config"], **values}
 
 
-def extra_block(h):
-    return h["blocks"] + [{"name": "extra", "shape": [0]}]
-
-
-def swapped_prototype_names(h):
-    names = {"task1.prototype": "task2.prototype", "task2.prototype": "task1.prototype"}
-    return [{**b, "name": names.get(b["name"], b["name"])} for b in h["blocks"]]
+def extra_segment(h):
+    return h["segments"] + [{"length": 0, "crc": 0}]
 
 
 @pytest.mark.parametrize(
     "field,value",
     [
+        # "blocks", "dtype", "modulators" and the classifier's "hidden_dim"
+        # are format 1 keys, which the config fixes: a header holding one is
+        # not a format 2 header
         ("blocks", {"backbone.w1": [8, 16]}),
         ("stage", "2"),
         ("stage", True),
@@ -224,8 +400,8 @@ def swapped_prototype_names(h):
         ("classifier", {"hidden_dim": 16, "tasks": [["0"]], "frozen": []}),
         # well typed, but disagreeing with the rest of the header (a callable
         # value is applied to the header); payload size and CRC stay valid
-        ("blocks", transposed("task1.site0.w_attn")),
-        ("blocks", transposed("backbone.w1")),
+        ("segments", segment_length(1, 8)),
+        ("segments", segment_length(0, -8)),
         ("classifier", classifier_with(hidden_dim=lambda c: 17)),
         ("classifier", classifier_with(tasks=lambda c: c["tasks"][:-1] + [c["tasks"][-1] + [9]])),
         ("stage", 5),
@@ -240,8 +416,10 @@ def swapped_prototype_names(h):
         ("config", config_with(seed=float("inf"))),
         ("config", config_with(train_frac=1.5)),
         ("config", config_with(heads=0)),
-        ("blocks", extra_block),
-        ("blocks", swapped_prototype_names),
+        ("segments", extra_segment),
+        ("segments", {"backbone": 1}),
+        ("segments", [{"length": 8, "crc": -1}]),
+        ("version", 1),
     ],
 )
 def test_header_wrong_type_is_integrity_error(tmp_path, field, value):
@@ -255,13 +433,9 @@ def test_header_wrong_type_is_integrity_error(tmp_path, field, value):
 
 def test_header_naming_a_missing_block_is_integrity_error(tmp_path):
     _, _, _, path = small_run(tmp_path)
-
-    def rename(h):
-        h["blocks"][0]["name"] = "backbone.w0"
-        return h
-
-    with pytest.raises(IntegrityError, match="backbone.w1"):
-        load_checkpoint(with_header(path, tmp_path / "bad.bin", rename))
+    without_task2 = lambda h: {**h, "segments": h["segments"][:-1]}
+    with pytest.raises(IntegrityError, match="2 segments where the stored config implies 3"):
+        load_checkpoint(with_header(path, tmp_path / "bad.bin", without_task2))
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taam.checkpoint import load_checkpoint
+from taam.checkpoint import frozen_path, load_checkpoint
 from taam.cli import main
 from taam.config import RunConfig
 from taam.datasets import parse_planetoid
@@ -76,15 +76,18 @@ def test_stop_after_then_resume_matches_full_run(tmp_path):
     assert run_cli("run", "--config", str(conf), "--out", str(out)) == 0
     full_matrix = (out / "matrix.csv").read_bytes()
     full_ckpt = (out / "checkpoint.bin").read_bytes()
+    full_frozen = (out / "checkpoint.bin.frozen").read_bytes()
 
     assert run_cli("run", "--config", str(conf), "--out", str(out), "--stop-after", "2") == 0
     interrupted = tmp_path / "interrupted.bin"
-    interrupted.write_bytes((out / "checkpoint.bin").read_bytes())
+    shutil.copyfile(out / "checkpoint.bin", interrupted)
+    shutil.copyfile(out / "checkpoint.bin.frozen", frozen_path(interrupted))
 
     assert run_cli("run", "--config", str(conf), "--out", str(out),
                    "--resume", str(interrupted)) == 0
     assert (out / "matrix.csv").read_bytes() == full_matrix
     assert (out / "checkpoint.bin").read_bytes() == full_ckpt
+    assert (out / "checkpoint.bin.frozen").read_bytes() == full_frozen
 
 
 def test_eval_reproduces_final_row(tmp_path):

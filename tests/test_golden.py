@@ -2,9 +2,9 @@
 
 For each method variant below, `taam run` on a tiny block-model stream must
 reproduce the SHA-256 of `matrix.csv`, of `summary.json` without its
-`wall_time_seconds` line, of every `task_NN_train.log` and of
-`checkpoint.bin`.  A refactor that keeps these digests deletes code without
-changing behaviour.
+`wall_time_seconds` line, of every `task_NN_train.log`, of `checkpoint.bin`
+and of its sidecar `checkpoint.bin.frozen`.  A refactor that keeps these
+digests deletes code without changing behaviour.
 
 Float results depend on the BLAS kernel that does the matmuls, so the digests
 are keyed to numpy's version and to its OpenBLAS build and run-time kernel.
@@ -94,7 +94,8 @@ def run_digests(workdir, flags) -> dict:
 FINGERPRINT = "numpy 2.4.6; OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64"
 GOLDEN = {
     "finetune-f64": {
-        "checkpoint.bin": "ae9ce1ba0ed94d578f2e6f1ef2f0ef719aa312ec1fc5682f868476c98ecab65e",
+        "checkpoint.bin": "1baa98e033f7fa9f022bc79b32835f2e1dc72301dc309ae386fbfdee99c07508",
+        "checkpoint.bin.frozen": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "matrix.csv": "aa7951b49a945927955a6ad1e207b0017e218256b80ff8a518fdbba25dca4493",
         "summary.json": "7246be840017e3d3f99bf6a9011d67b128ad4ed0339a52d31fa77317cfb1a7f7",
         "task_01_train.log": "db6f83369de7a8530bcefd76d3f1b5825908c9348b3ebbdeba45a67ea43a87f6",
@@ -102,7 +103,8 @@ GOLDEN = {
         "task_03_train.log": "1c6d6523872607b0ca65629e5d775952a5e4234afc1001983cb153162723f000",
     },
     "oracle-f64": {
-        "checkpoint.bin": "9b3426eb6dd1c754a4394aef66413c99496ff84b2460012e63bd7ec2d6cda09a",
+        "checkpoint.bin": "2dfe51cd578c0f78eb361f5483e3bd7532d026b87b22b3cbfe8bad1e6b5d9593",
+        "checkpoint.bin.frozen": "9569538bdaa42274b74b0d101a41d14b48055468f54ba911641adbbfb0fab573",
         "matrix.csv": "7136e86a046cdef9c1ecc33f92f3ea12ea4bb31a74e168eef9c4834afa2a3d84",
         "summary.json": "4d4837c4298aecd1ab9f1446850654ee6dd4a4ca3b11b2241f3ee694581ff460",
         "task_01_train.log": "ccfb8156257486546fe9ef53a6517d8b540c51a464e063f9822e917a71ebeb96",
@@ -110,7 +112,8 @@ GOLDEN = {
         "task_03_train.log": "451a7cae51c75b32550af94cbd1258f8ae39f20a1f1c37aa0b12cb3cf12b9428",
     },
     "taam-full-f32": {
-        "checkpoint.bin": "1e65c5dafc4a508b2adb241f2cacd55b25c418257ad0a79ad0fa839cfb61c1a6",
+        "checkpoint.bin": "2ae2e436fe8639b04dcd142ef6e614bfa83d980ca08eac6033ff082eda12f00b",
+        "checkpoint.bin.frozen": "a0512b76980bc662949a2bfc178c89303c1f01345515268d22b43826a861d7b1",
         "matrix.csv": "7136e86a046cdef9c1ecc33f92f3ea12ea4bb31a74e168eef9c4834afa2a3d84",
         "summary.json": "9e51fbf7c176e2cabec97ee707601b02693ddd61c1a456256179b15d9fc3f5a3",
         "task_01_train.log": "53db96dc48b583c906a6f095253a2aecec2b16a9a610a2696a6f734d87a2f586",
@@ -118,7 +121,8 @@ GOLDEN = {
         "task_03_train.log": "160a96ff56d38b9157280ebae0dfdd2e74b6e503dc75eec4c4c562646877d1fd",
     },
     "taam-full-f64": {
-        "checkpoint.bin": "954a18c79c46b2d181d672306d734108a93620c9cef48d76e48dabb251c9c746",
+        "checkpoint.bin": "762288e0e7fcf54e7cbaa2f1e7795a3a7f11343f1af31ebf839b74a5ab2b9b1c",
+        "checkpoint.bin.frozen": "9569538bdaa42274b74b0d101a41d14b48055468f54ba911641adbbfb0fab573",
         "matrix.csv": "7136e86a046cdef9c1ecc33f92f3ea12ea4bb31a74e168eef9c4834afa2a3d84",
         "summary.json": "aa7243e31abb0f81b866493dc3dbbb729227f7861c5687d998fbaacac867705a",
         "task_01_train.log": "ccfb8156257486546fe9ef53a6517d8b540c51a464e063f9822e917a71ebeb96",
@@ -126,7 +130,8 @@ GOLDEN = {
         "task_03_train.log": "451a7cae51c75b32550af94cbd1258f8ae39f20a1f1c37aa0b12cb3cf12b9428",
     },
     "taam-nsm_only-f64": {
-        "checkpoint.bin": "1f88e380564885d09806989abae5bb2552a41e73d15362cfd9d28521b84bcfdb",
+        "checkpoint.bin": "0e3ab3fff830d8f61c8daf66cbd2ed1a30d7fe00c880c8179776a6e586ea6331",
+        "checkpoint.bin.frozen": "243ef7f4a00eccacb27fb8fc3d9fe3a7233dddb62a37ed83950ef032db5a636a",
         "matrix.csv": "8001f17262fa3a545b4a0544b509c6a31846f4339ec99753a602671f545bf727",
         "summary.json": "53b160de2b5cc636f56c3c64a198080f1405fed198e4472e0ce7439bd454b8cd",
         "task_01_train.log": "ccfb8156257486546fe9ef53a6517d8b540c51a464e063f9822e917a71ebeb96",
@@ -134,7 +139,8 @@ GOLDEN = {
         "task_03_train.log": "9093fb493ed7d3ce944548ba77e549700bc93701ff17f8e533e55f596e7cdfad",
     },
     "taam-retrieval_only-f64": {
-        "checkpoint.bin": "fc1e302d7944a396197f28c542e8199859d1982c56ea128e99f40a5481b18d98",
+        "checkpoint.bin": "8ae8048acdd13128e322667dd6feef1967ba80f70257f47da6eda56cf2d03f91",
+        "checkpoint.bin.frozen": "243ef7f4a00eccacb27fb8fc3d9fe3a7233dddb62a37ed83950ef032db5a636a",
         "matrix.csv": "d8c42f840d0df11a8edbda86ab6e1fadeaa91265849923c00e0d45a4e2823fc5",
         "summary.json": "ab8abce7a91fd55d5accb9779795761491b07c5013b4e9ad138491fd39dbfefb",
         "task_01_train.log": "ccfb8156257486546fe9ef53a6517d8b540c51a464e063f9822e917a71ebeb96",

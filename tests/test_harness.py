@@ -1,13 +1,17 @@
 """Stream construction, metrics, matrix IO, and the continual loop."""
 
 import dataclasses
+import shutil
 
 import numpy as np
 import pytest
 
+from taam import checkpoint, harness
+from taam.backbone import Backbone
+from taam.checkpoint import frozen_path, load_checkpoint
 from taam.config import make_config
 from taam.errors import ContractError
-from taam.graph import SparseGraph, generate_sbm
+from taam.graph import SparseGraph, generate_sbm, induced_subgraph
 from taam.harness import (
     average_accuracy,
     average_forgetting,
@@ -113,6 +117,18 @@ def test_class_too_small_to_split():
     g = SparseGraph.from_edges(4, [(0, 1)], feats, np.array([0, 0, 0, 1]))
     with pytest.raises(ContractError, match="too small"):
         build_stream(g, classes_per_task=1, seed=0)
+
+
+def test_dropped_class_is_never_split():
+    # 5 + 5 + 1 nodes: classes 0 and 1 fill the one task, class 2 is dropped
+    feats = np.random.default_rng(0).normal(size=(11, 2))
+    g = SparseGraph.from_edges(11, [(0, 1), (5, 6)], feats, np.array([0] * 5 + [1] * 5 + [2]))
+    stream = build_stream(g, classes_per_task=2, seed=0)
+    assert stream.dropped_classes == [2]
+    without = build_stream(induced_subgraph(g, np.arange(10)), classes_per_task=2, seed=0)
+    for a, b in zip(stream.tasks, without.tasks, strict=True):
+        for split in ("train_idx", "val_idx", "test_idx"):
+            assert np.array_equal(getattr(a, split), getattr(b, split))
 
 
 def test_propagated_is_cached():
@@ -286,3 +302,63 @@ def test_predict_over_all_widens_the_label_space():
     # retrieval still works and the run completes; scores just compete globally
     assert res.completed == 2
     assert not np.isnan(res.matrix[np.tril_indices(2)]).any()
+
+
+def count_eval_calls(monkeypatch, cls, name):
+    """Count calls of cls.name outside train_task, i.e. by stage evaluation."""
+    calls, training = [0], [False]
+    original, train = getattr(cls, name), harness.train_task
+
+    def counted(*args, **kwargs):
+        calls[0] += not training[0]
+        return original(*args, **kwargs)
+
+    def flagged(*args, **kwargs):
+        training[0] = True
+        try:
+            return train(*args, **kwargs)
+        finally:
+            training[0] = False
+
+    monkeypatch.setattr(cls, name, counted)
+    monkeypatch.setattr(harness, "train_task", flagged)
+    return calls
+
+
+def keep_each_stage(monkeypatch, root):
+    """Copy the checkpoint after every save to root/stageN.bin (both files)."""
+    save = checkpoint.save_checkpoint
+
+    def saving(path, state, segments=None):
+        table = save(path, state, segments)
+        dst = root / f"stage{state.stage}.bin"
+        shutil.copyfile(path, dst)
+        shutil.copyfile(frozen_path(path), frozen_path(dst))
+        return table
+
+    monkeypatch.setattr(checkpoint, "save_checkpoint", saving)
+
+
+def test_stage_evaluation_embeds_each_frozen_pair_once(tmp_path, monkeypatch):
+    cfg = cfg_for(dataset="sbm:classes=6,npc=25,dim=8,sep=10")
+    stream = stream_for(cfg, classes=6)
+    calls = count_eval_calls(monkeypatch, Backbone, "forward")
+    keep_each_stage(monkeypatch, tmp_path)
+    res = run_continual(stream, cfg, checkpoint_path=tmp_path / "run.bin")
+    assert all(e["correct"] for e in res.retrieval_log)
+    assert calls[0] == 3  # one per task, not one per (stage, task)
+    for t in (1, 2, 3):
+        row, _ = evaluate_final_row(stream, cfg, load_checkpoint(tmp_path / f"stage{t}.bin"))
+        assert np.array_equal(row, res.matrix[t - 1, :t])
+
+
+def test_finetune_evaluation_embeds_every_stage_task(tmp_path, monkeypatch):
+    cfg = cfg_for(dataset="sbm:classes=6,npc=25,dim=8,sep=10", method="finetune")
+    stream = stream_for(cfg, classes=6)
+    calls = count_eval_calls(monkeypatch, harness.FinetuneModel, "embed")
+    keep_each_stage(monkeypatch, tmp_path)
+    res = run_continual(stream, cfg, checkpoint_path=tmp_path / "run.bin")
+    assert calls[0] == 3 * 4 // 2  # its net changes every stage
+    for t in (1, 2, 3):
+        row, _ = evaluate_final_row(stream, cfg, load_checkpoint(tmp_path / f"stage{t}.bin"))
+        assert np.array_equal(row, res.matrix[t - 1, :t])
