@@ -33,7 +33,10 @@ config to validate; the resume fields (matrix rows, retrieval log, donors) to
 be consistent; and every length and checksum to match.  Every violation is an
 IntegrityError, and a file of another format version is a VersionError.
 
-Float32 runs upcast to float64 on save and cast back on load (exact).
+Float32 runs upcast to float64 on save and cast back on load (exact).  A
+float64 run's frozen blocks load as read-only views of the sidecar bytes
+read, without a copy; the classifier weight, which a resumed run writes,
+is always copied.
 Checkpoints are written at stage boundaries, so no optimizer state is
 stored; resuming re-derives all randomness from the seed and purpose tags.
 """
@@ -273,8 +276,7 @@ def _check_header(header, path):
 
 
 def _views(buf, shapes) -> list[np.ndarray]:
-    """Read-only float64 views of consecutive arrays of these shapes in `buf`;
-    each is copied once, by astype, where used."""
+    """Read-only float64 views of consecutive arrays of these shapes in `buf`."""
     flat = np.frombuffer(buf, dtype="<f8")
     counts = [math.prod(s) for s in shapes]
     return [flat[end - n : end].reshape(s) for s, n, end in zip(shapes, counts, accumulate(counts))]
@@ -330,10 +332,10 @@ def load_checkpoint(path) -> RunState:
     head_weight, *finetune_net = _views(payload, blocks)
     frozen = _read_segments(path, header["segments"], segments)
 
-    def cast(view):
+    def cast(view, copy=True):
         """The stored values in the run's dtype, which must hold them exactly
         (compared bit for bit, so that a NaN equals itself)."""
-        out = view.astype(cfg.np_dtype)
+        out = view.astype(cfg.np_dtype, copy=copy)
         bits = lambda a: a.astype(view.dtype, copy=False).view(np.uint64)
         if out.dtype != view.dtype and not np.array_equal(bits(out), bits(view)):
             raise IntegrityError(f"{path} header is malformed: {cfg.precision} cannot hold the stored values")
@@ -343,11 +345,16 @@ def load_checkpoint(path) -> RunState:
     if cfg.method == "finetune":
         net = FinetuneModel(*map(cast, finetune_net))
     else:
+        # Frozen blocks are never written again, so a float64 run keeps them
+        # as views of the sidecar bytes.  A float32 run's casts copy, so it
+        # copies the prototypes too, rather than keep those bytes alive.
         (w1, w2), *tasks = frozen
-        net = Backbone(cast(w1), cast(w2))
+        views = cfg.np_dtype == np.float64
+        net = Backbone(cast(w1, copy=False), cast(w2, copy=False))
         for (*params, vector), pmeta in zip(tasks, header["prototypes"]):
-            mod = Modulator.from_arrays([cast(p) for p in params])
-            bank.commit(Prototype(vector.astype(np.float64), node_count=pmeta["node_count"]), mod)
+            mod = Modulator.from_arrays([cast(p, copy=False) for p in params])
+            vector = vector if views else vector.copy()
+            bank.commit(Prototype(vector, node_count=pmeta["node_count"]), mod)
 
     cmeta = header["classifier"]
     return RunState(

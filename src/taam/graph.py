@@ -99,25 +99,51 @@ def normalize_adjacency(g: SparseGraph) -> sp.csr_matrix:
     Returns D^{-1/2} (A + I) D^{-1/2} where D is the degree matrix of A + I.
     Self-loops guarantee every row has positive degree, so isolated nodes get
     the identity row.
+
+    Each row of the result depends on that row of A alone: entry (i, j) is
+    (d_i * a_ij) * d_j, the multiply order of the two diagonal products, and
+    rows keep A's column order.  So the normalized adjacency of a
+    block-diagonal graph is, block by block, that of each block on its own.
     """
-    a = g.adj + sp.identity(g.num_nodes, format="csr")
+    a = g.adj
+    if not a.has_canonical_format:
+        # scipy adds unsorted or duplicated rows by another method, chosen
+        # for the whole matrix; sorting first keeps the sum row by row.
+        a = a.copy()
+        a.sum_duplicates()
+    a = a + sp.identity(g.num_nodes, format="csr")
     deg = np.asarray(a.sum(axis=1)).ravel()
     inv_sqrt = 1.0 / np.sqrt(deg)
-    d = sp.diags(inv_sqrt)
-    return (d @ a @ d).tocsr()
+    a.data = (np.repeat(inv_sqrt, np.diff(a.indptr)) * a.data) * inv_sqrt[a.indices]
+    return a
+
+
+# Bytes per column block in `propagate`: bounds its temporaries, whatever the
+# number of nodes, at a few blocks of this size.
+PROPAGATE_BLOCK_BYTES = 1 << 20
 
 
 def propagate(s: sp.csr_matrix, x: np.ndarray, hops: int) -> np.ndarray:
     """Apply the propagation operator `hops` times: S^hops @ X.
 
-    hops=0 returns a copy of X unchanged.  Linear in X.
+    hops=0 returns a copy of X unchanged.  Linear in X.  Each output entry
+    (i, c) is accumulated from row i of S alone, in its stored order, and
+    from column c of X alone, so the columns go through in blocks of
+    PROPAGATE_BLOCK_BYTES and the result is the same bits as in one pass.
     """
     if hops < 0:
         raise ContractError(f"hops must be >= 0, got {hops}")
-    out = np.array(x, dtype=np.float64, copy=True)
-    for _ in range(hops):
-        out = s @ out
-    return np.ascontiguousarray(out)
+    if hops == 0:
+        return np.array(x, dtype=np.float64, copy=True)
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty((s.shape[0], x.shape[1]))
+    width = max(1, PROPAGATE_BLOCK_BYTES // (8 * max(1, s.shape[0])))
+    for lo in range(0, x.shape[1], width):
+        part = x[:, lo : lo + width]
+        for _ in range(hops):
+            part = s @ part
+        out[:, lo : lo + width] = part
+    return out
 
 
 def induced_subgraph(g: SparseGraph, nodes) -> SparseGraph:

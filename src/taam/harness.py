@@ -6,6 +6,11 @@ task j's test nodes after finishing stage t.  Average accuracy is the mean
 of the final row; average forgetting is the mean drop from each task's
 just-trained diagonal entry to its final-row entry.
 
+A stream is one block-diagonal graph: each task's induced subgraph is one
+diagonal block, and a task is a row range of it.  The stream graph is built,
+validated, normalized and propagated once, and row for row it gives the
+same bits as each task's subgraph would on its own.
+
 Methods:
     taam      modulator per task over a frozen backbone; at eval time the
               task id is recovered by nearest-prototype retrieval.
@@ -27,6 +32,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .backbone import init_backbone
 from .classifier import ClassifierHead
@@ -34,7 +40,7 @@ from .config import check_split_fractions
 from .datasets import resolve_dataset
 from .errors import ContractError
 from .fileio import write_atomic
-from .graph import SparseGraph, induced_subgraph, normalize_adjacency, propagate
+from .graph import SparseGraph, normalize_adjacency, propagate
 from .prototypes import PrototypeBank
 from .rng import rng_for
 from .tensor import Tensor
@@ -43,37 +49,65 @@ from .training import FinetuneModel, TaskTrainLog, train_task
 log = logging.getLogger(__name__)
 
 
+class _Propagation:
+    """Propagated features S^hops X of the whole stream graph, computed once
+    per hop count and shared, read-only, by every task of the stream."""
+
+    def __init__(self, graph: SparseGraph):
+        self.graph = graph
+        self._by_hops: dict[int, np.ndarray] = {}
+
+    def __call__(self, hops: int) -> np.ndarray:
+        if hops not in self._by_hops:
+            out = propagate(normalize_adjacency(self.graph), self.graph.features, hops)
+            out.setflags(write=False)
+            self._by_hops[hops] = out
+        return self._by_hops[hops]
+
+
 @dataclass
 class TaskSpec:
-    """One stage of the stream: an induced subgraph plus its splits.
+    """One stage of the stream: a row range of the stream graph plus its splits.
 
-    Index arrays are local to `graph`; `classes` is the global class list of
-    the task and defines the local label order.
+    `rows` is the task's range of stream graph nodes; `labels` and `features`
+    are read-only views of it.  Index arrays are local to the task (0 is row
+    `rows.start`); `classes` is the global class list of the task and defines
+    the local label order.
     """
 
     task_id: int
     classes: list[int]
-    graph: SparseGraph
+    rows: slice
+    labels: np.ndarray
+    features: np.ndarray
     orig_nodes: np.ndarray
     train_idx: np.ndarray
     val_idx: np.ndarray
     test_idx: np.ndarray
     local_labels: np.ndarray
+    _propagation: _Propagation = field(repr=False)
     _prop_cache: dict = field(default_factory=dict, repr=False)
 
     def propagated(self, hops: int) -> np.ndarray:
-        """Propagated features of the whole task subgraph, cached per hop count."""
+        """Read-only propagated features of the task's rows, cached per hop count."""
         if hops not in self._prop_cache:
-            s = normalize_adjacency(self.graph)
-            self._prop_cache[hops] = propagate(s, self.graph.features, hops)
+            self._prop_cache[hops] = self._propagation(hops)[self.rows]
         return self._prop_cache[hops]
 
 
 @dataclass
 class TaskStream:
+    """The tasks of a stream and the one graph they are row ranges of.
+
+    `graph` holds the kept nodes task by task, each task's nodes in ascending
+    id order, and only the edges inside a task, so every task is one diagonal
+    block of its adjacency.
+    """
+
     tasks: list[TaskSpec]
     dropped_classes: list[int]
     source_nodes: int
+    graph: SparseGraph
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -96,9 +130,13 @@ def build_stream(
     dropped from the stream.  Within each kept class the nodes are split
     train/val/test by `train_frac`/`val_frac` (test gets the remainder) with
     a per-class seeded shuffle, so splits do not depend on stream order.
+
+    The stream may share `g`'s feature and label arrays (read-only views),
+    so leave them unchanged while the stream is in use.
     """
     check_split_fractions(train_frac, val_frac)
-    order = [int(c) for c in np.unique(g.labels)]
+    classes, class_of_node = np.unique(g.labels, return_inverse=True)
+    order = [int(c) for c in classes]
     if shuffle_classes:
         perm = rng_for(seed, "class-shuffle").permutation(len(order))
         order = [order[i] for i in perm]
@@ -127,7 +165,7 @@ def build_stream(
         log.info("stream drops classes %s (do not fill a task)", dropped)
 
     split_of: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for c in (c for classes in groups for c in classes):
+    for c in (c for group in groups for c in group):
         nodes = np.where(g.labels == c)[0]
         perm = rng_for(seed, "split", c).permutation(nodes.size)
         nodes = nodes[perm]
@@ -138,27 +176,69 @@ def build_stream(
             raise ContractError(f"class {c} too small to split ({nodes.size} nodes)")
         split_of[c] = (tr, va, te)
 
+    task_of_class = np.full(classes.size, -1)
+    for t, group in enumerate(groups):
+        task_of_class[np.searchsorted(classes, group)] = t
+    block = task_of_class[class_of_node]
+    graph, kept = _block_diagonal(g, block)
+    graph.features.setflags(write=False)
+    graph.labels.setflags(write=False)
+    shared = _Propagation(graph)
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(block[block >= 0], minlength=len(groups)))])
     tasks = []
-    for tid, classes in enumerate(groups, start=1):
-        members = np.flatnonzero(np.isin(g.labels, classes))
-        sub = induced_subgraph(g, members)
+    for tid, group in enumerate(groups, start=1):
+        rows = slice(int(bounds[tid - 1]), int(bounds[tid]))
+        nodes = kept[rows]
         train_idx, val_idx, test_idx = (
-            np.searchsorted(members, np.sort(np.concatenate(parts)))
-            for parts in zip(*(split_of[c] for c in classes))
+            np.searchsorted(nodes, np.sort(np.concatenate(parts)))
+            for parts in zip(*(split_of[c] for c in group))
         )
+        labels = graph.labels[rows]
         tasks.append(
             TaskSpec(
                 task_id=tid,
-                classes=list(classes),
-                graph=sub,
-                orig_nodes=members,
+                classes=list(group),
+                rows=rows,
+                labels=labels,
+                features=graph.features[rows],
+                orig_nodes=nodes,
                 train_idx=train_idx,
                 val_idx=val_idx,
                 test_idx=test_idx,
-                local_labels=(sub.labels[:, None] == np.asarray(classes)).argmax(1),
+                local_labels=(labels[:, None] == np.asarray(group)).argmax(1),
+                _propagation=shared,
             )
         )
-    return TaskStream(tasks=tasks, dropped_classes=[int(c) for c in dropped], source_nodes=g.num_nodes)
+    return TaskStream(
+        tasks=tasks, dropped_classes=[int(c) for c in dropped], source_nodes=g.num_nodes, graph=graph
+    )
+
+
+def _block_diagonal(g: SparseGraph, block: np.ndarray) -> tuple[SparseGraph, np.ndarray]:
+    """The graph of the nodes of `g` in a block (block[i] >= 0), ordered by
+    block and within a block by id, with only the edges inside a block.
+    Returns it and `kept`: node kept[k] of `g` is its node k.
+
+    Rows keep their entries in `g`'s order, and within a block the new ids
+    follow the old ones, so each block is exactly `induced_subgraph(g, block
+    nodes)`.  One SparseGraph validates them all: a symmetric, well-formed
+    CSR none of whose edges leaves its block.
+    """
+    kept = np.argsort(block, kind="stable")[np.count_nonzero(block < 0) :]
+    new_id = np.full(g.num_nodes, -1, dtype=np.int64)
+    new_id[kept] = np.arange(kept.size)
+    picked = g.adj[kept]
+    keep = block[picked.indices] == np.repeat(block[kept], np.diff(picked.indptr))
+    indptr = np.concatenate([[0], np.cumsum(keep)])[picked.indptr]
+    adj = sp.csr_matrix(
+        (picked.data[keep], new_id[picked.indices[keep]], indptr), shape=(kept.size, kept.size)
+    )
+    # Nodes kept as one run of ids in order, as when classes are stored one
+    # after another, are sliced: their features and labels stay views of g's.
+    first = int(kept[0])
+    run = np.array_equal(kept, np.arange(first, first + kept.size))
+    at = slice(first, first + kept.size) if run else kept
+    return SparseGraph(adj, g.features[at], g.labels[at]), kept
 
 
 def stream_from_config(cfg) -> TaskStream:
@@ -271,8 +351,8 @@ def _evaluate_stage(stream, cfg, state, stage, embeddings: dict) -> tuple[list[f
     for j in range(1, stage + 1):
         task = stream.tasks[j - 1]
         x64 = task.propagated(cfg.hops)
-        x = Tensor(x64.astype(cfg.np_dtype, copy=False)[task.test_idx])
-        truth = task.graph.labels[task.test_idx]
+        x = Tensor(x64[task.test_idx].astype(cfg.np_dtype, copy=False))
+        truth = task.labels[task.test_idx]
         if variant.task_id is None:
             inferred = None
             emb = net.embed(x).data
@@ -332,7 +412,7 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
         raise ContractError(f"stop_after={stop_after} is before the first stage to run ({first_stage})")
 
     if resume is None:
-        in_dim = stream.tasks[0].graph.feature_dim
+        in_dim = stream.graph.feature_dim
         net = init_backbone(in_dim, cfg.hidden_dim, rng_for(cfg.seed, "backbone"), dtype=cfg.np_dtype)
         if cfg.method == "finetune":
             net = FinetuneModel(net.w1, net.w2)

@@ -154,7 +154,7 @@ def train_task(task, backbone, bank, head, cfg) -> TaskTrainLog:
     x_prop64 = task.propagated(cfg.hops)
     x_prop = x_prop64.astype(cfg.np_dtype, copy=False)
     t = head.extend(task.classes, rng_for(cfg.seed, "task", task.task_id, "head"))
-    cw = class_weights(task.graph.labels[task.train_idx], task.classes)
+    cw = class_weights(task.labels[task.train_idx], task.classes)
     node_w = cw[task.local_labels[task.train_idx]]
 
     if cfg.method == "finetune":

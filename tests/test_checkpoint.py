@@ -65,6 +65,33 @@ def test_round_trip_restores_everything(tmp_path):
     assert state.head.tasks == res.state.head.tasks
 
 
+def read_buffer(a):
+    """The non-array object that `a`'s memory belongs to, or None if an
+    ndarray in its chain of bases owns it."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a.base
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_loaded_frozen_blocks_are_views_of_the_bytes_read_in_f64(tmp_path, precision):
+    _, _, _, path = small_run(tmp_path, precision=precision)
+    state = load_checkpoint(path)
+    frozen = [state.net.w1, state.net.w2]
+    for t in (1, 2):
+        frozen += [p.data for p in state.bank.modulator(t).parameters()]
+        frozen.append(state.bank.prototype(t).vector)
+    for a in frozen:
+        assert not a.flags.writeable
+        if precision == "f64":  # no cast, so no copy: a view of the bytes read
+            assert read_buffer(a) is not None
+            with pytest.raises(ValueError):
+                a.flags.writeable = True
+        else:  # every block is cast, so no view may keep the bytes read alive
+            assert read_buffer(a) is None
+    assert state.head.weight.flags.writeable and read_buffer(state.head.weight) is None
+
+
 def test_save_is_deterministic(tmp_path):
     _, _, res, path = small_run(tmp_path)
     twice = tmp_path / "again.bin"

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taam import graph
 from taam.errors import ContractError, NumericError, ShapeError
 from taam.graph import (
     SparseGraph,
@@ -50,6 +51,27 @@ def test_normalize_matches_dense_oracle(seed):
     assert np.allclose(normalize_adjacency(g).toarray(), dense_norm(g), rtol=1e-13, atol=0)
 
 
+def test_normalize_equals_the_two_diagonal_products_bitwise():
+    g = generate_sbm(3, 8, 0.5, 0.1, 3, 2.0, seed=1)
+    a = g.adj + sp.identity(g.num_nodes, format="csr")
+    d = sp.diags(1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel()))
+    want, got = (d @ a @ d).tocsr(), normalize_adjacency(g)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(want, part))
+
+
+def test_normalize_sorts_an_unsorted_adjacency_first():
+    g = generate_sbm(3, 8, 0.5, 0.1, 3, 2.0, seed=1)
+    indices = g.adj.indices.copy()
+    for lo, hi in zip(g.adj.indptr[:-1], g.adj.indptr[1:]):
+        indices[lo:hi] = indices[lo:hi][::-1]
+    adj = sp.csr_matrix((g.adj.data, indices, g.adj.indptr), shape=g.adj.shape)
+    assert not adj.has_canonical_format
+    want, got = normalize_adjacency(g), normalize_adjacency(SparseGraph(adj, g.features, g.labels))
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(want, part))
+
+
 def test_propagate_zero_hops_is_copy():
     g = path_graph()
     s = normalize_adjacency(g)
@@ -57,6 +79,18 @@ def test_propagate_zero_hops_is_copy():
     assert np.array_equal(out, g.features)
     out[0, 0] = -99.0
     assert g.features[0, 0] != -99.0
+
+
+@pytest.mark.parametrize("block_bytes", [8, 8 * 12 * 2, 1 << 20])
+def test_propagate_in_column_blocks_is_bitwise_one_pass(monkeypatch, block_bytes):
+    g = generate_sbm(3, 4, 0.6, 0.2, 7, 2.0, seed=2)  # 12 nodes: 1, 2 or all 7 columns per block
+    s = normalize_adjacency(g)
+    monkeypatch.setattr(graph, "PROPAGATE_BLOCK_BYTES", block_bytes)
+    for hops in (1, 2, 3):
+        want = g.features
+        for _ in range(hops):
+            want = s @ want
+        assert np.array_equal(propagate(s, g.features, hops), want)
 
 
 def test_propagate_matches_dense_power():

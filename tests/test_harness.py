@@ -5,13 +5,15 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taam import checkpoint, harness
 from taam.backbone import Backbone
 from taam.checkpoint import frozen_path, load_checkpoint
 from taam.config import make_config
 from taam.errors import ContractError
-from taam.graph import SparseGraph, generate_sbm, induced_subgraph
+from taam.graph import SparseGraph, generate_sbm, induced_subgraph, normalize_adjacency, propagate
 from taam.harness import (
     average_accuracy,
     average_forgetting,
@@ -85,7 +87,7 @@ def test_split_sizes_and_disjointness():
     # per class: floor(15*0.6)=9 train, floor(15*0.2)=3 val, 3 test
     assert task.train_idx.size == 18 and task.val_idx.size == 6 and task.test_idx.size == 6
     all_idx = np.concatenate([task.train_idx, task.val_idx, task.test_idx])
-    assert np.array_equal(np.sort(all_idx), np.arange(task.graph.num_nodes))
+    assert np.array_equal(np.sort(all_idx), np.arange(task.labels.size))
 
 
 def test_splits_do_not_depend_on_stream_shape():
@@ -109,7 +111,7 @@ def test_local_labels_consistent_with_classes():
     stream = build_stream(seven_class_graph(), classes_per_task=2, seed=0)
     for task in stream.tasks:
         globals_back = np.array(task.classes)[task.local_labels]
-        assert np.array_equal(globals_back, task.graph.labels)
+        assert np.array_equal(globals_back, task.labels)
 
 
 def test_class_too_small_to_split():
@@ -136,6 +138,102 @@ def test_propagated_is_cached():
     t = stream.tasks[0]
     assert t.propagated(2) is t.propagated(2)
     assert t.propagated(0) is not t.propagated(2)
+
+
+def assert_tasks_match_their_own_subgraphs(g, stream):
+    """Each task's rows of the one stream graph equal, bit for bit, what its
+    induced subgraph gives when normalized and propagated on its own."""
+    for task in stream.tasks:
+        members = np.flatnonzero(np.isin(g.labels, task.classes))
+        assert np.array_equal(task.orig_nodes, members)
+        sub = induced_subgraph(g, members)
+        assert np.array_equal(task.labels, sub.labels)
+        assert np.array_equal(task.features, sub.features)
+        s = normalize_adjacency(sub)
+        for hops in range(4):
+            assert np.array_equal(task.propagated(hops), propagate(s, sub.features, hops))
+
+
+def graph_of(labels, edges, dim=3, seed=0):
+    labels = np.asarray(labels)
+    feats = np.random.default_rng(seed).normal(size=(labels.size, dim))
+    return SparseGraph.from_edges(labels.size, np.asarray(edges, dtype=np.int64).reshape(-1, 2), feats, labels)
+
+
+def ring(n):
+    return [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 3) % n) for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "g, protocol",
+    [
+        # labels interleaved in node order, as in the citation files
+        (graph_of(np.arange(24) % 4, ring(24)), {"classes_per_task": 2}),
+        (graph_of(np.arange(12) % 3, []), {"classes_per_task": 1}),  # no edges
+        (graph_of(np.repeat([0, 1, 2, 3], 4), [(0, 5), (1, 9), (8, 12)]), {"classes_per_task": 2}),  # isolated
+        (graph_of(np.arange(35) % 7, ring(35)), {"classes_per_task": 3}),  # drops class 6
+        (graph_of(np.arange(30) % 6, ring(30)), {"classes_per_task": 2, "shuffle_classes": True}),
+        (graph_of(np.arange(30) % 6, ring(30)), {"task_sizes": [3, 1, 2]}),
+    ],
+    ids=["interleaved", "edgeless", "isolated", "dropped", "shuffled", "unequal"],
+)
+def test_stream_graph_blocks_equal_per_task_subgraphs(g, protocol):
+    assert_tasks_match_their_own_subgraphs(g, build_stream(g, seed=1, **protocol))
+
+
+@st.composite
+def graphs_and_protocols(draw):
+    classes = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(2, 7), min_size=classes, max_size=classes))
+    labels = np.repeat(np.arange(classes), sizes)[draw(st.permutations(range(sum(sizes))))]
+    n = labels.size
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    g = graph_of(labels, edges, dim=draw(st.integers(1, 4)), seed=draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        protocol = {"classes_per_task": draw(st.integers(1, classes))}
+    else:
+        protocol = {"task_sizes": draw(st.lists(st.integers(1, 3), min_size=1, max_size=classes)
+                                       .filter(lambda s: sum(s) <= classes))}
+    return g, dict(protocol, shuffle_classes=draw(st.booleans()), seed=draw(st.integers(0, 9)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(graphs_and_protocols())
+def test_stream_graph_blocks_equal_per_task_subgraphs_property(case):
+    g, protocol = case
+    assert_tasks_match_their_own_subgraphs(g, build_stream(g, **protocol))
+
+
+def test_stream_slices_a_run_of_nodes_and_gathers_any_other_order():
+    g = seven_class_graph()  # classes stored one after another
+    run = build_stream(g, classes_per_task=2, seed=0)  # keeps nodes 0..89, drops class 6
+    assert np.shares_memory(run.graph.features, g.features)
+    assert g.features.flags.writeable  # only the stream's view is read-only
+    shuffled = build_stream(g, classes_per_task=2, seed=3, shuffle_classes=True)
+    assert [t.classes for t in shuffled.tasks] != [t.classes for t in run.tasks]
+    assert not np.shares_memory(shuffled.graph.features, g.features)
+    assert_tasks_match_their_own_subgraphs(g, run)
+    assert_tasks_match_their_own_subgraphs(g, shuffled)
+
+
+def test_changing_one_task_leaves_the_other_tasks_unchanged():
+    g = seven_class_graph()
+    before = build_stream(g, classes_per_task=2, seed=0)
+    feats = g.features.copy()
+    feats[g.labels == 2] += 1.0  # class 2 is in task 2
+    after = build_stream(SparseGraph(g.adj, feats, g.labels), classes_per_task=2, seed=0)
+    for a, b in zip(before.tasks, after.tasks, strict=True):
+        same = np.array_equal(a.propagated(2), b.propagated(2))
+        assert same == (a.task_id != 2)
+
+
+def test_task_views_are_read_only():
+    stream = build_stream(seven_class_graph(), classes_per_task=2, seed=0)
+    for task in stream.tasks:
+        for arr in (task.propagated(0), task.propagated(2), task.features, task.labels):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 # ---------------------------------------------------------------- metrics

@@ -240,7 +240,7 @@ def test_finetune_trains_shared_weights_over_all_columns():
     t1 = stream.tasks[0]
     x = Tensor(t1.propagated(cfg.hops)[t1.test_idx])
     pred = head.predict(model.embed(x).data)
-    truth = t1.graph.labels[t1.test_idx]
+    truth = t1.labels[t1.test_idx]
     acc = 100.0 * float((pred == truth).sum()) / truth.size
     assert acc < 50.0
 
