@@ -1,10 +1,14 @@
 """Golden artifacts: fixed tiny runs must write the same bytes.
 
-For each method variant below, `taam run` on a tiny block-model stream must
+For each variant below, `taam run` on a small block-model stream must
 reproduce the SHA-256 of `matrix.csv`, of `summary.json` without its
 `wall_time_seconds` line, of every `task_NN_train.log`, of `checkpoint.bin`
 and of its sidecar `checkpoint.bin.frozen`.  A refactor that keeps these
 digests deletes code without changing behaviour.
+
+The tiny variants share `CONFIG` (hidden 16, 2 heads).  The wide variant runs
+the default widths (hidden 256, embed 64, 3 heads) on 128-dim features, so it
+also pins the shape-dependent BLAS kernels that production runs use.
 
 Float results depend on the BLAS kernel that does the matmuls, so the digests
 are keyed to numpy's version and to its OpenBLAS build and run-time kernel.
@@ -34,13 +38,22 @@ heads = 2
 epochs = 10
 """
 
+WIDE_CONFIG = """\
+dataset = sbm:classes=4,npc=1000,p_in=0.01,p_out=0.002,dim=128,sep=8
+protocol = equal:2
+seed = 3
+epochs = 2
+"""
+
+# variant -> (config, `taam run` flags)
 VARIANTS = {
-    "taam-full-f64": ["--method", "taam", "--ablation", "full", "--precision", "f64"],
-    "taam-retrieval_only-f64": ["--method", "taam", "--ablation", "retrieval_only", "--precision", "f64"],
-    "taam-nsm_only-f64": ["--method", "taam", "--ablation", "nsm_only", "--precision", "f64"],
-    "oracle-f64": ["--method", "oracle", "--precision", "f64"],
-    "finetune-f64": ["--method", "finetune", "--precision", "f64"],
-    "taam-full-f32": ["--method", "taam", "--ablation", "full", "--precision", "f32"],
+    "taam-full-f64": (CONFIG, ["--method", "taam", "--ablation", "full", "--precision", "f64"]),
+    "taam-retrieval_only-f64": (CONFIG, ["--method", "taam", "--ablation", "retrieval_only", "--precision", "f64"]),
+    "taam-nsm_only-f64": (CONFIG, ["--method", "taam", "--ablation", "nsm_only", "--precision", "f64"]),
+    "oracle-f64": (CONFIG, ["--method", "oracle", "--precision", "f64"]),
+    "finetune-f64": (CONFIG, ["--method", "finetune", "--precision", "f64"]),
+    "taam-full-f32": (CONFIG, ["--method", "taam", "--ablation", "full", "--precision", "f32"]),
+    "taam-full-f32-wide": (WIDE_CONFIG, ["--method", "taam", "--ablation", "full", "--precision", "f32"]),
 }
 
 
@@ -65,7 +78,7 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_digests(workdir, flags) -> dict:
+def run_digests(workdir, config, flags) -> dict:
     """Run `taam run` in `workdir` and hash its artifacts.
 
     The output directory is the relative path "out": the config echoed into
@@ -75,7 +88,7 @@ def run_digests(workdir, flags) -> dict:
     os.chdir(workdir)
     try:
         with open("run.conf", "w") as fh:
-            fh.write(CONFIG)
+            fh.write(config)
         assert main(["run", "--config", "run.conf", "--out", "out", *flags]) == 0
         names = sorted(os.listdir("out"))
         digests = {}
@@ -120,6 +133,14 @@ GOLDEN = {
         "task_02_train.log": "524ff3dae58b2e1f6828e53e4bc374a54942d65b525bcb1cea4a512100b92b81",
         "task_03_train.log": "160a96ff56d38b9157280ebae0dfdd2e74b6e503dc75eec4c4c562646877d1fd",
     },
+    "taam-full-f32-wide": {
+        "checkpoint.bin": "50d18ba83b82ba65106eba7fad834caa6bb88b20aeaf7132d9318538a38f2c56",
+        "checkpoint.bin.frozen": "3eadcb63201fe09915f23a086075f941badf1bef13b39ed6874a68a9595eaa54",
+        "matrix.csv": "3ecf937403dbeb81d83ed985985d74064bda4f823a3722bfa3fe4038dbc0bcdf",
+        "summary.json": "8d131d94901ef1567c008543b8785b11d26dde7cede21dbee8001d3260c46970",
+        "task_01_train.log": "6c6df0ef6f28d83f23e72c64b68a1cd04c987cfa1b3d4df421f494c040c12ca6",
+        "task_02_train.log": "90b0671e7f44d9c64344f7869c769bfec13988f71fd85c0af488bd243f3e9993",
+    },
     "taam-full-f64": {
         "checkpoint.bin": "762288e0e7fcf54e7cbaa2f1e7795a3a7f11343f1af31ebf839b74a5ab2b9b1c",
         "checkpoint.bin.frozen": "9569538bdaa42274b74b0d101a41d14b48055468f54ba911641adbbfb0fab573",
@@ -155,7 +176,7 @@ def test_artifacts_match_golden_digests(tmp_path, variant):
     here = blas_fingerprint()
     if here != FINGERPRINT:
         pytest.skip(f"golden digests were recorded with {FINGERPRINT!r}; this machine has {here!r}")
-    assert run_digests(tmp_path, VARIANTS[variant]) == GOLDEN[variant]
+    assert run_digests(tmp_path, *VARIANTS[variant]) == GOLDEN[variant]
 
 
 if __name__ == "__main__":
@@ -164,8 +185,8 @@ if __name__ == "__main__":
     import tempfile
 
     out = {}
-    for variant, flags in sorted(VARIANTS.items()):
+    for variant, (config, flags) in sorted(VARIANTS.items()):
         with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(io.StringIO()):
-            out[variant] = run_digests(d, flags)
+            out[variant] = run_digests(d, config, flags)
     json.dump({"fingerprint": blas_fingerprint(), "golden": out}, sys.stdout, indent=4)
     print()
