@@ -10,7 +10,10 @@ parameter set that turns node activations into per-node scale and shift:
 
 Each basis row holds the scale part in its first `width` entries and the
 shift part in the last `width`.  Per-node coefficients are convex mixtures
-of the basis rows, so they live in the basis rows' convex hull.
+of the basis rows, so they live in the basis rows' convex hull.  This is the
+FiLM form (a feature-wise scale and shift), with coefficients chosen per
+node.  A site is one tape op, `tensor.modulated_layer`, with a closed-form
+backward.
 """
 
 from __future__ import annotations
@@ -18,17 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .tensor import (
-    Tensor,
-    add,
-    layer_norm,
-    matmul,
-    mul,
-    reshape,
-    slice_cols,
-    softmax_rows,
-    transpose,
-)
+from .tensor import Tensor, modulated_layer
 
 EMBED_DIM = 64
 NUM_HEADS = 3
@@ -104,27 +97,13 @@ class Modulator:
         self.frozen = True
 
 
-def base_heads(site: SiteParams, embedding: Tensor) -> Tensor:
-    """Basis rows for one site: (heads, 2 * width), scale part first."""
-    flat = add(matmul(site.w_base, embedding), site.b_base)
-    return reshape(flat, (site.heads, 2 * site.width))
+def modulate(site: SiteParams, embedding: Tensor, h: Tensor, h_norm: Tensor | None = None) -> Tensor:
+    """Scale-and-shift the layer-normalized activations with per-node coefficients.
 
-
-def node_attention(site: SiteParams, h: Tensor) -> Tensor:
-    """Per-node mixture weights over the basis rows: (n, heads) simplex rows."""
-    scores = add(matmul(h, transpose(site.w_attn)), site.b_attn)
-    return softmax_rows(scores)
-
-
-def modulate(site: SiteParams, embedding: Tensor, h: Tensor) -> Tensor:
-    """Scale-and-shift the layer-normalized activations with per-node coefficients."""
-    if h.data.ndim != 2 or h.data.shape[1] != site.width:
-        raise ShapeError(f"activations shape {h.data.shape} does not match site width {site.width}")
-    basis = base_heads(site, embedding)
-    attn = node_attention(site, h)
-    scale = matmul(attn, slice_cols(basis, 0, site.width))
-    shift = matmul(attn, slice_cols(basis, site.width, 2 * site.width))
-    return add(mul(scale, layer_norm(h)), shift)
+    `h_norm` is `layer_norm(h)` when the caller has it already (a constant h
+    embedded many times); otherwise the norm is computed here.
+    """
+    return modulated_layer(h, embedding, site.w_base, site.b_base, site.w_attn, site.b_attn, h_norm)
 
 
 def init_modulator(

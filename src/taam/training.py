@@ -18,7 +18,7 @@ from .errors import ContractError
 from .modulator import init_modulator
 from .prototypes import compute_prototype, task_aware_init
 from .rng import rng_for
-from .tensor import Tape, Tensor, grad_check, matmul, weighted_cross_entropy
+from .tensor import Tape, Tensor, grad_check, layer_norm, matmul, weighted_cross_entropy
 
 
 class Adam:
@@ -112,24 +112,28 @@ def _accuracy_percent(pred: np.ndarray, truth: np.ndarray) -> float:
 def _fit(embed, params, w: Tensor, x_prop, task, labels, node_w, cfg) -> list[EpochLog]:
     """Train `params` and the head block `w` on the task's train nodes.
 
-    `embed` maps propagated features (a Tensor) to embeddings, `labels` gives
-    every node of the task graph its column of `w`, and `node_w` weights the
-    loss of each train node.  Logs loss and train/validation accuracy per
-    epoch; the validation pass is not recorded on the tape.
+    `embed` maps propagated features and their layer norm (both Tensors) to
+    embeddings, `labels` gives every node of the task graph its column of
+    `w`, and `node_w` weights the loss of each train node.  The features are
+    constant within the task, so they are normalized once, here.  Logs loss
+    and train/validation accuracy per epoch; the validation pass is not
+    recorded on the tape.
     """
     y_train = labels[task.train_idx]
     y_val = labels[task.val_idx]
     x_train = Tensor(x_prop[task.train_idx])
+    n_train = layer_norm(x_train)
     x_val = Tensor(x_prop[task.val_idx]) if task.val_idx.size else None
+    n_val = layer_norm(x_val) if x_val is not None else None
     opt = Adam(params + [w], lr=cfg.lr, weight_decay=cfg.weight_decay)
     epochs: list[EpochLog] = []
     for epoch in range(1, cfg.epochs + 1):
         with Tape() as tape:
-            z = matmul(embed(x_train), w)
+            z = matmul(embed(x_train, n_train), w)
             loss = weighted_cross_entropy(z, y_train, node_w, reduction=cfg.reduction)
         train_acc = _accuracy_percent(z.data.argmax(axis=1), y_train)
         if x_val is not None:
-            z_val = embed(x_val).data @ w.data
+            z_val = embed(x_val, n_val).data @ w.data
             val_acc = _accuracy_percent(z_val.argmax(axis=1), y_val)
         else:
             val_acc = float("nan")
@@ -160,7 +164,8 @@ def train_task(task, backbone, bank, head, cfg) -> TaskTrainLog:
     if cfg.method == "finetune":
         w = Tensor(head.block(), requires_grad=True)
         labels = task.local_labels + head.span(t).start
-        epochs = _fit(backbone.embed, backbone.parameters(), w, x_prop, task, labels, node_w, cfg)
+        embed = lambda x, _norm: backbone.embed(x)  # no norm in the baseline
+        epochs = _fit(embed, backbone.parameters(), w, x_prop, task, labels, node_w, cfg)
         head.set_block(w.data)
         return TaskTrainLog(task_id=task.task_id, donor=None, epochs=epochs)
 
@@ -172,7 +177,7 @@ def train_task(task, backbone, bank, head, cfg) -> TaskTrainLog:
     else:
         mod, donor = init_modulator(backbone.site_widths, rng_mod, **dims), None
     w = Tensor(head.block(t), requires_grad=True)
-    embed = lambda x: backbone.forward(x, mod)
+    embed = lambda x, x_norm: backbone.forward(x, mod, x_norm)
     epochs = _fit(embed, mod.parameters(), w, x_prop, task, task.local_labels, node_w, cfg)
     head.set_block(w.data, t)
     head.freeze(t)

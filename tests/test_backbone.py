@@ -8,7 +8,9 @@ from taam.backbone import init_backbone
 from taam.errors import ContractError
 from taam.modulator import SiteParams, Modulator, init_modulator
 from taam.rng import rng_for
-from taam.tensor import Tape, Tensor, sum_all
+from taam.tensor import Tape, Tensor, layer_norm, matmul
+
+from tape_oracle import composed_modulated_layer, sum_all
 
 
 def small_backbone(in_dim=5, hidden=4, seed=0):
@@ -48,12 +50,13 @@ def test_forward_is_pure():
 def test_forward_records_sites_and_shapes(monkeypatch):
     # record each insertion site by wrapping the module-level name the
     # backbone calls; the model itself carries no hook
-    pre, post = [], []
+    pre, post, norms = [], [], []
 
-    def recording_modulate(site, embedding, h):
-        out = modulator.modulate(site, embedding, h)
+    def recording_modulate(site, embedding, h, h_norm=None):
+        out = modulator.modulate(site, embedding, h, h_norm)
         pre.append(h.shape)
         post.append(out.shape)
+        norms.append(h_norm)
         return out
 
     monkeypatch.setattr(backbone, "modulate", recording_modulate)
@@ -62,7 +65,42 @@ def test_forward_records_sites_and_shapes(monkeypatch):
     x = np.random.default_rng(2).normal(size=(6, 5))
     emb = bb.forward(x, mod)  # plain ndarray input is wrapped
     assert pre == post == [(6, 5), (6, 4)]
+    assert norms == [None, None]
     assert isinstance(emb, Tensor) and emb.shape == (6, 4)
+    # a precomputed input norm reaches site 1 only and changes no bit
+    x_norm = layer_norm(Tensor(x))
+    again = bb.forward(x, mod, x_norm)
+    assert norms[2:] == [x_norm, None]
+    assert again.data.tobytes() == emb.data.tobytes()
+
+
+def composed_forward(bb, mod, x):
+    # both sites from primitive tape ops, as the backbone ran them before
+    # each site became one fused op
+    h = x
+    for site, w in zip(mod.sites, (bb.w1, bb.w2)):
+        out = composed_modulated_layer(h, mod.embedding, site.w_base, site.b_base, site.w_attn, site.b_attn)
+        h = matmul(out, Tensor(w))
+    return h
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+def test_forward_and_gradients_match_composed_sites_bitwise(dtype):
+    # the shared embedding gets one gradient term per site, summed by the
+    # tape; the fused path must add them in the same order
+    bb = init_backbone(32, 256, rng_for(0, "bb"), dtype=dtype)
+    mod = init_modulator(bb.site_widths, rng_for(1, "m"), dtype=dtype)
+    x = Tensor(np.random.default_rng(2).normal(size=(72, 32)).astype(dtype))
+    results = []
+    for forward in (lambda: composed_forward(bb, mod, x), lambda: bb.forward(x, mod, layer_norm(x))):
+        with Tape() as tape:
+            loss = sum_all(forward())
+        tape.backward(loss)
+        results.append([loss.data] + [p.grad for p in mod.parameters()])
+        for p in mod.parameters():
+            p.grad = None
+    for want, got in zip(*results):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_width_mismatch_rejected():

@@ -1,26 +1,30 @@
-"""Per-task modulator: forward oracle, convexity, init and freeze contracts.
+"""Per-task modulator: forward oracle, convexity, init and freeze contracts,
+and the fused site op against its primitive composition.
 
 The forward path is re-derived here with plain numpy (no tape, no shared
 helpers) so the packaged implementation is checked against an independent
-transcription, not against itself.
+transcription, not against itself.  The fused op `modulated_layer` is also
+checked bit for bit against the same site composed from primitive tape ops
+(`tape_oracle.composed_modulated_layer`), forward and backward; that check
+compares two code paths on one machine, so it holds on any BLAS build.
 """
 
 import numpy as np
 import pytest
 
-from taam.errors import ContractError, ShapeError
+from taam.errors import ContractError, NumericError, ShapeError
 from taam.modulator import (
     EMBED_INIT_STD,
     Modulator,
     SiteParams,
-    base_heads,
     clone_structural,
     init_modulator,
     modulate,
-    node_attention,
 )
 from taam.rng import rng_for
-from taam.tensor import Tape, Tensor, sum_all
+from taam.tensor import Tape, Tensor, grad_check, layer_norm, modulated_layer, mul
+
+from tape_oracle import composed_modulated_layer, sum_all
 
 
 def fresh(width=6, embed_dim=5, heads=3, seed=0):
@@ -53,25 +57,32 @@ def test_modulate_matches_straight_line_oracle(seed):
 
 
 def test_attention_rows_on_simplex():
+    # head k's shift row is the unit vector e_k and every scale row is zero,
+    # so the first `heads` output columns are the attention weights themselves
     mod = fresh(seed=3)
+    site = mod.sites[0]
+    rows = np.zeros((3, 2 * 6))
+    rows[:, 6:9] = np.eye(3)
+    site.w_base.data[:] = 0.0
+    site.b_base.data[:] = rows.reshape(-1, 1)
     h = np.random.default_rng(1).normal(size=(9, 6)) * 10
-    attn = node_attention(mod.sites[0], Tensor(h)).data
-    assert attn.shape == (9, 3)
+    attn = modulate(site, mod.embedding, Tensor(h), Tensor(np.zeros((9, 6)))).data[:, :3]
     assert np.all(attn >= 0)
     assert np.allclose(attn.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_coefficients_stay_in_basis_hull():
-    # per-node scale/shift are convex mixtures of the basis rows
+    # per-node scale/shift are convex mixtures of the basis rows; a norm of
+    # zeros exposes the shift, a norm of ones the sum of scale and shift
     mod = fresh(seed=4)
     site = mod.sites[0]
     h = np.random.default_rng(2).normal(size=(20, site.width)) * 5
-    basis = base_heads(site, mod.embedding).data
-    attn = node_attention(site, Tensor(h)).data
-    coeffs = attn @ basis
-    lo, hi = basis.min(axis=0), basis.max(axis=0)
-    assert np.all(coeffs >= lo - 1e-9)
-    assert np.all(coeffs <= hi + 1e-9)
+    w = site.width
+    basis = (site.w_base.data @ mod.embedding.data + site.b_base.data).reshape(site.heads, 2 * w)
+    for fill, rows in ((0.0, basis[:, w:]), (1.0, basis[:, :w] + basis[:, w:])):
+        coeffs = modulate(site, mod.embedding, Tensor(h), Tensor(np.full(h.shape, fill))).data
+        assert np.all(coeffs >= rows.min(axis=0) - 1e-9)
+        assert np.all(coeffs <= rows.max(axis=0) + 1e-9)
 
 
 def identity_site(width, heads=3):
@@ -211,3 +222,107 @@ def test_site_params_shape_checks():
         SiteParams(np.zeros((12, 4)), np.zeros((12, 1)), np.zeros((3, 2)), np.zeros((3, 1)))
     with pytest.raises(ShapeError):
         Modulator(Tensor(np.zeros((4,))), [])
+
+
+# ------------------------------------------ fused op vs primitive composition
+
+# (train nodes per task, site-1 width) of the three benchmark workloads:
+# sbm-small-f64, sbm-large-f32 and sbm-long-stream; site 2 is hidden 256.
+WORKLOAD_SHAPES = {"small": (72, 32), "large": (1200, 128), "long": (120, 40)}
+
+
+def site_inputs(n, width, dtype, seed, trainable_h, embed_dim=64, heads=3):
+    """A fresh site, its embedding, activations h and an upstream gradient.
+
+    The gradient's first column is zero, so some basis gradients are exact
+    zeros: their products with negative embedding entries test signed zeros.
+    """
+    mod = init_modulator([width], rng_for(seed, "fused"), embed_dim=embed_dim, heads=heads, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    h = Tensor(rng.normal(size=(n, width)).astype(dtype), requires_grad=trainable_h)
+    upstream = Tensor(rng.normal(size=(n, width)).astype(dtype))
+    upstream.data[:, 0] = 0.0
+    return mod, h, upstream
+
+
+def site_args(mod, h):
+    site = mod.sites[0]
+    return (h, mod.embedding, site.w_base, site.b_base, site.w_attn, site.b_attn)
+
+
+def forward_and_grads(layer, mod, h, upstream, **kw):
+    """Output and every gradient (parameters, then h) after one backward."""
+    with Tape() as tape:
+        out = layer(*site_args(mod, h), **kw)
+        loss = sum_all(mul(out, upstream))
+    tape.backward(loss)
+    grads = [p.grad for p in mod.parameters()] + [h.grad]
+    for p in mod.parameters() + [h]:
+        p.grad = None
+    return out.data, grads
+
+
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_SHAPES))
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("path", ["site1_precomputed_norm", "site2_trainable_h"])
+def test_fused_site_matches_composition_bitwise(workload, dtype, path):
+    n, in_dim = WORKLOAD_SHAPES[workload]
+    site2 = path == "site2_trainable_h"
+    mod, h, upstream = site_inputs(n, 256 if site2 else in_dim, dtype, 11, trainable_h=site2)
+    kw = {} if site2 else {"h_norm": layer_norm(h)}
+    want_out, want_grads = forward_and_grads(composed_modulated_layer, mod, h, upstream)
+    got_out, got_grads = forward_and_grads(modulated_layer, mod, h, upstream, **kw)
+    assert same_bits(got_out, want_out)
+    assert len(got_grads) == 6
+    for got, want in zip(got_grads[:5], want_grads[:5]):
+        assert same_bits(got, want)
+    if site2:
+        assert same_bits(got_grads[5], want_grads[5])
+    else:
+        assert got_grads[5] is None and want_grads[5] is None
+
+
+@pytest.mark.parametrize("path", ["site1_precomputed_norm", "site2_trainable_h"])
+def test_fused_site_gradcheck(path):
+    site2 = path == "site2_trainable_h"
+    mod, h, upstream = site_inputs(6, 5, np.float64, 13, trainable_h=site2, embed_dim=4)
+    # magnitudes in [0.5, 1.5] keep every basis-weight gradient, an outer
+    # product with the embedding, above the difference-quotient noise floor
+    e_rng = np.random.default_rng(14)
+    signs = np.where(e_rng.random(mod.embedding.shape) < 0.5, -1.0, 1.0)
+    mod.embedding.data[:] = signs * e_rng.uniform(0.5, 1.5, size=mod.embedding.shape)
+    kw = {} if site2 else {"h_norm": layer_norm(h)}
+    params = mod.parameters() + ([h] if site2 else [])
+
+    def loss():
+        return sum_all(mul(modulated_layer(*site_args(mod, h), **kw), upstream))
+
+    assert grad_check(loss, params, step=1e-5) <= 1e-4
+
+
+@pytest.mark.parametrize("path", ["site1_precomputed_norm", "site2_trainable_h"])
+def test_fused_site_keeps_f32(path):
+    site2 = path == "site2_trainable_h"
+    mod, h, upstream = site_inputs(7, 6, np.float32, 15, trainable_h=site2, embed_dim=5)
+    kw = {} if site2 else {"h_norm": layer_norm(h)}
+    out, grads = forward_and_grads(modulated_layer, mod, h, upstream, **kw)
+    assert out.dtype == np.float32
+    for g in grads[: 6 if site2 else 5]:
+        assert g.dtype == np.float32
+
+
+def test_precomputed_norm_needs_constant_h():
+    mod, h, _ = site_inputs(4, 5, np.float64, 16, trainable_h=True, embed_dim=4)
+    with pytest.raises(ContractError, match="constant h"):
+        modulated_layer(*site_args(mod, h), h_norm=layer_norm(Tensor(h.data)))
+
+
+def test_non_finite_activation_is_numeric_error():
+    mod, h, _ = site_inputs(4, 5, np.float64, 17, trainable_h=False, embed_dim=4)
+    h.data[2, 1] = np.nan
+    with pytest.raises(NumericError, match="row 2"):
+        modulate(mod.sites[0], mod.embedding, h)

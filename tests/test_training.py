@@ -7,10 +7,12 @@ same regime.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from taam import training
 from taam.config import make_config
 from taam.errors import ContractError
 from taam.graph import generate_sbm
@@ -191,6 +193,26 @@ def test_train_task_learns_separable_classes():
     # side effects: columns written and locked, pair committed
     assert head.frozen.all() and head.tasks == [[0, 1]]
     assert len(bank) == 1 and bank.modulator(1).frozen
+
+
+def test_taam_training_step_records_six_tape_entries(monkeypatch):
+    # one step of a modulated task: the site-1 matmul by w1, the site-2 matmul
+    # by w2 and the head's matmul, one fused op per modulator site, and the
+    # loss; a site composed from primitive ops again would add entries
+    recorded = []
+
+    class CountingTape(training.Tape):
+        def backward(self, loss):
+            recorded.append(Counter(fn.__qualname__.split(".")[0] for _, fn in self._entries))
+            super().backward(loss)
+
+    monkeypatch.setattr(training, "Tape", CountingTape)
+    cfg = tiny_cfg(epochs=1)
+    g = generate_sbm(2, 30, 0.3, 0.05, 8, 10.0, seed=0)
+    stream = build_stream(g, classes_per_task=2, seed=cfg.seed)
+    backbone = init_backbone(g.feature_dim, cfg.hidden_dim, rng_for(cfg.seed, "backbone"))
+    train_task(stream.tasks[0], backbone, PrototypeBank(), ClassifierHead(cfg.hidden_dim), cfg)
+    assert recorded == [{"matmul": 3, "modulated_layer": 2, "weighted_cross_entropy": 1}]
 
 
 def test_train_task_second_task_warm_starts_from_first():
