@@ -26,6 +26,7 @@ import numpy as np
 from .errors import ContractError, NumericError, ShapeError
 
 _TAPE_STACK: list["Tape"] = []
+LAYER_NORM_EPS = 1e-5
 
 
 def _active_tape():
@@ -261,7 +262,7 @@ def _softmax(x: np.ndarray, op: str) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
     """Row-wise standardization (x - mean) / sqrt(var + eps), no learned affine.
 
     Population variance; eps sits inside the sqrt.  Backward uses the fused
@@ -303,7 +304,6 @@ def modulated_layer(
     w_attn: Tensor,
     b_attn: Tensor,
     h_norm: Tensor | None = None,
-    eps: float = 1e-5,
 ) -> Tensor:
     """One modulator site as a single tape op: a node-attentive scale and
     shift of the layer-normalized activations h (n, width).
@@ -329,7 +329,7 @@ def modulated_layer(
     attn = _softmax(hd @ w_attn.data.T + b_attn.data, "modulated_layer")
     scale = attn @ scale_rows
     if h_norm is None:
-        norm, inv = _normalize_rows(hd, eps)
+        norm, inv = _normalize_rows(hd, LAYER_NORM_EPS)
     else:
         norm = h_norm.data
     out = scale * norm
@@ -339,30 +339,25 @@ def modulated_layer(
     # it does not allocate saves a pass over fresh memory.
     def bwd(g, accum):
         g_scale = g * norm
-        if w_base.requires_grad or b_base.requires_grad or embedding.requires_grad:
-            # each half of a basis row gets one term, added to the zero that
-            # the other half's column slice contributes
-            g_basis = np.zeros_like(basis)
-            g_basis[:, :width] += attn.T @ g_scale
-            g_basis[:, width:] += attn.T @ g
-            g_flat = g_basis.reshape(heads * 2 * width, 1)
-            accum(b_base, g_flat)
-            if w_base.requires_grad:
-                # the outer product g_flat @ embedding^T as a broadcast
-                # multiply, without a k = 1 matmul; adding zero turns -0.0
-                # into +0.0, as that matmul's accumulator does
-                g_w = g_flat * embedding.data.T
-                g_w += 0.0
-                accum(w_base, g_w)
-            accum(embedding, w_base.data.T @ g_flat)
-        if not (h.requires_grad or w_attn.requires_grad or b_attn.requires_grad):
-            return
+        # each half of a basis row gets one term, added to the zero that the
+        # other half's column slice contributes
+        g_basis = np.zeros_like(basis)
+        g_basis[:, :width] += attn.T @ g_scale
+        g_basis[:, width:] += attn.T @ g
+        g_flat = g_basis.reshape(heads * 2 * width, 1)
+        # the outer product g_flat @ embedding^T as a broadcast multiply,
+        # without a k = 1 matmul; adding zero turns -0.0 into +0.0, as that
+        # matmul's accumulator does
+        g_w = g_flat * embedding.data.T
+        g_w += 0.0
+        accum(w_base, g_w)
+        accum(b_base, g_flat)
+        accum(embedding, w_base.data.T @ g_flat)
         g_attn = g @ shift_rows.T
         g_attn += g_scale @ scale_rows.T
         g_scores = attn * (g_attn - (g_attn * attn).sum(axis=1, keepdims=True))
+        accum(w_attn, (hd.T @ g_scores).T)
         accum(b_attn, g_scores.sum(axis=0, keepdims=True))
-        if w_attn.requires_grad:
-            accum(w_attn, (hd.T @ g_scores).T)
         if h.requires_grad:
             # layer_norm's backward, inv * (g' - mean(g') - norm * mean(g' * norm))
             # with g' = g * scale, then the attention term
