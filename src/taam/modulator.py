@@ -12,8 +12,8 @@ Each basis row holds the scale part in its first `width` entries and the
 shift part in the last `width`.  Per-node coefficients are convex mixtures
 of the basis rows, so they live in the basis rows' convex hull.  This is the
 FiLM form (a feature-wise scale and shift), with coefficients chosen per
-node.  A site is one tape op, `tensor.modulated_layer`, with a closed-form
-backward.
+node.  A site is one tape op, `modulate`, with a closed-form backward; the
+basis-row layout above is known to this module alone.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .tensor import Tensor, modulated_layer
+from .tensor import LAYER_NORM_EPS, Tensor, _maybe_record, _normalize_rows, _softmax
 
 EMBED_DIM = 64
 NUM_HEADS = 3
@@ -98,12 +98,68 @@ class Modulator:
 
 
 def modulate(site: SiteParams, embedding: Tensor, h: Tensor, h_norm: Tensor | None = None) -> Tensor:
-    """Scale-and-shift the layer-normalized activations with per-node coefficients.
+    """One modulator site, the formula in the module docstring, as a single
+    tape op on activations h (n, width).
 
-    `h_norm` is `layer_norm(h)` when the caller has it already (a constant h
-    embedded many times); otherwise the norm is computed here.
+    `h_norm`, if given, is `layer_norm(h)` computed ahead of time, for an h
+    that is constant and embedded many times; h must then not require a
+    gradient.  The arithmetic, and the order in which the backward adds up
+    each gradient's terms, are those of the same formula composed from the
+    primitive tape ops in `tensor`, so both give the same bits.
     """
-    return modulated_layer(h, embedding, site.w_base, site.b_base, site.w_attn, site.b_attn, h_norm)
+    heads, width = site.heads, site.width
+    if h.data.ndim != 2 or h.data.shape[1] != width:
+        raise ShapeError(f"modulate: activations {h.data.shape} do not match width {width}")
+    if h_norm is not None and h.requires_grad:
+        raise ContractError("modulate: a precomputed norm needs a constant h")
+    w_base, b_base, w_attn, b_attn = site.tensors()
+    hd = h.data
+    basis = (w_base.data @ embedding.data + b_base.data).reshape(heads, 2 * width)
+    scale_rows, shift_rows = basis[:, :width], basis[:, width:]
+    attn = _softmax(hd @ w_attn.data.T + b_attn.data, "modulate")
+    scale = attn @ scale_rows
+    if h_norm is None:
+        norm, inv = _normalize_rows(hd, LAYER_NORM_EPS)
+    else:
+        norm = h_norm.data
+    out = scale * norm
+    out += attn @ shift_rows
+
+    # The backward works in place where it can: every n x width temporary
+    # it does not allocate saves a pass over fresh memory.
+    def bwd(g, accum):
+        g_scale = g * norm
+        # each half of a basis row gets one term, added to the zero that the
+        # other half's column slice contributes
+        g_basis = np.zeros_like(basis)
+        g_basis[:, :width] += attn.T @ g_scale
+        g_basis[:, width:] += attn.T @ g
+        g_flat = g_basis.reshape(heads * 2 * width, 1)
+        # the outer product g_flat @ embedding^T as a broadcast multiply,
+        # without a k = 1 matmul; adding zero turns -0.0 into +0.0, as that
+        # matmul's accumulator does
+        g_w = g_flat * embedding.data.T
+        g_w += 0.0
+        accum(w_base, g_w)
+        accum(b_base, g_flat)
+        accum(embedding, w_base.data.T @ g_flat)
+        g_attn = g @ shift_rows.T
+        g_attn += g_scale @ scale_rows.T
+        g_scores = attn * (g_attn - (g_attn * attn).sum(axis=1, keepdims=True))
+        accum(w_attn, (hd.T @ g_scores).T)
+        accum(b_attn, g_scores.sum(axis=0, keepdims=True))
+        if h.requires_grad:
+            # layer_norm's backward, inv * (g' - mean(g') - norm * mean(g' * norm))
+            # with g' = g * scale, then the attention term
+            g_h = g * scale
+            g_norm_mean = (g_h * norm).mean(axis=1, keepdims=True)
+            g_h -= g_h.mean(axis=1, keepdims=True)
+            g_h -= norm * g_norm_mean
+            g_h *= inv
+            g_h += g_scores @ w_attn.data
+            accum(h, g_h)
+
+    return _maybe_record(Tensor(out), (h, embedding, w_base, b_base, w_attn, b_attn), bwd)
 
 
 def init_modulator(

@@ -7,12 +7,13 @@ Intermediate results never get `.grad` buffers, and tensors with
 `requires_grad=False` are never touched, so frozen parameters stay untracked
 for free.
 
-The model records three op kinds: 2-d matmul, `modulated_layer` (one
-modulator site, fused into a single op) and a weighted softmax cross-entropy.
+The model records three op kinds: 2-d matmul, one fused op per modulator
+site (`modulator.modulate`, built on the helpers `_normalize_rows`,
+`_softmax` and `_maybe_record` here) and a weighted softmax cross-entropy.
 Each op's backward is a fused closed form rather than a composition of
 primitive backwards.  One backward pass per tape; build a fresh tape per step.
 
-The primitives that `modulated_layer` fuses (broadcast add, elementwise
+The primitives that the modulator site fuses (broadcast add, elementwise
 multiply, transpose, reshape, column slicing, row-wise LayerNorm and softmax)
 stay defined as tape ops: the tests compose them into the oracle that the
 fused op must match bit for bit, and `layer_norm` also normalizes a constant
@@ -294,82 +295,6 @@ def softmax_rows(x: Tensor) -> Tensor:
         accum(x, y * (g - dot))
 
     return _maybe_record(out, (x,), bwd)
-
-
-def modulated_layer(
-    h: Tensor,
-    embedding: Tensor,
-    w_base: Tensor,
-    b_base: Tensor,
-    w_attn: Tensor,
-    b_attn: Tensor,
-    h_norm: Tensor | None = None,
-) -> Tensor:
-    """One modulator site as a single tape op: a node-attentive scale and
-    shift of the layer-normalized activations h (n, width).
-
-        basis = reshape(w_base @ embedding + b_base, (heads, 2 * width))
-        attn  = softmax_rows(h @ w_attn^T + b_attn)
-        out   = (attn @ basis[:, :width]) * layer_norm(h) + attn @ basis[:, width:]
-
-    `h_norm`, if given, is `layer_norm(h)` computed ahead of time, for an h
-    that is constant and embedded many times; h must then not require a
-    gradient.  The arithmetic, and the order in which the backward adds up
-    each gradient's terms, are those of the same formula composed from the
-    primitive ops above, so both give the same bits.
-    """
-    heads, width = w_attn.data.shape
-    if h.data.ndim != 2 or h.data.shape[1] != width:
-        raise ShapeError(f"modulated_layer: activations {h.data.shape} do not match width {width}")
-    if h_norm is not None and h.requires_grad:
-        raise ContractError("modulated_layer: a precomputed norm needs a constant h")
-    hd = h.data
-    basis = (w_base.data @ embedding.data + b_base.data).reshape(heads, 2 * width)
-    scale_rows, shift_rows = basis[:, :width], basis[:, width:]
-    attn = _softmax(hd @ w_attn.data.T + b_attn.data, "modulated_layer")
-    scale = attn @ scale_rows
-    if h_norm is None:
-        norm, inv = _normalize_rows(hd, LAYER_NORM_EPS)
-    else:
-        norm = h_norm.data
-    out = scale * norm
-    out += attn @ shift_rows
-
-    # The backward works in place where it can: every n x width temporary
-    # it does not allocate saves a pass over fresh memory.
-    def bwd(g, accum):
-        g_scale = g * norm
-        # each half of a basis row gets one term, added to the zero that the
-        # other half's column slice contributes
-        g_basis = np.zeros_like(basis)
-        g_basis[:, :width] += attn.T @ g_scale
-        g_basis[:, width:] += attn.T @ g
-        g_flat = g_basis.reshape(heads * 2 * width, 1)
-        # the outer product g_flat @ embedding^T as a broadcast multiply,
-        # without a k = 1 matmul; adding zero turns -0.0 into +0.0, as that
-        # matmul's accumulator does
-        g_w = g_flat * embedding.data.T
-        g_w += 0.0
-        accum(w_base, g_w)
-        accum(b_base, g_flat)
-        accum(embedding, w_base.data.T @ g_flat)
-        g_attn = g @ shift_rows.T
-        g_attn += g_scale @ scale_rows.T
-        g_scores = attn * (g_attn - (g_attn * attn).sum(axis=1, keepdims=True))
-        accum(w_attn, (hd.T @ g_scores).T)
-        accum(b_attn, g_scores.sum(axis=0, keepdims=True))
-        if h.requires_grad:
-            # layer_norm's backward, inv * (g' - mean(g') - norm * mean(g' * norm))
-            # with g' = g * scale, then the attention term
-            g_h = g * scale
-            g_norm_mean = (g_h * norm).mean(axis=1, keepdims=True)
-            g_h -= g_h.mean(axis=1, keepdims=True)
-            g_h -= norm * g_norm_mean
-            g_h *= inv
-            g_h += g_scores @ w_attn.data
-            accum(h, g_h)
-
-    return _maybe_record(Tensor(out), (h, embedding, w_base, b_base, w_attn, b_attn), bwd)
 
 
 def weighted_cross_entropy(logits: Tensor, labels, node_weights, reduction: str = "sum") -> Tensor:

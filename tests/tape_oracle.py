@@ -1,9 +1,9 @@
 """Tape helpers that only the tests use.
 
-`sum_all` reduces a tensor to a scalar loss.  `composed_modulated_layer` is
-one modulator site built from the primitive tape ops, in the order the model
-used before the site became one fused op; `tensor.modulated_layer` must give
-the same bits, forward and backward.
+`sum_all` reduces a tensor to a scalar loss.  `composed_modulate` is one
+modulator site built from the primitive tape ops, in the order the model
+used before the site became one fused op; `modulator.modulate` must give the
+same bits, forward and backward.
 """
 
 import numpy as np
@@ -31,8 +31,9 @@ def sum_all(a: Tensor) -> Tensor:
     return _maybe_record(out, (a,), bwd)
 
 
-def composed_modulated_layer(h, embedding, w_base, b_base, w_attn, b_attn):
-    heads, width = w_attn.shape
+def composed_modulate(site, embedding, h):
+    heads, width = site.heads, site.width
+    w_base, b_base, w_attn, b_attn = site.tensors()
     basis = reshape(add(matmul(w_base, embedding), b_base), (heads, 2 * width))
     attn = softmax_rows(add(matmul(h, transpose(w_attn)), b_attn))
     scale = matmul(attn, slice_cols(basis, 0, width))

@@ -10,7 +10,7 @@ from taam.modulator import SiteParams, Modulator, init_modulator
 from taam.rng import rng_for
 from taam.tensor import Tape, Tensor, layer_norm, matmul
 
-from tape_oracle import composed_modulated_layer, sum_all
+from tape_oracle import composed_modulate, sum_all
 
 
 def small_backbone(in_dim=5, hidden=4, seed=0):
@@ -79,7 +79,7 @@ def composed_forward(bb, mod, x):
     # each site became one fused op
     h = x
     for site, w in zip(mod.sites, (bb.w1, bb.w2)):
-        out = composed_modulated_layer(h, mod.embedding, site.w_base, site.b_base, site.w_attn, site.b_attn)
+        out = composed_modulate(site, mod.embedding, h)
         h = matmul(out, Tensor(w))
     return h
 

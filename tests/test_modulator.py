@@ -3,9 +3,9 @@ and the fused site op against its primitive composition.
 
 The forward path is re-derived here with plain numpy (no tape, no shared
 helpers) so the packaged implementation is checked against an independent
-transcription, not against itself.  The fused op `modulated_layer` is also
-checked bit for bit against the same site composed from primitive tape ops
-(`tape_oracle.composed_modulated_layer`), forward and backward; that check
+transcription, not against itself.  The fused op `modulate` is also checked
+bit for bit against the same site composed from primitive tape ops
+(`tape_oracle.composed_modulate`), forward and backward; that check
 compares two code paths on one machine, so it holds on any BLAS build.
 """
 
@@ -22,9 +22,9 @@ from taam.modulator import (
     modulate,
 )
 from taam.rng import rng_for
-from taam.tensor import Tape, Tensor, grad_check, layer_norm, modulated_layer, mul
+from taam.tensor import Tape, Tensor, grad_check, layer_norm, mul
 
-from tape_oracle import composed_modulated_layer, sum_all
+from tape_oracle import composed_modulate, sum_all
 
 
 def fresh(width=6, embed_dim=5, heads=3, seed=0):
@@ -67,22 +67,26 @@ def test_attention_rows_on_simplex():
     site.b_base.data[:] = rows.reshape(-1, 1)
     h = np.random.default_rng(1).normal(size=(9, 6)) * 10
     attn = modulate(site, mod.embedding, Tensor(h), Tensor(np.zeros((9, 6)))).data[:, :3]
+    assert attn.shape == (9, 3)
     assert np.all(attn >= 0)
     assert np.allclose(attn.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_coefficients_stay_in_basis_hull():
     # per-node scale/shift are convex mixtures of the basis rows; a norm of
-    # zeros exposes the shift, a norm of ones the sum of scale and shift
+    # zeros exposes the shift, a norm of ones scale + shift, so their
+    # difference is the scale
     mod = fresh(seed=4)
     site = mod.sites[0]
     h = np.random.default_rng(2).normal(size=(20, site.width)) * 5
-    w = site.width
-    basis = (site.w_base.data @ mod.embedding.data + site.b_base.data).reshape(site.heads, 2 * w)
-    for fill, rows in ((0.0, basis[:, w:]), (1.0, basis[:, :w] + basis[:, w:])):
-        coeffs = modulate(site, mod.embedding, Tensor(h), Tensor(np.full(h.shape, fill))).data
-        assert np.all(coeffs >= rows.min(axis=0) - 1e-9)
-        assert np.all(coeffs <= rows.max(axis=0) + 1e-9)
+    basis = (site.w_base.data @ mod.embedding.data + site.b_base.data).reshape(site.heads, 2 * site.width)
+    out0, out1 = (
+        modulate(site, mod.embedding, Tensor(h), Tensor(np.full(h.shape, fill))).data for fill in (0.0, 1.0)
+    )
+    coeffs = np.hstack([out1 - out0, out0])
+    lo, hi = basis.min(axis=0), basis.max(axis=0)
+    assert np.all(coeffs >= lo - 1e-9)
+    assert np.all(coeffs <= hi + 1e-9)
 
 
 def identity_site(width, heads=3):
@@ -245,15 +249,10 @@ def site_inputs(n, width, dtype, seed, trainable_h, embed_dim=64, heads=3):
     return mod, h, upstream
 
 
-def site_args(mod, h):
-    site = mod.sites[0]
-    return (h, mod.embedding, site.w_base, site.b_base, site.w_attn, site.b_attn)
-
-
-def forward_and_grads(layer, mod, h, upstream, **kw):
+def forward_and_grads(site_op, mod, h, upstream, **kw):
     """Output and every gradient (parameters, then h) after one backward."""
     with Tape() as tape:
-        out = layer(*site_args(mod, h), **kw)
+        out = site_op(mod.sites[0], mod.embedding, h, **kw)
         loss = sum_all(mul(out, upstream))
     tape.backward(loss)
     grads = [p.grad for p in mod.parameters()] + [h.grad]
@@ -274,8 +273,8 @@ def test_fused_site_matches_composition_bitwise(workload, dtype, path):
     site2 = path == "site2_trainable_h"
     mod, h, upstream = site_inputs(n, 256 if site2 else in_dim, dtype, 11, trainable_h=site2)
     kw = {} if site2 else {"h_norm": layer_norm(h)}
-    want_out, want_grads = forward_and_grads(composed_modulated_layer, mod, h, upstream)
-    got_out, got_grads = forward_and_grads(modulated_layer, mod, h, upstream, **kw)
+    want_out, want_grads = forward_and_grads(composed_modulate, mod, h, upstream)
+    got_out, got_grads = forward_and_grads(modulate, mod, h, upstream, **kw)
     assert same_bits(got_out, want_out)
     assert len(got_grads) == 6
     for got, want in zip(got_grads[:5], want_grads[:5]):
@@ -299,7 +298,7 @@ def test_fused_site_gradcheck(path):
     params = mod.parameters() + ([h] if site2 else [])
 
     def loss():
-        return sum_all(mul(modulated_layer(*site_args(mod, h), **kw), upstream))
+        return sum_all(mul(modulate(mod.sites[0], mod.embedding, h, **kw), upstream))
 
     assert grad_check(loss, params, step=1e-5) <= 1e-4
 
@@ -309,7 +308,7 @@ def test_fused_site_keeps_f32(path):
     site2 = path == "site2_trainable_h"
     mod, h, upstream = site_inputs(7, 6, np.float32, 15, trainable_h=site2, embed_dim=5)
     kw = {} if site2 else {"h_norm": layer_norm(h)}
-    out, grads = forward_and_grads(modulated_layer, mod, h, upstream, **kw)
+    out, grads = forward_and_grads(modulate, mod, h, upstream, **kw)
     assert out.dtype == np.float32
     for g in grads[: 6 if site2 else 5]:
         assert g.dtype == np.float32
@@ -318,7 +317,7 @@ def test_fused_site_keeps_f32(path):
 def test_precomputed_norm_needs_constant_h():
     mod, h, _ = site_inputs(4, 5, np.float64, 16, trainable_h=True, embed_dim=4)
     with pytest.raises(ContractError, match="constant h"):
-        modulated_layer(*site_args(mod, h), h_norm=layer_norm(Tensor(h.data)))
+        modulate(mod.sites[0], mod.embedding, h, h_norm=layer_norm(Tensor(h.data)))
 
 
 def test_non_finite_activation_is_numeric_error():

@@ -212,7 +212,7 @@ def test_taam_training_step_records_six_tape_entries(monkeypatch):
     stream = build_stream(g, classes_per_task=2, seed=cfg.seed)
     backbone = init_backbone(g.feature_dim, cfg.hidden_dim, rng_for(cfg.seed, "backbone"))
     train_task(stream.tasks[0], backbone, PrototypeBank(), ClassifierHead(cfg.hidden_dim), cfg)
-    assert recorded == [{"matmul": 3, "modulated_layer": 2, "weighted_cross_entropy": 1}]
+    assert recorded == [{"matmul": 3, "modulate": 2, "weighted_cross_entropy": 1}]
 
 
 def test_train_task_second_task_warm_starts_from_first():
