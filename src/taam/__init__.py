@@ -20,7 +20,7 @@ from .harness import (
 from .modulator import Modulator, SiteParams, clone_structural, init_modulator, modulate
 from .prototypes import Prototype, PrototypeBank, compute_prototype, task_aware_init
 from .tensor import Tape, Tensor, grad_check
-from .training import Adam, class_weights, train_task, weighted_ce
+from .training import Adam, class_weights, train_task
 
 __version__ = "0.1.0"
 
@@ -56,5 +56,4 @@ __all__ = [
     "run_continual",
     "task_aware_init",
     "train_task",
-    "weighted_ce",
 ]

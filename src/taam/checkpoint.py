@@ -29,9 +29,10 @@ completed stage loadable, whatever torn tail the sidecar has.
 Block shapes are not stored: `payload_layout` derives them from the stored
 config, the input width, the stage and the class count.  The loader requires
 the header to have exactly the keys it reads, each well typed; the stored
-config to validate; the resume fields (matrix rows, retrieval log, donors) to
-be consistent; and every length and checksum to match.  Every violation is an
-IntegrityError, and a file of another format version is a VersionError.
+config to validate and to equal its own `RunConfig.echo()`; the resume
+fields (matrix rows, retrieval log, donors) to be consistent; and every
+length and checksum to match.  Every violation is an IntegrityError, and a
+file of another format version is a VersionError.
 
 Float32 runs upcast to float64 on save and cast back on load (exact).  A
 float64 run's frozen blocks load as read-only views of the sidecar bytes
@@ -96,6 +97,12 @@ class RunState:
                 k for k in set(stored) | set(current) if stored.get(k) != current.get(k)
             )
             raise ContractError(f"checkpoint config does not match current config; differs in {diff}")
+
+
+def decision(stage: int, task: int, inferred: int | None) -> dict:
+    """The retrieval-log record for `task` at `stage`; `inferred` is None if no task id is picked."""
+    correct = None if inferred is None else inferred == task
+    return {"stage": stage, "task": task, "true": task, "inferred": inferred, "correct": correct}
 
 
 def frozen_path(path) -> str:
@@ -225,6 +232,9 @@ def _check_header(header, path):
         cfg = make_config(header["config"])
     except ContractError as e:
         raise IntegrityError(f"{path} header is malformed: stored config is invalid: {e}") from None
+    # A run stores cfg.echo(); any other spelling of a valid config (a key
+    # left out, "3" for 3) would load but fail the resume check.
+    need(header["config"] == cfg.echo(), "stored config is not the form a run stores")
     need(_fields(header["backbone"], in_dim=int) and header["backbone"]["in_dim"] >= 1, "bad backbone entry")
     in_dim = header["backbone"]["in_dim"]
     need(all(_fields(p, node_count=int) for p in header["prototypes"]), "bad prototype entry")
@@ -253,10 +263,7 @@ def _check_header(header, path):
     need(all(d is None or _is(d, int) for d in donors), "a donor is neither null nor a task id")
     asked = [(s, j) for s in range(1, stage + 1) for j in range(1, s + 1)]
     inferred = [e.get("inferred") if isinstance(e, dict) else None for e in decisions]
-    logged = [
-        {"stage": s, "task": j, "true": j, "inferred": i, "correct": None if i is None else i == j}
-        for (s, j), i in zip(asked, inferred)
-    ]
+    logged = [decision(s, j, i) for (s, j), i in zip(asked, inferred)]
     need(
         len(decisions) == len(asked)
         and all(i is None or _is(i, int) for i in inferred)

@@ -104,10 +104,6 @@ class RunConfig:
     def variant(self) -> Variant:
         return VARIANTS[self.method, self.ablation]
 
-    @property
-    def warm_start(self) -> bool:
-        return self.variant.warm_start
-
     def protocol_spec(self) -> tuple[int | None, list[int] | None]:
         """Parse the protocol string: "equal:K" or "unequal:a,b,c"."""
         kind, _, rest = self.protocol.partition(":")

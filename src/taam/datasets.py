@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,13 +37,7 @@ SBM_DEFAULTS = {
 }
 
 
-@dataclass
-class PlanetoidStats:
-    dangling_citations: int
-    label_names: list[str]
-
-
-def parse_planetoid(content_path, cites_path) -> tuple[SparseGraph, PlanetoidStats]:
+def load_planetoid(content_path, cites_path, row_normalize: bool = False) -> SparseGraph:
     ids: dict[str, int] = {}
     rows: list[np.ndarray] = []
     label_strings: list[str] = []
@@ -72,8 +65,7 @@ def parse_planetoid(content_path, cites_path) -> tuple[SparseGraph, PlanetoidSta
     if not rows:
         raise ParseError(f"{content_path}: no content lines")
 
-    label_names = sorted(set(label_strings))
-    label_index = {name: i for i, name in enumerate(label_names)}
+    label_index = {name: i for i, name in enumerate(sorted(set(label_strings)))}
     labels = np.array([label_index[s] for s in label_strings], dtype=np.int64)
     features = np.stack(rows)
 
@@ -94,22 +86,15 @@ def parse_planetoid(content_path, cites_path) -> tuple[SparseGraph, PlanetoidSta
     if dangling:
         log.warning("skipped %d citation(s) referencing unknown node ids", dangling)
 
-    graph = SparseGraph.from_edges(len(ids), edges, features, labels)
-    return graph, PlanetoidStats(dangling_citations=dangling, label_names=label_names)
-
-
-def load_planetoid(content_path, cites_path, row_normalize: bool = False) -> SparseGraph:
-    graph, _ = parse_planetoid(content_path, cites_path)
     if row_normalize:
         log.info("row-normalizing features to unit sum")
-        sums = graph.features.sum(axis=1, keepdims=True)
-        scale = np.where(sums == 0.0, 1.0, sums)
-        graph = SparseGraph(graph.adj, graph.features / scale, graph.labels)
-    return graph
+        sums = features.sum(axis=1, keepdims=True)
+        features = features / np.where(sums == 0.0, 1.0, sums)
+    return SparseGraph.from_edges(len(ids), edges, features, labels)
 
 
-def write_planetoid(graph: SparseGraph, prefix, node_prefix: str = "n") -> tuple[str, str]:
-    """Write a graph in the citation text format; inverse of parse_planetoid.
+def write_planetoid(graph: SparseGraph, prefix) -> tuple[str, str]:
+    """Write a graph in the citation text format; inverse of load_planetoid.
 
     Features are written with repr() so float64 values round-trip exactly;
     labels become class_00, class_01, ... which sort lexicographically in
@@ -120,12 +105,12 @@ def write_planetoid(graph: SparseGraph, prefix, node_prefix: str = "n") -> tuple
     with open(content_path, "w") as fh:
         for i in range(graph.num_nodes):
             feats = "\t".join(repr(float(v)) for v in graph.features[i])
-            fh.write(f"{node_prefix}{i}\t{feats}\tclass_{int(graph.labels[i]):02d}\n")
+            fh.write(f"n{i}\t{feats}\tclass_{int(graph.labels[i]):02d}\n")
     adj = graph.adj.tocoo()
     with open(cites_path, "w") as fh:
         for i, j in zip(adj.row, adj.col):
             if i < j:
-                fh.write(f"{node_prefix}{i}\t{node_prefix}{j}\n")
+                fh.write(f"n{i}\tn{j}\n")
     return content_path, cites_path
 
 

@@ -2,8 +2,9 @@
 
 Every artifact is written whole or not at all: `write_atomic` writes a temp
 file next to the target, fsyncs it and renames it over the target, so a
-crash leaves either the old file or the new one.  `write_at` extends a file
-in place (the checkpoint's append-only sidecar).
+crash leaves either the old file or the new one; it then fsyncs the
+directory, so that the rename itself survives a power loss.  `write_at`
+extends a file in place (the checkpoint's append-only sidecar).
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ def write_atomic(path, chunks) -> None:
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def write_at(path, offset: int, chunks) -> None:

@@ -35,6 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .backbone import init_backbone
+from .checkpoint import RunState, decision, save_checkpoint
 from .classifier import ClassifierHead
 from .config import check_split_fractions
 from .datasets import resolve_dataset
@@ -44,7 +45,7 @@ from .graph import SparseGraph, normalize_adjacency, propagate
 from .prototypes import PrototypeBank
 from .rng import rng_for
 from .tensor import Tensor
-from .training import FinetuneModel, TaskTrainLog, train_task
+from .training import FinetuneModel, TaskTrainLog, accuracy_percent, train_task
 
 log = logging.getLogger(__name__)
 
@@ -69,30 +70,25 @@ class _Propagation:
 class TaskSpec:
     """One stage of the stream: a row range of the stream graph plus its splits.
 
-    `rows` is the task's range of stream graph nodes; `labels` and `features`
-    are read-only views of it.  Index arrays are local to the task (0 is row
-    `rows.start`); `classes` is the global class list of the task and defines
-    the local label order.
+    `rows` is the task's range of stream graph nodes; `labels` is a read-only
+    view of it.  Index arrays are local to the task (0 is row `rows.start`);
+    `classes` is the global class list of the task and defines the local
+    label order.
     """
 
     task_id: int
     classes: list[int]
     rows: slice
     labels: np.ndarray
-    features: np.ndarray
-    orig_nodes: np.ndarray
     train_idx: np.ndarray
     val_idx: np.ndarray
     test_idx: np.ndarray
     local_labels: np.ndarray
     _propagation: _Propagation = field(repr=False)
-    _prop_cache: dict = field(default_factory=dict, repr=False)
 
     def propagated(self, hops: int) -> np.ndarray:
-        """Read-only propagated features of the task's rows, cached per hop count."""
-        if hops not in self._prop_cache:
-            self._prop_cache[hops] = self._propagation(hops)[self.rows]
-        return self._prop_cache[hops]
+        """Read-only view of the stream's propagated features at the task's rows."""
+        return self._propagation(hops)[self.rows]
 
 
 @dataclass
@@ -106,11 +102,7 @@ class TaskStream:
 
     tasks: list[TaskSpec]
     dropped_classes: list[int]
-    source_nodes: int
     graph: SparseGraph
-
-    def __len__(self) -> int:
-        return len(self.tasks)
 
 
 def build_stream(
@@ -141,24 +133,22 @@ def build_stream(
         perm = rng_for(seed, "class-shuffle").permutation(len(order))
         order = [order[i] for i in perm]
 
-    groups: list[list[int]] = []
-    if task_sizes is not None:
+    if task_sizes is None:
+        if classes_per_task < 1:
+            raise ContractError(f"classes_per_task must be >= 1, got {classes_per_task}")
+        sizes = [classes_per_task] * (len(order) // classes_per_task)
+    else:
         sizes = [int(s) for s in task_sizes]
         if any(s < 1 for s in sizes):
             raise ContractError(f"task sizes must be >= 1, got {sizes}")
         if sum(sizes) > len(order):
             raise ContractError(f"task sizes {sizes} need {sum(sizes)} classes, graph has {len(order)}")
-        at = 0
-        for s in sizes:
-            groups.append(order[at : at + s])
-            at += s
-        dropped = order[at:]
-    else:
-        if classes_per_task < 1:
-            raise ContractError(f"classes_per_task must be >= 1, got {classes_per_task}")
-        full = len(order) // classes_per_task
-        groups = [order[i * classes_per_task : (i + 1) * classes_per_task] for i in range(full)]
-        dropped = order[full * classes_per_task :]
+    groups: list[list[int]] = []
+    at = 0
+    for size in sizes:
+        groups.append(order[at : at + size])
+        at += size
+    dropped = order[at:]
     if not groups:
         raise ContractError("stream has no tasks; not enough classes for one group")
     if dropped:
@@ -188,9 +178,8 @@ def build_stream(
     tasks = []
     for tid, group in enumerate(groups, start=1):
         rows = slice(int(bounds[tid - 1]), int(bounds[tid]))
-        nodes = kept[rows]
         train_idx, val_idx, test_idx = (
-            np.searchsorted(nodes, np.sort(np.concatenate(parts)))
+            np.searchsorted(kept[rows], np.sort(np.concatenate(parts)))
             for parts in zip(*(split_of[c] for c in group))
         )
         labels = graph.labels[rows]
@@ -200,8 +189,6 @@ def build_stream(
                 classes=list(group),
                 rows=rows,
                 labels=labels,
-                features=graph.features[rows],
-                orig_nodes=nodes,
                 train_idx=train_idx,
                 val_idx=val_idx,
                 test_idx=test_idx,
@@ -209,9 +196,7 @@ def build_stream(
                 _propagation=shared,
             )
         )
-    return TaskStream(
-        tasks=tasks, dropped_classes=[int(c) for c in dropped], source_nodes=g.num_nodes, graph=graph
-    )
+    return TaskStream(tasks=tasks, dropped_classes=[int(c) for c in dropped], graph=graph)
 
 
 def _block_diagonal(g: SparseGraph, block: np.ndarray) -> tuple[SparseGraph, np.ndarray]:
@@ -291,20 +276,6 @@ def write_matrix_csv(path, matrix: np.ndarray, completed: int) -> None:
     write_atomic(path, [text.getvalue().encode("utf-8")])
 
 
-def read_matrix_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header = rows[0]
-    t_total = len(header) - 1
-    out = np.full((t_total, t_total), np.nan)
-    for row in rows[1:]:
-        t = int(row[0])
-        for j, cell in enumerate(row[1 : t_total + 1]):
-            if cell:
-                out[t - 1, j] = float(cell)
-    return out
-
-
 @dataclass
 class RunResult:
     matrix: np.ndarray
@@ -368,9 +339,8 @@ def _evaluate_stage(stream, cfg, state, stage, embeddings: dict) -> tuple[list[f
             emb = embeddings[j, inferred]
         seen = variant.label_space == "seen" or cfg.predict_over_all
         pred = head.predict(emb, None if seen else inferred)
-        row.append(100.0 * float((pred == truth).sum()) / truth.size)
-        correct = (inferred == j) if inferred is not None else None
-        decisions.append({"stage": stage, "task": j, "true": j, "inferred": inferred, "correct": correct})
+        row.append(accuracy_percent(pred, truth))
+        decisions.append(decision(stage, j, inferred))
     return row, decisions
 
 
@@ -395,8 +365,6 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
     at `checkpoint_path` is saved: its first save writes it whole, each later
     one appends only the newly frozen blocks.
     """
-    from .checkpoint import RunState, save_checkpoint  # local import, no cycle
-
     cfg.validate()
     t_total = len(stream.tasks)
     started = time.perf_counter()

@@ -21,10 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .tensor import LAYER_NORM_EPS, Tensor, _maybe_record, _normalize_rows, _softmax
+from .tensor import Tensor, _maybe_record, _normalize_rows, _softmax
 
-EMBED_DIM = 64
-NUM_HEADS = 3
 EMBED_INIT_STD = 0.02
 
 
@@ -119,7 +117,7 @@ def modulate(site: SiteParams, embedding: Tensor, h: Tensor, h_norm: Tensor | No
     attn = _softmax(hd @ w_attn.data.T + b_attn.data, "modulate")
     scale = attn @ scale_rows
     if h_norm is None:
-        norm, inv = _normalize_rows(hd, LAYER_NORM_EPS)
+        norm, inv = _normalize_rows(hd)
     else:
         norm = h_norm.data
     out = scale * norm
@@ -165,8 +163,8 @@ def modulate(site: SiteParams, embedding: Tensor, h: Tensor, h_norm: Tensor | No
 def init_modulator(
     site_widths,
     rng: np.random.Generator,
-    embed_dim: int = EMBED_DIM,
-    heads: int = NUM_HEADS,
+    embed_dim: int,
+    heads: int,
     dtype=np.float64,
 ) -> Modulator:
     """Fresh trainable modulator, drawn in `param_layout` order.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .modulator import EMBED_DIM, NUM_HEADS, Modulator, clone_structural, init_modulator
+from .modulator import Modulator, clone_structural, init_modulator
 
 
 @dataclass
@@ -99,8 +99,8 @@ def task_aware_init(
     proto: Prototype,
     site_widths,
     rng: np.random.Generator,
-    embed_dim: int = EMBED_DIM,
-    heads: int = NUM_HEADS,
+    embed_dim: int,
+    heads: int,
     dtype=np.float64,
 ) -> tuple[Modulator, int | None]:
     """Warm-start a new task's modulator from the nearest stored task.

@@ -76,8 +76,8 @@ class Tape:
             loss = ...            # ops on tensors record themselves
         tape.backward(loss)       # fills .grad on reachable leaves
 
-    Clearing (or dropping) the tape releases every recorded intermediate;
-    parameter tensors and their gradients persist.
+    Dropping the tape releases every recorded intermediate; parameter
+    tensors and their gradients persist.
     """
 
     def __init__(self):
@@ -95,10 +95,6 @@ class Tape:
 
     def _record(self, out: Tensor, backward_fn) -> None:
         self._entries.append((out, backward_fn))
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._done = False
 
     def backward(self, loss: Tensor) -> None:
         if loss.data.size != 1:
@@ -243,12 +239,13 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     return _maybe_record(out, (a,), bwd)
 
 
-def _normalize_rows(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise (x - mean) / sqrt(var + eps) and the factor 1 / sqrt(var + eps)."""
+def _normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise (x - mean) / sqrt(var + eps) and the factor 1 / sqrt(var + eps),
+    eps = LAYER_NORM_EPS."""
     mu = x.mean(axis=1, keepdims=True)
     centered = x - mu
     var = np.mean(centered * centered, axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     centered *= inv
     return centered, inv
 
@@ -263,16 +260,16 @@ def _softmax(x: np.ndarray, op: str) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def layer_norm(x: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
+def layer_norm(x: Tensor) -> Tensor:
     """Row-wise standardization (x - mean) / sqrt(var + eps), no learned affine.
 
-    Population variance; eps sits inside the sqrt.  Backward uses the fused
+    Population variance; eps = LAYER_NORM_EPS sits inside the sqrt.  Backward uses the fused
     form dx = (y') where y' = (g - mean(g) - y * mean(g*y)) / sqrt(var + eps),
     means taken per row.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"layer_norm needs a 2-d tensor, got shape {x.data.shape}")
-    y, inv = _normalize_rows(x.data, eps)
+    y, inv = _normalize_rows(x.data)
     out = Tensor(y)
 
     def bwd(g, accum):
@@ -348,19 +345,20 @@ def weighted_cross_entropy(logits: Tensor, labels, node_weights, reduction: str 
     return _maybe_record(out, (logits,), bwd)
 
 
-def grad_check(f, params: list[Tensor], step: float = 1e-5) -> float:
-    """Compare tape gradients of `f()` against central finite differences.
+def grad_check(f, params: list[Tensor]) -> float:
+    """Compare tape gradients of `f()` against central finite differences
+    with half-step 1e-5.
 
     Args:
         f: zero-argument callable returning a scalar Tensor; must read the
            current values of `params` and be deterministic.
         params: tensors whose gradients are checked (requires_grad=True).
-        step: central-difference half-step.
 
     Returns the worst relative error max(|a - n|) / max(|a|, |n|, 1e-12)
     over every entry of every parameter.  Use float64 parameters; float32
     round-off swamps the difference quotient.
     """
+    step = 1e-5
     with Tape() as tape:
         loss = f()
     tape.backward(loss)

@@ -89,7 +89,7 @@ def test_forward_and_gradients_match_composed_sites_bitwise(dtype):
     # the shared embedding gets one gradient term per site, summed by the
     # tape; the fused path must add them in the same order
     bb = init_backbone(32, 256, rng_for(0, "bb"), dtype=dtype)
-    mod = init_modulator(bb.site_widths, rng_for(1, "m"), dtype=dtype)
+    mod = init_modulator(bb.site_widths, rng_for(1, "m"), embed_dim=64, heads=3, dtype=dtype)
     x = Tensor(np.random.default_rng(2).normal(size=(72, 32)).astype(dtype))
     results = []
     for forward in (lambda: composed_forward(bb, mod, x), lambda: bb.forward(x, mod, layer_norm(x))):

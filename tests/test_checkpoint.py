@@ -5,6 +5,7 @@ import json
 import os
 import shutil
 import signal
+import stat
 import struct
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import taam
-from taam import checkpoint, fileio
+from taam import fileio, harness
 from taam.backbone import Backbone
 from taam.checkpoint import MAGIC, VERSION, frozen_path, load_checkpoint, save_checkpoint
 from taam.cli import main
@@ -227,14 +228,14 @@ def test_sidecar_bytes_past_the_listed_segments_are_ignored(tmp_path):
 
 def snapshot_each_save(monkeypatch):
     """Record both files' bytes after every save_checkpoint call."""
-    save, seen = checkpoint.save_checkpoint, []
+    save, seen = harness.save_checkpoint, []
 
     def saving(path, state, segments=None):
         table = save(path, state, segments)
         seen.append((Path(path).read_bytes(), Path(frozen_path(path)).read_bytes()))
         return table
 
-    monkeypatch.setattr(checkpoint, "save_checkpoint", saving)
+    monkeypatch.setattr(harness, "save_checkpoint", saving)
     return seen
 
 
@@ -272,6 +273,31 @@ def test_a_run_writes_at_most_twice_its_final_checkpoint(tmp_path, monkeypatch):
     assert res.state.stage == 4
     final = os.path.getsize(path) + os.path.getsize(frozen_path(path))
     assert final < written[0] <= 2 * final
+
+
+def test_each_rename_is_followed_by_a_directory_fsync(tmp_path, monkeypatch):
+    # without the directory fsync a rename may not survive a power loss
+    events, replace, fsync = [], os.replace, os.fsync
+    inode = lambda st: (st.st_dev, st.st_ino)
+
+    def recording_replace(src, dst):
+        replace(src, dst)
+        events.append(("replace", inode(os.stat(os.path.dirname(os.path.abspath(dst))))))
+
+    def recording_fsync(fd):
+        fsync(fd)
+        st = os.fstat(fd)
+        events.append(("fsync dir" if stat.S_ISDIR(st.st_mode) else "fsync file", inode(st)))
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    conf = tmp_path / "run.conf"
+    conf.write_text("dataset = sbm:classes=4,npc=25,dim=8,sep=10\nhidden_dim = 16\nepochs = 5\n")
+    assert main(["run", "--config", str(conf), "--out", str(tmp_path / "out")]) == 0
+    renames = [i for i, (kind, _) in enumerate(events) if kind == "replace"]
+    assert len(renames) == 7  # sidecar, checkpoint twice, matrix, summary, two logs
+    for i in renames:
+        assert events[i + 1] == ("fsync dir", events[i][1])
 
 
 # Runs `taam run` with its argv after two leading arguments, and SIGKILLs
@@ -487,11 +513,16 @@ def stage_one(tmp_path_factory):
         ("retrieval_log", [{"stage": 1, "task": 1, "true": 1, "inferred": 1}]),
         ("donors", ["x"]),
         ("donors", []),
+        # a valid config in a form no run stores: it would load, and then
+        # fail the resume check against the very config it spells
+        ("config", config_with(seed="0")),
+        ("config", lambda h: {k: v for k, v in h["config"].items() if k != "row_normalize"}),
     ],
 )
 def test_bad_resume_fields_are_integrity_errors(tmp_path, stage_one, field, value):
     conf, path = stage_one
-    bad = with_header(path, tmp_path / "bad.bin", lambda h: {**h, field: value})
+    edit = lambda h: {**h, field: value(h) if callable(value) else value}
+    bad = with_header(path, tmp_path / "bad.bin", edit)
     with pytest.raises(IntegrityError, match="malformed"):
         load_checkpoint(bad)
     out = tmp_path / "out"

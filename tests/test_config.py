@@ -13,12 +13,12 @@ def test_defaults_validate():
     assert cfg.hidden_dim == 256 and cfg.embed_dim == 64 and cfg.heads == 3
     assert cfg.lr == 0.005 and cfg.weight_decay == 5e-4 and cfg.epochs == 200
     assert cfg.np_dtype is np.float64
-    assert cfg.warm_start
+    assert cfg.variant.warm_start
 
 
 def test_ablation_controls_warm_start():
-    assert make_config(None, {"ablation": "retrieval_only"}).warm_start is False
-    assert make_config(None, {"ablation": "nsm_only"}).warm_start is False
+    assert make_config(None, {"ablation": "retrieval_only"}).variant.warm_start is False
+    assert make_config(None, {"ablation": "nsm_only"}).variant.warm_start is False
 
 
 def test_protocol_parsing():

@@ -8,7 +8,6 @@ import pytest
 from taam.datasets import (
     SBM_DEFAULTS,
     load_planetoid,
-    parse_planetoid,
     parse_sbm_spec,
     resolve_dataset,
     write_planetoid,
@@ -43,14 +42,13 @@ def write_fixture(tmp_path, content=CONTENT, cites=CITES):
 def test_parse_fixture(tmp_path, caplog):
     c, e = write_fixture(tmp_path)
     with caplog.at_level(logging.WARNING):
-        graph, stats = parse_planetoid(c, e)
+        graph = load_planetoid(c, e)
     assert graph.num_nodes == 4
-    # node order is first appearance, label ints follow sorted label strings
-    assert stats.label_names == ["label_a", "label_b", "label_c"]
+    # node order is first appearance, label ints follow sorted label strings:
+    # label_a -> 0, label_b -> 1, label_c -> 2
     assert np.array_equal(graph.labels, [1, 0, 1, 2])
     assert np.array_equal(graph.features[1], [0.0, 2.0, 1.0])
     # n9 is unknown (1 dangling), n4->n4 is a self-loop and vanishes
-    assert stats.dangling_citations == 1
     assert "skipped 1 citation(s)" in caplog.text
     a = graph.adj.toarray()
     assert np.array_equal(a, np.array([
@@ -64,27 +62,27 @@ def test_parse_fixture(tmp_path, caplog):
 def test_parse_errors_carry_line_numbers(tmp_path):
     c, e = write_fixture(tmp_path, content="n1\tlabel_only\n" + CONTENT)
     with pytest.raises(ParseError, match=r"\.content:1"):
-        parse_planetoid(c, e)
+        load_planetoid(c, e)
 
     c, e = write_fixture(tmp_path, content=CONTENT + "n1\t0.0\t0.0\t0.0\tlabel_a\n")
     with pytest.raises(ParseError, match="duplicate node id 'n1'"):
-        parse_planetoid(c, e)
+        load_planetoid(c, e)
 
     c, e = write_fixture(tmp_path, content=CONTENT + "n9\t1.0\t2.0\tlabel_a\n")
     with pytest.raises(ParseError, match="2 features, expected 3"):
-        parse_planetoid(c, e)
+        load_planetoid(c, e)
 
     c, e = write_fixture(tmp_path, content=CONTENT + "n9\t1.0\toops\t0.0\tlabel_a\n")
     with pytest.raises(ParseError, match="non-numeric"):
-        parse_planetoid(c, e)
+        load_planetoid(c, e)
 
     c, e = write_fixture(tmp_path, cites="n1\tn2\tn3\n")
     with pytest.raises(ParseError, match=r"\.cites:1"):
-        parse_planetoid(c, e)
+        load_planetoid(c, e)
 
     c, e = write_fixture(tmp_path, content="\n\n")
     with pytest.raises(ParseError, match="no content lines"):
-        parse_planetoid(c, e)
+        load_planetoid(c, e)
 
 
 @pytest.mark.parametrize("suffix,line", [("content", 2), ("cites", 1)])
@@ -93,7 +91,7 @@ def test_non_utf8_file_is_a_parse_error(tmp_path, suffix, line):
     path = c if suffix == "content" else e
     path.write_bytes(path.read_bytes().replace(b"n2", b"n\xff2", 1))
     with pytest.raises(ParseError, match=rf"toy\.{suffix}:{line}: not UTF-8"):
-        parse_planetoid(c, e)
+        load_planetoid(c, e)
 
 
 def test_row_normalize_leaves_zero_rows_alone(tmp_path):
@@ -106,17 +104,19 @@ def test_row_normalize_leaves_zero_rows_alone(tmp_path):
     assert np.array_equal(plain.features[0], [1.0, 0.0, 0.5])
 
 
-def test_write_then_parse_round_trips_bitwise(tmp_path):
+def test_write_then_parse_round_trips_bitwise(tmp_path, caplog):
     g = generate_sbm(3, 12, 0.4, 0.1, 5, 6.0, seed=9)
     prefix = tmp_path / "synth"
     content, cites = write_planetoid(g, prefix)
-    back, stats = parse_planetoid(content, cites)
+    with caplog.at_level(logging.WARNING):
+        back = load_planetoid(content, cites)
     assert np.array_equal(back.features, g.features)
     assert np.array_equal(back.labels, g.labels)
     assert np.array_equal(back.adj.indptr, g.adj.indptr)
     assert np.array_equal(back.adj.indices, g.adj.indices)
-    assert stats.label_names == ["class_00", "class_01", "class_02"]
-    assert stats.dangling_citations == 0
+    assert "skipped" not in caplog.text  # no dangling citation
+    with open(content) as fh:
+        assert {line.rstrip("\n").rsplit("\t", 1)[1] for line in fh} == {"class_00", "class_01", "class_02"}
 
 
 def test_parse_sbm_spec_defaults_and_overrides():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taam import checkpoint, harness
+from taam import harness
 from taam.backbone import Backbone
 from taam.checkpoint import frozen_path, load_checkpoint
 from taam.config import make_config
@@ -19,11 +19,12 @@ from taam.harness import (
     average_forgetting,
     build_stream,
     evaluate_final_row,
-    read_matrix_csv,
     run_continual,
     stream_from_config,
     write_matrix_csv,
 )
+
+from matrix_csv import read_matrix_csv
 
 
 def seven_class_graph(seed=0):
@@ -49,7 +50,18 @@ def test_equal_grouping_drops_leftover():
     stream = build_stream(seven_class_graph(), classes_per_task=2, seed=0)
     assert [t.classes for t in stream.tasks] == [[0, 1], [2, 3], [4, 5]]
     assert stream.dropped_classes == [6]
-    assert stream.source_nodes == 105
+
+
+def test_equal_grouping_is_unequal_grouping_of_equal_sizes():
+    g = seven_class_graph()
+    equal = build_stream(g, classes_per_task=2, seed=0)
+    sizes = build_stream(g, task_sizes=[2, 2, 2], seed=0)
+    assert equal.dropped_classes == sizes.dropped_classes == [6]
+    assert np.array_equal(equal.graph.features, sizes.graph.features)
+    for a, b in zip(equal.tasks, sizes.tasks, strict=True):
+        assert (a.task_id, a.classes, a.rows) == (b.task_id, b.classes, b.rows)
+        for name in ("labels", "train_idx", "val_idx", "test_idx", "local_labels"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_unequal_grouping():
@@ -99,7 +111,7 @@ def test_splits_do_not_depend_on_stream_shape():
     def train_nodes_of(stream, cls):
         for t in stream.tasks:
             if cls in t.classes:
-                members = t.orig_nodes[t.train_idx]
+                members = np.flatnonzero(np.isin(g.labels, t.classes))[t.train_idx]
                 return set(int(v) for v in members if g.labels[v] == cls)
         raise AssertionError(f"class {cls} not found")
 
@@ -134,21 +146,20 @@ def test_dropped_class_is_never_split():
 
 
 def test_propagated_is_cached():
+    # every task's rows are views of the one propagation per hop count
     stream = build_stream(seven_class_graph(), classes_per_task=2, seed=0)
-    t = stream.tasks[0]
-    assert t.propagated(2) is t.propagated(2)
-    assert t.propagated(0) is not t.propagated(2)
+    a, b = stream.tasks[:2]
+    assert a.propagated(2).base is a.propagated(2).base is b.propagated(2).base
+    assert a.propagated(0).base is not a.propagated(2).base
 
 
 def assert_tasks_match_their_own_subgraphs(g, stream):
     """Each task's rows of the one stream graph equal, bit for bit, what its
     induced subgraph gives when normalized and propagated on its own."""
     for task in stream.tasks:
-        members = np.flatnonzero(np.isin(g.labels, task.classes))
-        assert np.array_equal(task.orig_nodes, members)
-        sub = induced_subgraph(g, members)
+        sub = induced_subgraph(g, np.flatnonzero(np.isin(g.labels, task.classes)))
         assert np.array_equal(task.labels, sub.labels)
-        assert np.array_equal(task.features, sub.features)
+        assert np.array_equal(stream.graph.features[task.rows], sub.features)
         s = normalize_adjacency(sub)
         for hops in range(4):
             assert np.array_equal(task.propagated(hops), propagate(s, sub.features, hops))
@@ -230,7 +241,7 @@ def test_changing_one_task_leaves_the_other_tasks_unchanged():
 def test_task_views_are_read_only():
     stream = build_stream(seven_class_graph(), classes_per_task=2, seed=0)
     for task in stream.tasks:
-        for arr in (task.propagated(0), task.propagated(2), task.features, task.labels):
+        for arr in (task.propagated(0), task.propagated(2), stream.graph.features[task.rows], task.labels):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -359,7 +370,7 @@ def test_resume_contracts():
     other = cfg_for(seed=1)
     with pytest.raises(ContractError, match="seed"):
         run_continual(stream, other, resume=part.state)
-    longer = dataclasses.replace(part.state, tasks_total=len(stream) + 1)
+    longer = dataclasses.replace(part.state, tasks_total=len(stream.tasks) + 1)
     with pytest.raises(ContractError, match="the stream has"):
         run_continual(stream, cfg, resume=longer)
     with pytest.raises(ContractError):
@@ -425,7 +436,7 @@ def count_eval_calls(monkeypatch, cls, name):
 
 def keep_each_stage(monkeypatch, root):
     """Copy the checkpoint after every save to root/stageN.bin (both files)."""
-    save = checkpoint.save_checkpoint
+    save = harness.save_checkpoint
 
     def saving(path, state, segments=None):
         table = save(path, state, segments)
@@ -434,7 +445,7 @@ def keep_each_stage(monkeypatch, root):
         shutil.copyfile(frozen_path(path), frozen_path(dst))
         return table
 
-    monkeypatch.setattr(checkpoint, "save_checkpoint", saving)
+    monkeypatch.setattr(harness, "save_checkpoint", saving)
 
 
 def test_stage_evaluation_embeds_each_frozen_pair_once(tmp_path, monkeypatch):

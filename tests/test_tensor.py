@@ -238,7 +238,7 @@ OPS = {
 def test_op_gradients_finite_difference(name):
     p = [rand((3, 4), 50 + i) for i in range(2)]
     p.append(rand((1, 4), 60))
-    assert grad_check(lambda: OPS[name](p), p, step=1e-5) < 1e-7
+    assert grad_check(lambda: OPS[name](p), p) < 1e-7
 
 
 def test_cross_entropy_gradient_finite_difference():
@@ -249,7 +249,7 @@ def test_cross_entropy_gradient_finite_difference():
     def f():
         return weighted_cross_entropy(z, labels, w, reduction="mean")
 
-    assert grad_check(f, [z], step=1e-5) < 1e-7
+    assert grad_check(f, [z]) < 1e-7
 
 
 def test_diamond_reuse_accumulates():
@@ -316,15 +316,6 @@ def test_backward_rejects_foreign_loss():
         tape.backward(stray)
 
 
-def test_clear_releases_entries():
-    a = rand((2, 2), 1)
-    with Tape() as tape:
-        loss = sum_all(a)
-    tape.clear()
-    with pytest.raises(ContractError, match="not computed on this tape"):
-        tape.backward(loss)
-
-
 def test_tensor_casts_ints_keeps_floats():
     assert Tensor(np.arange(4)).dtype == np.float64
     assert Tensor(np.zeros(3, dtype=np.float32)).dtype == np.float32
@@ -341,7 +332,7 @@ def test_grad_check_detects_detached_graph():
         detached = Tensor(p.data * p.data, requires_grad=True)
         return sum_all(detached)
 
-    assert grad_check(f, [p], step=1e-5) > 0.5
+    assert grad_check(f, [p]) > 0.5
 
 
 def test_grad_check_happy_path():
@@ -350,4 +341,4 @@ def test_grad_check_happy_path():
     def f():
         return sum_all(mul(p, p))
 
-    assert grad_check(f, [p], step=1e-5) < 1e-9
+    assert grad_check(f, [p]) < 1e-9
