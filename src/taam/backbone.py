@@ -44,21 +44,19 @@ class Backbone:
         """Activation widths at the two insertion sites."""
         return (self.in_dim, self.hidden_dim)
 
-    def forward(self, x_prop, mod: Modulator, x_norm: Tensor | None = None) -> Tensor:
+    def forward(self, x_prop: Tensor, mod: Modulator, x_norm: Tensor | None = None) -> Tensor:
         """Embed propagated features through both modulated layers.
 
-        x_prop is the already-propagated feature matrix (n, in_dim); pass a
-        Tensor or an ndarray.  x_norm, if given, is `layer_norm(x_prop)`,
-        which site 1 then does not recompute.  Returns the (n, hidden_dim)
-        embedding.
+        x_prop is the already-propagated feature matrix (n, in_dim).  x_norm,
+        if given, is `layer_norm(x_prop)`, which site 1 then does not
+        recompute.  Returns the (n, hidden_dim) embedding.
         """
         if mod.site_widths != self.site_widths:
             raise ContractError(
                 f"modulator widths {mod.site_widths} do not match backbone {self.site_widths}"
             )
-        x = x_prop if isinstance(x_prop, Tensor) else Tensor(x_prop)
         site1, site2 = mod.sites
-        h = matmul(modulate(site1, mod.embedding, x, x_norm), self._t1)
+        h = matmul(modulate(site1, mod.embedding, x_prop, x_norm), self._t1)
         return matmul(modulate(site2, mod.embedding, h), self._t2)
 
 

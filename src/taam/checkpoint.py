@@ -79,7 +79,7 @@ class RunState:
     either way `net.w1` and `net.w2` are ndarrays in the run's dtype.
     """
 
-    config: dict
+    config: RunConfig
     stage: int
     tasks_total: int
     net: Backbone | FinetuneModel
@@ -90,7 +90,7 @@ class RunState:
     donors: list[int | None]
 
     def check_config(self, cfg) -> None:
-        stored = {k: v for k, v in self.config.items() if k not in _CONFIG_KEYS_IGNORED_ON_RESUME}
+        stored = {k: v for k, v in self.config.echo().items() if k not in _CONFIG_KEYS_IGNORED_ON_RESUME}
         current = {k: v for k, v in cfg.echo().items() if k not in _CONFIG_KEYS_IGNORED_ON_RESUME}
         if stored != current:
             diff = sorted(
@@ -139,8 +139,7 @@ def save_checkpoint(path, state: RunState, segments: list[dict] | None = None) -
     Its segments are in the sidecar already, so only newer ones are appended.
     None, for a run's first save, writes a fresh sidecar.
     """
-    bank, head, net = state.bank, state.head, state.net
-    cfg = make_config(state.config)
+    bank, head, net, cfg = state.bank, state.head, state.net, state.config
     tasks = range(1, len(bank) + 1)
     mutable = [head.weight]
     frozen = [[p.data for p in bank.modulator(t).parameters()] + [bank.prototype(t).vector] for t in tasks]
@@ -164,7 +163,7 @@ def save_checkpoint(path, state: RunState, segments: list[dict] | None = None) -
 
     header = {
         "version": VERSION,
-        "config": state.config,
+        "config": cfg.echo(),
         "stage": int(state.stage),
         "tasks_total": int(state.tasks_total),
         "backbone": {"in_dim": int(net.w1.shape[0])},
@@ -365,7 +364,7 @@ def load_checkpoint(path) -> RunState:
 
     cmeta = header["classifier"]
     return RunState(
-        config=header["config"],
+        config=cfg,
         stage=header["stage"],
         tasks_total=header["tasks_total"],
         net=net,

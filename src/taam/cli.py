@@ -131,7 +131,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_eval(args) -> int:
     state = load_checkpoint(args.checkpoint)
-    cfg = make_config(state.config, {"dataset": args.dataset} if args.dataset else {})
+    cfg = state.config
+    if args.dataset:
+        cfg.dataset = args.dataset
     row, decisions = evaluate_final_row(stream_from_config(cfg), cfg, state)
     payload = {
         "checkpoint": args.checkpoint,

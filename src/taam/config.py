@@ -93,7 +93,9 @@ class RunConfig:
                 f"got lr={self.lr} weight_decay={self.weight_decay}"
             )
         check_split_fractions(self.train_frac, self.val_frac)
-        self.protocol_spec()
+        classes_per_task, sizes = self.protocol_spec()
+        if min(sizes or [classes_per_task]) < 1:
+            raise ContractError(f"protocol {self.protocol!r} gives a task fewer than 1 class")
         return self
 
     @property

@@ -22,6 +22,7 @@ import os
 import numpy as np
 
 from .errors import ContractError, ParseError, text_lines
+from .fileio import write_atomic
 from .graph import SparseGraph, generate_sbm
 
 log = logging.getLogger(__name__)
@@ -98,19 +99,19 @@ def write_planetoid(graph: SparseGraph, prefix) -> tuple[str, str]:
 
     Features are written with repr() so float64 values round-trip exactly;
     labels become class_00, class_01, ... which sort lexicographically in
-    numeric order.
+    numeric order.  Each file is written whole or not at all.
     """
     content_path = f"{prefix}.content"
     cites_path = f"{prefix}.cites"
-    with open(content_path, "w") as fh:
+
+    def content_lines():
         for i in range(graph.num_nodes):
             feats = "\t".join(repr(float(v)) for v in graph.features[i])
-            fh.write(f"n{i}\t{feats}\tclass_{int(graph.labels[i]):02d}\n")
+            yield f"n{i}\t{feats}\tclass_{int(graph.labels[i]):02d}\n".encode()
+
     adj = graph.adj.tocoo()
-    with open(cites_path, "w") as fh:
-        for i, j in zip(adj.row, adj.col):
-            if i < j:
-                fh.write(f"n{i}\tn{j}\n")
+    write_atomic(content_path, content_lines())
+    write_atomic(cites_path, (f"n{i}\tn{j}\n".encode() for i, j in zip(adj.row, adj.col) if i < j))
     return content_path, cites_path
 
 

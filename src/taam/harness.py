@@ -232,7 +232,7 @@ def stream_from_config(cfg) -> TaskStream:
     classes_per_task, sizes = cfg.protocol_spec()
     return build_stream(
         g,
-        classes_per_task=classes_per_task or 2,
+        classes_per_task=classes_per_task,
         task_sizes=sizes,
         seed=cfg.seed,
         shuffle_classes=cfg.shuffle_classes,
@@ -350,8 +350,8 @@ def _per_stage_retrieval(cfg, retrieval_log, completed) -> list[float] | None:
         return None
     out = []
     for t in range(1, completed + 1):
-        decisions = [e for e in retrieval_log if e["stage"] == t]
-        out.append(100.0 * sum(1 for e in decisions if e["correct"]) / len(decisions))
+        inferred_and_true = [(e["inferred"], e["task"]) for e in retrieval_log if e["stage"] == t]
+        out.append(accuracy_percent(*np.array(inferred_and_true).T))
     return out
 
 
@@ -385,7 +385,7 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
         if cfg.method == "finetune":
             net = FinetuneModel(net.w1, net.w2)
         state = RunState(
-            config=cfg.echo(),
+            config=cfg,
             stage=0,
             tasks_total=t_total,
             net=net,
@@ -397,7 +397,7 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
         )
     else:
         state = resume
-        state.config = cfg.echo()
+        state.config = cfg
 
     task_logs: list[TaskTrainLog] = []
     embeddings: dict = {}

@@ -41,63 +41,50 @@ def param_layout(site_widths, heads: int, embed_dim: int) -> list[tuple[str, tup
     return layout + [("embedding", (embed_dim, 1))]
 
 
-class SiteParams:
-    """Trainable parameters of one insertion site."""
-
-    def __init__(self, w_base, b_base, w_attn, b_attn):
-        self.w_base, self.b_base, self.w_attn, self.b_attn = (
-            t if isinstance(t, Tensor) else Tensor(t, requires_grad=True)
-            for t in (w_base, b_base, w_attn, b_attn)
-        )
-        heads, width = self.w_attn.shape
-        shapes = [t.shape for t in self.tensors()]
-        wanted = [shape for _, shape in param_layout([width], heads, self.w_base.shape[-1])[:4]]
-        if shapes != wanted:
-            raise ShapeError(f"site parameter shapes {shapes} != {wanted} for {heads} heads of width {width}")
-        self.width = int(width)
-        self.heads = int(heads)
-
-    def tensors(self) -> list[Tensor]:
-        return [self.w_base, self.b_base, self.w_attn, self.b_attn]
-
-
 class Modulator:
-    """Task embedding + one SiteParams per insertion site."""
+    """A task embedding and, per insertion site, four parameters: Tensors in
+    `param_layout` order, so `sites[s]` is site s's (w_base, b_base, w_attn,
+    b_attn)."""
 
-    def __init__(self, embedding: Tensor, sites: list[SiteParams]):
-        if embedding.data.ndim != 2 or embedding.data.shape[1] != 1:
-            raise ShapeError(f"embedding must be (embed_dim, 1), got {embedding.data.shape}")
-        self.embedding = embedding
-        self.sites = sites
+    def __init__(self, params: list[Tensor]):
+        self._params = params
+        *site_params, self.embedding = params
+        self.sites = [tuple(site_params[i : i + 4]) for i in range(0, len(site_params), 4)]
         self.frozen = False
 
     @property
     def site_widths(self) -> tuple[int, ...]:
-        return tuple(s.width for s in self.sites)
+        return tuple(w_attn.shape[1] for _, _, w_attn, _ in self.sites)
 
     @classmethod
     def from_arrays(cls, arrays) -> "Modulator":
         """Trainable modulator from arrays in `param_layout` order."""
-        *site_arrays, embedding = arrays
-        sites = [SiteParams(*site_arrays[i : i + 4]) for i in range(0, len(site_arrays), 4)]
-        return cls(Tensor(embedding, requires_grad=True), sites)
+        params = [Tensor(a, requires_grad=True) for a in arrays]
+        w_attns = params[2:-1:4]  # each site's (heads, width)
+        heads = w_attns[0].shape[0] if w_attns else 0
+        layout = param_layout([w.shape[-1] for w in w_attns], heads, params[-1].shape[0])
+        shapes, wanted = [p.shape for p in params], [shape for _, shape in layout]
+        if shapes != wanted:
+            raise ShapeError(f"modulator parameter shapes {shapes} != {wanted}")
+        return cls(params)
 
     def parameters(self) -> list[Tensor]:
         """All tensors, in `param_layout` order."""
-        return [t for s in self.sites for t in s.tensors()] + [self.embedding]
+        return list(self._params)
 
     def freeze(self) -> None:
         """Make every parameter non-trainable and its buffer read-only."""
-        for t in self.parameters():
+        for t in self._params:
             t.requires_grad = False
             t.grad = None
             t.data.setflags(write=False)
         self.frozen = True
 
 
-def modulate(site: SiteParams, embedding: Tensor, h: Tensor, h_norm: Tensor | None = None) -> Tensor:
+def modulate(site, embedding: Tensor, h: Tensor, h_norm: Tensor | None = None) -> Tensor:
     """One modulator site, the formula in the module docstring, as a single
-    tape op on activations h (n, width).
+    tape op on activations h (n, width).  `site` is the site's four Tensors,
+    an entry of `Modulator.sites`.
 
     `h_norm`, if given, is `layer_norm(h)` computed ahead of time, for an h
     that is constant and embedded many times; h must then not require a
@@ -105,12 +92,12 @@ def modulate(site: SiteParams, embedding: Tensor, h: Tensor, h_norm: Tensor | No
     each gradient's terms, are those of the same formula composed from the
     primitive tape ops in `tensor`, so both give the same bits.
     """
-    heads, width = site.heads, site.width
+    w_base, b_base, w_attn, b_attn = site
+    heads, width = w_attn.shape
     if h.data.ndim != 2 or h.data.shape[1] != width:
         raise ShapeError(f"modulate: activations {h.data.shape} do not match width {width}")
     if h_norm is not None and h.requires_grad:
         raise ContractError("modulate: a precomputed norm needs a constant h")
-    w_base, b_base, w_attn, b_attn = site.tensors()
     hd = h.data
     basis = (w_base.data @ embedding.data + b_base.data).reshape(heads, 2 * width)
     scale_rows, shift_rows = basis[:, :width], basis[:, width:]

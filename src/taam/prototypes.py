@@ -63,12 +63,11 @@ class PrototypeBank:
         if not 1 <= task_id <= len(self._entries):
             raise ContractError(f"unknown task id {task_id} (bank holds {len(self._entries)})")
 
-    def nearest_task(self, query) -> int:
+    def nearest_task(self, query: Prototype) -> int:
         """Task id of the closest stored prototype in L2; ties to the lowest id."""
         if not self._entries:
             raise ContractError("prototype bank is empty")
-        q = query.vector if isinstance(query, Prototype) else np.asarray(query, dtype=np.float64)
-        q = q.reshape(-1)
+        q = query.vector
         dim = self._entries[0][0].vector.shape[0]
         if q.shape[0] != dim:
             raise ShapeError(f"query dim {q.shape[0]} != stored prototype dim {dim}")

@@ -32,8 +32,8 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def composed_modulate(site, embedding, h):
-    heads, width = site.heads, site.width
-    w_base, b_base, w_attn, b_attn = site.tensors()
+    w_base, b_base, w_attn, b_attn = site
+    heads, width = w_attn.shape
     basis = reshape(add(matmul(w_base, embedding), b_base), (heads, 2 * width))
     attn = softmax_rows(add(matmul(h, transpose(w_attn)), b_attn))
     scale = matmul(attn, slice_cols(basis, 0, width))

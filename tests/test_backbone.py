@@ -6,7 +6,7 @@ import pytest
 from taam import backbone, modulator
 from taam.backbone import init_backbone
 from taam.errors import ContractError
-from taam.modulator import SiteParams, Modulator, init_modulator
+from taam.modulator import Modulator, init_modulator
 from taam.rng import rng_for
 from taam.tensor import Tape, Tensor, layer_norm, matmul
 
@@ -62,13 +62,13 @@ def test_forward_records_sites_and_shapes(monkeypatch):
     monkeypatch.setattr(backbone, "modulate", recording_modulate)
     bb = small_backbone()
     mod = init_modulator(bb.site_widths, rng_for(1, "m"), embed_dim=4, heads=2)
-    x = np.random.default_rng(2).normal(size=(6, 5))
-    emb = bb.forward(x, mod)  # plain ndarray input is wrapped
+    x = Tensor(np.random.default_rng(2).normal(size=(6, 5)))
+    emb = bb.forward(x, mod)
     assert pre == post == [(6, 5), (6, 4)]
     assert norms == [None, None]
     assert isinstance(emb, Tensor) and emb.shape == (6, 4)
     # a precomputed input norm reaches site 1 only and changes no bit
-    x_norm = layer_norm(Tensor(x))
+    x_norm = layer_norm(x)
     again = bb.forward(x, mod, x_norm)
     assert norms[2:] == [x_norm, None]
     assert again.data.tobytes() == emb.data.tobytes()
@@ -112,16 +112,16 @@ def test_width_mismatch_rejected():
 
 def passthrough_modulator(widths, heads=2):
     # unit scale, zero shift at every site, so each site is its layer norm
-    sites = []
+    arrays = []
     for w in widths:
         row = np.concatenate([np.ones(w), np.zeros(w)])
-        sites.append(SiteParams(
-            Tensor(np.zeros((heads * 2 * w, 3)), requires_grad=True),
-            Tensor(np.tile(row, heads).reshape(-1, 1), requires_grad=True),
-            Tensor(np.random.default_rng(0).normal(size=(heads, w)), requires_grad=True),
-            Tensor(np.zeros((1, heads)), requires_grad=True),
-        ))
-    return Modulator(Tensor(np.zeros((3, 1)), requires_grad=True), sites)
+        arrays += [
+            np.zeros((heads * 2 * w, 3)),
+            np.tile(row, heads).reshape(-1, 1),
+            np.random.default_rng(0).normal(size=(heads, w)),
+            np.zeros((1, heads)),
+        ]
+    return Modulator.from_arrays(arrays + [np.zeros((3, 1))])
 
 
 def layer_norm_np(h, eps=1e-5):

@@ -1,6 +1,7 @@
 """Checkpoint container: round trips, corruption detection, config guard,
 crash safety."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -103,7 +104,7 @@ def test_save_is_deterministic(tmp_path):
 
 def test_save_refuses_arrays_its_config_does_not_imply(tmp_path):
     _, _, res, _ = small_run(tmp_path)
-    res.state.config = {**res.state.config, "heads": 2}
+    res.state.config = dataclasses.replace(res.state.config, heads=2)
     target = tmp_path / "never.bin"
     with pytest.raises(ContractError, match="shapes"):
         save_checkpoint(target, res.state)

@@ -150,8 +150,9 @@ def test_usage_errors_exit_2(tmp_path):
     bad_conf = tmp_path / "bad.conf"
     bad_conf.write_text("sedd = 3\n")
     assert run_cli("run", "--config", str(bad_conf), "--out", str(tmp_path / "x")) == 2
-    assert run_cli("run", "--dataset", TINY, "--protocol", "equal:x",
-                   "--out", str(tmp_path / "y")) == 2
+    for protocol in ("equal:x", "equal:0", "unequal:2,0"):
+        assert run_cli("run", "--dataset", TINY, "--protocol", protocol,
+                       "--out", str(tmp_path / "y")) == 2
 
 
 def test_data_errors_exit_1(tmp_path):

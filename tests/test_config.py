@@ -24,7 +24,7 @@ def test_ablation_controls_warm_start():
 def test_protocol_parsing():
     assert make_config(None, {"protocol": "equal:3"}).protocol_spec() == (3, None)
     assert make_config(None, {"protocol": "unequal:3,2,2"}).protocol_spec() == (None, [3, 2, 2])
-    for bad in ("equal:x", "unequal:", "triangular:2", "equal"):
+    for bad in ("equal:x", "unequal:", "triangular:2", "equal", "equal:0", "equal:-1", "unequal:2,0"):
         with pytest.raises(ContractError):
             make_config(None, {"protocol": bad})
 

@@ -5,6 +5,7 @@ import logging
 import numpy as np
 import pytest
 
+from taam import datasets, fileio
 from taam.datasets import (
     SBM_DEFAULTS,
     load_planetoid,
@@ -104,10 +105,18 @@ def test_row_normalize_leaves_zero_rows_alone(tmp_path):
     assert np.array_equal(plain.features[0], [1.0, 0.0, 0.5])
 
 
-def test_write_then_parse_round_trips_bitwise(tmp_path, caplog):
+def test_write_then_parse_round_trips_bitwise(tmp_path, caplog, monkeypatch):
+    written = []
+
+    def recording_write_atomic(path, chunks):
+        written.append(path)
+        fileio.write_atomic(path, chunks)
+
+    monkeypatch.setattr(datasets, "write_atomic", recording_write_atomic)
     g = generate_sbm(3, 12, 0.4, 0.1, 5, 6.0, seed=9)
     prefix = tmp_path / "synth"
     content, cites = write_planetoid(g, prefix)
+    assert written == [content, cites]  # each file whole or not at all
     with caplog.at_level(logging.WARNING):
         back = load_planetoid(content, cites)
     assert np.array_equal(back.features, g.features)

@@ -16,10 +16,10 @@ from taam.errors import ContractError, NumericError, ShapeError
 from taam.modulator import (
     EMBED_INIT_STD,
     Modulator,
-    SiteParams,
     clone_structural,
     init_modulator,
     modulate,
+    param_layout,
 )
 from taam.rng import rng_for
 from taam.tensor import Tape, Tensor, grad_check, layer_norm, mul
@@ -37,9 +37,10 @@ def softmax_np(scores):
 
 
 def modulate_oracle(site, e, h, eps=1e-5):
-    w = site.width
-    basis = (site.w_base.data @ e + site.b_base.data).reshape(site.heads, 2 * w)
-    attn = softmax_np(h @ site.w_attn.data.T + site.b_attn.data)
+    w_base, b_base, w_attn, b_attn = (t.data for t in site)
+    heads, w = w_attn.shape
+    basis = (w_base @ e + b_base).reshape(heads, 2 * w)
+    attn = softmax_np(h @ w_attn.T + b_attn)
     mu = h.mean(axis=1, keepdims=True)
     var = ((h - mu) ** 2).mean(axis=1, keepdims=True)
     ln = (h - mu) / np.sqrt(var + eps)
@@ -50,7 +51,7 @@ def modulate_oracle(site, e, h, eps=1e-5):
 def test_modulate_matches_straight_line_oracle(seed):
     mod = fresh(seed=seed)
     site = mod.sites[0]
-    h = np.random.default_rng(seed).normal(size=(7, site.width)) * 2.0
+    h = np.random.default_rng(seed).normal(size=(7, 6)) * 2.0
     got = modulate(site, mod.embedding, Tensor(h)).data
     want = modulate_oracle(site, mod.embedding.data, h)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
@@ -61,10 +62,11 @@ def test_attention_rows_on_simplex():
     # so the first `heads` output columns are the attention weights themselves
     mod = fresh(seed=3)
     site = mod.sites[0]
+    w_base, b_base, _, _ = site
     rows = np.zeros((3, 2 * 6))
     rows[:, 6:9] = np.eye(3)
-    site.w_base.data[:] = 0.0
-    site.b_base.data[:] = rows.reshape(-1, 1)
+    w_base.data[:] = 0.0
+    b_base.data[:] = rows.reshape(-1, 1)
     h = np.random.default_rng(1).normal(size=(9, 6)) * 10
     attn = modulate(site, mod.embedding, Tensor(h), Tensor(np.zeros((9, 6)))).data[:, :3]
     assert attn.shape == (9, 3)
@@ -78,8 +80,9 @@ def test_coefficients_stay_in_basis_hull():
     # difference is the scale
     mod = fresh(seed=4)
     site = mod.sites[0]
-    h = np.random.default_rng(2).normal(size=(20, site.width)) * 5
-    basis = (site.w_base.data @ mod.embedding.data + site.b_base.data).reshape(site.heads, 2 * site.width)
+    w_base, b_base, _, _ = site
+    h = np.random.default_rng(2).normal(size=(20, 6)) * 5
+    basis = (w_base.data @ mod.embedding.data + b_base.data).reshape(3, 2 * 6)
     out0, out1 = (
         modulate(site, mod.embedding, Tensor(h), Tensor(np.full(h.shape, fill))).data for fill in (0.0, 1.0)
     )
@@ -92,12 +95,13 @@ def test_coefficients_stay_in_basis_hull():
 def identity_site(width, heads=3):
     # zero basis generator, bias pinned to scale 1 / shift 0 for every head
     row = np.concatenate([np.ones(width), np.zeros(width)])
-    return SiteParams(
-        Tensor(np.zeros((heads * 2 * width, 5)), requires_grad=True),
-        Tensor(np.tile(row, heads).reshape(-1, 1), requires_grad=True),
-        Tensor(np.random.default_rng(0).normal(size=(heads, width)), requires_grad=True),
-        Tensor(np.zeros((1, heads)), requires_grad=True),
-    )
+    return Modulator.from_arrays([
+        np.zeros((heads * 2 * width, 5)),
+        np.tile(row, heads).reshape(-1, 1),
+        np.random.default_rng(0).normal(size=(heads, width)),
+        np.zeros((1, heads)),
+        np.zeros((5, 1)),
+    ]).sites[0]
 
 
 def test_unit_scale_zero_shift_reduces_to_norm():
@@ -115,17 +119,18 @@ def test_width_one_normalizes_to_zero_so_shift_wins():
     # and the site reduces to its per-node shift
     mod = fresh(width=1, seed=7)
     site = mod.sites[0]
+    w_base, b_base, w_attn, b_attn = (t.data for t in site)
     h = np.random.default_rng(3).normal(size=(5, 1))
     got = modulate(site, mod.embedding, Tensor(h)).data
-    basis = (site.w_base.data @ mod.embedding.data + site.b_base.data).reshape(3, 2)
-    attn = softmax_np(h @ site.w_attn.data.T + site.b_attn.data)
+    basis = (w_base @ mod.embedding.data + b_base).reshape(3, 2)
+    attn = softmax_np(h @ w_attn.T + b_attn)
     assert np.allclose(got, attn @ basis[:, 1:], rtol=1e-12)
 
 
 def test_permutation_equivariance():
     mod = fresh(seed=8)
     site = mod.sites[0]
-    h = np.random.default_rng(4).normal(size=(10, site.width))
+    h = np.random.default_rng(4).normal(size=(10, 6))
     perm = np.random.default_rng(5).permutation(10)
     out = modulate(site, mod.embedding, Tensor(h)).data
     out_perm = modulate(site, mod.embedding, Tensor(h[perm])).data
@@ -142,11 +147,11 @@ def test_init_shapes_bounds_and_determinism():
     mod = init_modulator([7, 4], rng_for(11, "x"), embed_dim=6, heads=2)
     assert mod.site_widths == (7, 4)
     assert mod.embedding.shape == (6, 1)
-    be, s1 = 1.0 / np.sqrt(6), mod.sites[0]
-    assert s1.w_base.shape == (2 * 2 * 7, 6)
-    assert np.abs(s1.w_base.data).max() <= be
-    assert np.abs(s1.b_base.data).max() <= be
-    assert np.abs(s1.w_attn.data).max() <= 1.0 / np.sqrt(7)
+    be, (w_base, b_base, w_attn, _) = 1.0 / np.sqrt(6), mod.sites[0]
+    assert w_base.shape == (2 * 2 * 7, 6)
+    assert np.abs(w_base.data).max() <= be
+    assert np.abs(b_base.data).max() <= be
+    assert np.abs(w_attn.data).max() <= 1.0 / np.sqrt(7)
     again = init_modulator([7, 4], rng_for(11, "x"), embed_dim=6, heads=2)
     for a, b in zip(mod.parameters(), again.parameters()):
         assert np.array_equal(a.data, b.data)
@@ -163,8 +168,8 @@ def test_parameters_order_and_dtype():
     mod = init_modulator([3, 2], rng_for(0, "y"), embed_dim=4, heads=2, dtype=np.float32)
     params = mod.parameters()
     s0, s1 = mod.sites
-    assert params == [s0.w_base, s0.b_base, s0.w_attn, s0.b_attn,
-                      s1.w_base, s1.b_base, s1.w_attn, s1.b_attn, mod.embedding]
+    assert params == [*s0, *s1, mod.embedding]
+    assert [p.shape for p in params] == [shape for _, shape in param_layout([3, 2], 2, 4)]
     assert all(p.dtype == np.float32 for p in params)
 
 
@@ -181,7 +186,7 @@ def test_freeze_locks_everything():
     with Tape() as tape:
         loss = sum_all(modulate(mod.sites[0], mod.embedding, h))
     tape.backward(loss)
-    assert mod.sites[0].w_base.grad is None and h.grad is not None
+    assert mod.sites[0][0].grad is None and h.grad is not None
 
 
 def test_gradients_reach_every_parameter():
@@ -207,25 +212,26 @@ def test_clone_copies_sites_redraws_embedding():
     src.freeze()
     clone = clone_structural(src, rng_for(1, "c"))
     assert not clone.frozen
-    for a, b in zip(clone.sites[0].tensors(), src.sites[0].tensors()):
+    for a, b in zip(clone.sites[0], src.sites[0]):
         assert np.array_equal(a.data, b.data)
         assert a.requires_grad
     assert not np.array_equal(clone.embedding.data, src.embedding.data)
     # mutating the clone must not leak into the frozen source
-    before = src.sites[0].w_base.data.copy()
-    clone.sites[0].w_base.data[0, 0] += 1.0
-    assert np.array_equal(src.sites[0].w_base.data, before)
+    before = src.sites[0][0].data.copy()
+    clone.sites[0][0].data[0, 0] += 1.0
+    assert np.array_equal(src.sites[0][0].data, before)
 
 
 def test_site_params_shape_checks():
+    e = np.zeros((4, 1))
     with pytest.raises(ShapeError):
-        SiteParams(np.zeros((5, 4)), np.zeros((12, 1)), np.zeros((3, 2)), np.zeros((1, 3)))
+        Modulator.from_arrays([np.zeros((5, 4)), np.zeros((12, 1)), np.zeros((3, 2)), np.zeros((1, 3)), e])
     with pytest.raises(ShapeError):
-        SiteParams(np.zeros((12, 4)), np.zeros((11, 1)), np.zeros((3, 2)), np.zeros((1, 3)))
+        Modulator.from_arrays([np.zeros((12, 4)), np.zeros((11, 1)), np.zeros((3, 2)), np.zeros((1, 3)), e])
     with pytest.raises(ShapeError):
-        SiteParams(np.zeros((12, 4)), np.zeros((12, 1)), np.zeros((3, 2)), np.zeros((3, 1)))
+        Modulator.from_arrays([np.zeros((12, 4)), np.zeros((12, 1)), np.zeros((3, 2)), np.zeros((3, 1)), e])
     with pytest.raises(ShapeError):
-        Modulator(Tensor(np.zeros((4,))), [])
+        Modulator.from_arrays([np.zeros((4,))])
 
 
 # ------------------------------------------ fused op vs primitive composition

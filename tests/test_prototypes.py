@@ -64,7 +64,7 @@ def test_compute_prototype_contracts():
 
 def test_nearest_exact_tie_prefers_lowest_task():
     bank = bank_with([[0.0], [10.0]], widths=(1,))
-    assert bank.nearest_task(np.array([5.0])) == 1
+    assert bank.nearest_task(Prototype(np.array([5.0]), 1)) == 1
     assert nearest_oracle([[0.0], [10.0]], [5.0]) == 1
 
 
@@ -74,16 +74,16 @@ def test_nearest_matches_fraction_oracle(seed):
     vectors = rng.normal(size=(5, 6))
     bank = bank_with(vectors, widths=(3,))
     for q in rng.normal(size=(8, 6)):
-        assert bank.nearest_task(q) == nearest_oracle(vectors, q)
+        assert bank.nearest_task(Prototype(q, 1)) == nearest_oracle(vectors, q)
 
 
 def test_nearest_accepts_prototype_and_checks_dims():
     bank = bank_with([[1.0, 0.0], [0.0, 1.0]], widths=(2,))
     assert bank.nearest_task(Prototype(np.array([0.9, 0.0]), 1)) == 1
     with pytest.raises(ShapeError):
-        bank.nearest_task(np.zeros(3))
+        bank.nearest_task(Prototype(np.zeros(3), 1))
     with pytest.raises(ContractError):
-        PrototypeBank().nearest_task(np.zeros(2))
+        PrototypeBank().nearest_task(Prototype(np.zeros(2), 1))
 
 
 def test_commit_assigns_sequential_ids_and_freezes():
@@ -133,7 +133,7 @@ def test_task_aware_init_empty_bank_is_random():
     )
     assert donor is None and not mod.frozen
     fresh = init_modulator([3], rng_for(0, "w"), embed_dim=4, heads=2)
-    assert np.array_equal(mod.sites[0].w_base.data, fresh.sites[0].w_base.data)
+    assert np.array_equal(mod.sites[0][0].data, fresh.sites[0][0].data)
 
 
 def test_task_aware_init_clones_nearest_donor():
@@ -143,7 +143,7 @@ def test_task_aware_init_clones_nearest_donor():
     mod, donor = task_aware_init(bank, query, (3,), rng_for(1, "w"), embed_dim=4, heads=2)
     assert donor == nearest_oracle(vectors, query.vector) == 2
     donor_mod = bank.modulator(2)
-    for a, b in zip(mod.sites[0].tensors(), donor_mod.sites[0].tensors()):
+    for a, b in zip(mod.sites[0], donor_mod.sites[0]):
         assert np.array_equal(a.data, b.data)
     assert not np.array_equal(mod.embedding.data, donor_mod.embedding.data)
     with pytest.raises(ContractError, match="widths"):
