@@ -164,6 +164,8 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.seeds < 1:
+        raise ContractError(f"--seeds must be >= 1, got {args.seeds}")
     worst_overall = 0.0
     failed = False
     for seed in range(args.seeds):

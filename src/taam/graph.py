@@ -123,26 +123,34 @@ def normalize_adjacency(g: SparseGraph) -> sp.csr_matrix:
 PROPAGATE_BLOCK_BYTES = 1 << 20
 
 
-def propagate(s: sp.csr_matrix, x: np.ndarray, hops: int) -> np.ndarray:
-    """Apply the propagation operator `hops` times: S^hops @ X.
+def propagate(s: sp.csr_matrix, x: np.ndarray, hops: int, rows=None) -> np.ndarray:
+    """Apply the propagation operator `hops` times: S^hops @ X, or only its
+    rows `rows` (integer ids, any order, repeats allowed) when given.
 
-    hops=0 returns a copy of X unchanged.  Linear in X.  Each output entry
-    (i, c) is accumulated from row i of S alone, in its stored order, and
-    from column c of X alone, so the columns go through in blocks of
-    PROPAGATE_BLOCK_BYTES and the result is the same bits as in one pass.
+    hops=0 returns a copy of X (or of X[rows]).  Linear in X.  Each output
+    entry (i, c) is accumulated from row i of S alone, in its stored order,
+    and from column c of X alone.  So the columns go through in blocks of
+    PROPAGATE_BLOCK_BYTES, and the last hop multiplies by S[rows] only; the
+    result is the same bits as (S^hops @ X)[rows] in one pass.  The first
+    hops - 1 hops still run over every row.
     """
     if hops < 0:
         raise ContractError(f"hops must be >= 0, got {hops}")
-    if hops == 0:
-        return np.array(x, dtype=np.float64, copy=True)
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty((s.shape[0], x.shape[1]))
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        if rows.size and (rows.min() < 0 or rows.max() >= s.shape[0]):
+            raise ContractError(f"row id out of range for {s.shape[0]} rows")
+    if hops == 0:
+        return x.copy() if rows is None else x[rows]
+    last = s if rows is None else s[rows]
+    out = np.empty((last.shape[0], x.shape[1]))
     width = max(1, PROPAGATE_BLOCK_BYTES // (8 * max(1, s.shape[0])))
     for lo in range(0, x.shape[1], width):
         part = x[:, lo : lo + width]
-        for _ in range(hops):
+        for _ in range(hops - 1):
             part = s @ part
-        out[:, lo : lo + width] = part
+        out[:, lo : lo + width] = last @ part
     return out
 
 

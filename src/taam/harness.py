@@ -8,8 +8,10 @@ just-trained diagonal entry to its final-row entry.
 
 A stream is one block-diagonal graph: each task's induced subgraph is one
 diagonal block, and a task is a row range of it.  The stream graph is built,
-validated, normalized and propagated once, and row for row it gives the
-same bits as each task's subgraph would on its own.
+validated and normalized once, and row for row it gives the same bits as
+each task's subgraph would on its own.  Training propagates the whole
+stream once.  Evaluating a checkpoint on a fresh stream reads only test
+rows, so there the last propagation hop runs at those rows alone.
 
 Methods:
     taam      modulator per task over a frozen backbone; at eval time the
@@ -65,6 +67,14 @@ class _Propagation:
             self._by_hops[hops] = out
         return self._by_hops[hops]
 
+    def rows(self, hops: int, rows: np.ndarray) -> np.ndarray:
+        """S^hops X at the stream rows `rows`: a gather from the whole array
+        when it is built, else one propagation whose last hop runs at `rows`
+        alone.  Either way the same bits."""
+        if hops in self._by_hops:
+            return self._by_hops[hops][rows]
+        return propagate(normalize_adjacency(self.graph), self.graph.features, hops, rows)
+
 
 @dataclass
 class TaskSpec:
@@ -103,6 +113,15 @@ class TaskStream:
     tasks: list[TaskSpec]
     dropped_classes: list[int]
     graph: SparseGraph
+    _propagation: _Propagation = field(repr=False)
+
+    def propagated_test_rows(self, hops: int, count: int) -> list[np.ndarray]:
+        """Propagated features of the test nodes of tasks 1..count, one array
+        per task in test_idx order, all from one `_Propagation.rows` call."""
+        tasks = self.tasks[:count]
+        rows = np.concatenate([task.rows.start + task.test_idx for task in tasks])
+        ends = np.cumsum([task.test_idx.size for task in tasks])
+        return np.split(self._propagation.rows(hops, rows), ends[:-1])
 
 
 def build_stream(
@@ -196,7 +215,9 @@ def build_stream(
                 _propagation=shared,
             )
         )
-    return TaskStream(tasks=tasks, dropped_classes=[int(c) for c in dropped], graph=graph)
+    return TaskStream(
+        tasks=tasks, dropped_classes=[int(c) for c in dropped], graph=graph, _propagation=shared
+    )
 
 
 def _block_diagonal(g: SparseGraph, block: np.ndarray) -> tuple[SparseGraph, np.ndarray]:
@@ -319,10 +340,9 @@ def _evaluate_stage(stream, cfg, state, stage, embeddings: dict) -> tuple[list[f
     net, bank, head = state.net, state.bank, state.head
     row: list[float] = []
     decisions: list[dict] = []
-    for j in range(1, stage + 1):
+    for j, x64 in enumerate(stream.propagated_test_rows(cfg.hops, stage), start=1):
         task = stream.tasks[j - 1]
-        x64 = task.propagated(cfg.hops)
-        x = Tensor(x64[task.test_idx].astype(cfg.np_dtype, copy=False))
+        x = Tensor(x64.astype(cfg.np_dtype, copy=False))
         truth = task.labels[task.test_idx]
         if variant.task_id is None:
             inferred = None
@@ -333,7 +353,7 @@ def _evaluate_stage(stream, cfg, state, stage, embeddings: dict) -> tuple[list[f
             elif variant.task_id == "latest":
                 inferred = bank.latest_task()
             else:
-                inferred = bank.retrieve(x64, task.test_idx)
+                inferred = bank.retrieve(x64)
             if (j, inferred) not in embeddings:
                 embeddings[j, inferred] = net.forward(x, bank.modulator(inferred)).data
             emb = embeddings[j, inferred]
@@ -432,6 +452,17 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
 
 
 def evaluate_final_row(stream: TaskStream, cfg, state) -> tuple[np.ndarray, list[dict]]:
-    """Re-run the evaluation of the last completed stage from a restored state."""
+    """Re-run the evaluation of the last completed stage from a restored state.
+
+    The stream must be the checkpoint's: as many tasks, and tasks 1..stage
+    with the class groups of its head.  On a fresh stream only the test rows
+    of those tasks go through the last propagation hop.
+    """
+    t_total = len(stream.tasks)
+    if t_total != state.tasks_total:
+        raise ContractError(f"checkpoint is for {state.tasks_total} tasks, the stream has {t_total}")
+    groups = [task.classes for task in stream.tasks[: state.stage]]
+    if groups != state.head.tasks:
+        raise ContractError(f"checkpoint has the class groups {state.head.tasks}, the stream {groups}")
     row, decisions = _evaluate_stage(stream, cfg, state, state.stage, {})
     return np.array(row), decisions

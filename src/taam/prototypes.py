@@ -28,13 +28,19 @@ class Prototype:
 
 
 def compute_prototype(x_prop: np.ndarray, node_set) -> Prototype:
-    """Mean of the propagated feature rows `x_prop[node_set]`."""
-    idx = np.asarray(sorted(int(v) for v in node_set), dtype=np.int64)
-    if idx.size == 0:
-        raise ContractError("prototype needs a non-empty node set")
-    if idx[0] < 0 or idx[-1] >= x_prop.shape[0]:
+    """Mean of the propagated feature rows `x_prop[node_set]`, taken in
+    ascending node order."""
+    idx = np.sort(np.asarray(node_set, dtype=np.int64).reshape(-1))
+    if idx.size and (idx[0] < 0 or idx[-1] >= x_prop.shape[0]):
         raise ContractError(f"node id out of range for {x_prop.shape[0]} propagated rows")
-    return Prototype(vector=x_prop[idx].mean(axis=0), node_count=int(idx.size))
+    return _prototype_of_rows(x_prop[idx])
+
+
+def _prototype_of_rows(x_rows: np.ndarray) -> Prototype:
+    """Mean of the propagated feature rows `x_rows`, summed in their order."""
+    if x_rows.shape[0] == 0:
+        raise ContractError("prototype needs a non-empty node set")
+    return Prototype(vector=x_rows.mean(axis=0), node_count=int(x_rows.shape[0]))
 
 
 class PrototypeBank:
@@ -88,9 +94,9 @@ class PrototypeBank:
         self._entries.append((proto, mod))
         return len(self._entries)
 
-    def retrieve(self, x_prop: np.ndarray, node_set) -> int:
-        """Infer the task id of a test batch: the rows `x_prop[node_set]`."""
-        return self.nearest_task(compute_prototype(x_prop, node_set))
+    def retrieve(self, x_rows: np.ndarray) -> int:
+        """Infer the task id of a test batch from its propagated feature rows."""
+        return self.nearest_task(_prototype_of_rows(x_rows))
 
 
 def task_aware_init(

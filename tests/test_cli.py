@@ -103,6 +103,29 @@ def test_eval_reproduces_final_row(tmp_path):
     assert payload["AA"] == pytest.approx(summary["AA"])
 
 
+def test_f32_eval_reproduces_final_row(tmp_path):
+    conf = write_tiny_config(tmp_path, precision="f32")
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(conf), "--out", str(out)) == 0
+    assert run_cli("eval", "--checkpoint", str(out / "checkpoint.bin")) == 0
+    payload = json.loads((out / "eval_summary.json").read_text())
+    assert payload["accuracies"] == [float(v) for v in read_matrix_csv(out / "matrix.csv")[1, :2]]
+
+
+@pytest.mark.parametrize("classes", [4, 8])
+def test_eval_on_another_stream_is_a_usage_error(tmp_path, capsys, classes):
+    # the checkpoint is for 3 tasks; 4 classes make 2 tasks and 8 make 4
+    conf = write_tiny_config(tmp_path, dataset="sbm:classes=6,npc=25,dim=8,sep=10", epochs=3)
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(conf), "--out", str(out)) == 0
+    capsys.readouterr()
+    code = run_cli("eval", "--checkpoint", str(out / "checkpoint.bin"),
+                   "--dataset", f"sbm:classes={classes},npc=25,dim=8,sep=10")
+    assert code == 2
+    assert f"checkpoint is for 3 tasks, the stream has {classes // 2}" in capsys.readouterr().err
+    assert not (out / "eval_summary.json").exists()
+
+
 def test_ablate_writes_three_variants(tmp_path, capsys):
     out = tmp_path / "ablate"
     code = run_cli("ablate", "--dataset", "sbm:classes=4,npc=25,dim=8,sep=10",
@@ -119,6 +142,13 @@ def test_gradcheck_command(capsys):
     assert run_cli("gradcheck", "--seeds", "2") == 0
     out = capsys.readouterr().out
     assert "seed=0" in out and "ok" in out and "worst over 2 seeds" in out
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_gradcheck_without_seeds_is_a_usage_error(capsys, seeds):
+    assert run_cli("gradcheck", "--seeds", seeds) == 2
+    captured = capsys.readouterr()
+    assert "--seeds must be >= 1" in captured.err and "worst over" not in captured.out
 
 
 def test_gen_sbm_round_trips_through_parser(tmp_path, capsys):

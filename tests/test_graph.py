@@ -93,6 +93,38 @@ def test_propagate_in_column_blocks_is_bitwise_one_pass(monkeypatch, block_bytes
         assert np.array_equal(propagate(s, g.features, hops), want)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    dim=st.integers(1, 4),
+    hops=st.integers(0, 3),
+    block=st.sampled_from(["8 B", "one column", "1 MiB"]),
+    data=st.data(),
+)
+def test_propagate_rows_is_bitwise_the_full_rows(n, dim, hops, block, data):
+    # edges may be absent or leave nodes isolated; rows may be unsorted,
+    # repeated or empty
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20))
+    rows = data.draw(st.lists(st.integers(0, n - 1), max_size=12))
+    x = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=(n, dim))
+    s = normalize_adjacency(SparseGraph.from_edges(n, edges, x, np.zeros(n, int)))
+    block_bytes = {"8 B": 8, "one column": 8 * n, "1 MiB": 1 << 20}[block]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "PROPAGATE_BLOCK_BYTES", block_bytes)
+        got = propagate(s, x, hops, np.array(rows, dtype=np.int64))
+        want = propagate(s, x, hops)[rows]
+    assert got.shape == (len(rows), dim)
+    assert np.array_equal(got, want)
+
+
+def test_propagate_rows_out_of_range_is_a_contract_error():
+    g = path_graph(4, 2)
+    s = normalize_adjacency(g)
+    for rows in ([4], [-1], [0, 7]):
+        with pytest.raises(ContractError):
+            propagate(s, g.features, 2, rows)
+
+
 def test_propagate_matches_dense_power():
     g = path_graph(5, 3)
     s = normalize_adjacency(g)

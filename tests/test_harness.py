@@ -405,6 +405,45 @@ def test_evaluate_final_row_matches_run():
     assert len(decisions) == 2
 
 
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+@pytest.mark.parametrize(
+    "method, ablation",
+    [("taam", "full"), ("taam", "retrieval_only"), ("taam", "nsm_only"), ("oracle", "full"), ("finetune", "full")],
+)
+def test_evaluate_final_row_propagates_only_test_rows_of_a_fresh_stream(monkeypatch, method, ablation, precision):
+    # a fresh stream has no propagated array cached, so the eval path is the
+    # one a checkpoint takes in `taam eval`
+    cfg = cfg_for(dataset="sbm:classes=6,npc=25,dim=8,sep=10", method=method, ablation=ablation,
+                  precision=precision, epochs=10)
+    res = run_continual(stream_for(cfg, classes=6), cfg)
+    fresh = stream_for(cfg, classes=6)
+    heights = []
+
+    def counted(*args, **kwargs):
+        out = propagate(*args, **kwargs)
+        heights.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(harness, "propagate", counted)
+    row, decisions = evaluate_final_row(fresh, cfg, res.state)
+    assert heights == [sum(task.test_idx.size for task in fresh.tasks)]
+    assert heights[0] < fresh.graph.num_nodes
+    assert np.array_equal(row, res.matrix[2])
+    assert decisions == [e for e in res.retrieval_log if e["stage"] == 3]
+
+
+def test_evaluate_final_row_rejects_another_stream():
+    cfg = cfg_for(dataset="sbm:classes=6,npc=25,dim=8,sep=10", epochs=3)
+    g = generate_sbm(6, 25, 0.1, 0.02, 8, 10.0, seed=0)
+    res = run_continual(build_stream(g, classes_per_task=2, seed=0), cfg)
+    shuffled = build_stream(g, classes_per_task=2, seed=0, shuffle_classes=True)
+    assert [t.classes for t in shuffled.tasks] != res.state.head.tasks
+    with pytest.raises(ContractError, match="class groups"):
+        evaluate_final_row(shuffled, cfg, res.state)
+    with pytest.raises(ContractError, match="3 tasks, the stream has 2"):
+        evaluate_final_row(build_stream(g, classes_per_task=3, seed=0), cfg, res.state)
+
+
 def test_predict_over_all_widens_the_label_space():
     cfg = cfg_for(predict_over_all=True, epochs=40)
     res = run_continual(stream_for(cfg), cfg)

@@ -152,11 +152,11 @@ def test_task_aware_init_clones_nearest_donor():
 
 def test_retrieve_uses_the_given_node_set():
     # two stored prototypes sit at the two class means of the query graph;
-    # restricting the node set to one class must retrieve that class's task
+    # the rows of one class must retrieve that class's task
     g = generate_sbm(2, 20, 0.4, 0.0, 4, 12.0, seed=7)
     x_prop = propagate(normalize_adjacency(g), g.features, 2)
     p_a = x_prop[g.labels == 0].mean(axis=0)
     p_b = x_prop[g.labels == 1].mean(axis=0)
     bank = bank_with([p_a, p_b], widths=(3,))
-    assert bank.retrieve(x_prop, np.where(g.labels == 1)[0]) == 2
-    assert bank.retrieve(x_prop, np.where(g.labels == 0)[0]) == 1
+    assert bank.retrieve(x_prop[g.labels == 1]) == 2
+    assert bank.retrieve(x_prop[g.labels == 0]) == 1
