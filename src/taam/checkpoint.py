@@ -1,38 +1,45 @@
-"""Binary run checkpoints, format 2: a small file rewritten at every stage
+"""Binary run checkpoints, format 3: a small file rewritten at every stage
 plus an append-only sidecar of frozen blocks.
 
 `path` holds what changes from stage to stage (integers little-endian):
 
     bytes 0..7    magic "TAAMCKPT"
-    bytes 8..11   u32 format version (currently 2)
+    bytes 8..11   u32 format version (currently 3)
     bytes 12..19  u64 header length H
     next H bytes  header, UTF-8 JSON (sorted keys)
     payload       the classifier weight matrix, then for method finetune its
                   trained w1 and w2; raw float64 little-endian, C order
     last 4 bytes  u32 CRC-32 of header bytes + payload bytes
 
+The header has five keys: "config" (the run's `RunConfig.echo()`),
+"tasks_total", "in_dim" (the input feature width), "stages" (one record per
+completed stage t: "classes", task t's class ids in column order;
+"accuracy", matrix row t; "inferred", the task id picked for each of tasks
+1..t or null; "donor", task t's warm-start donor or null) and "crcs".
+
 `frozen_path(path)` (`path` + ".frozen") holds the blocks that never change
 once written, as consecutive segments of raw float64 little-endian, C order.
 Segment 0 is the backbone's w1 and w2; segment t is task t's modulator
 parameters in `modulator.param_layout` order, then its prototype.  Method
 finetune trains its net and stores no modulators, so its sidecar is empty.
-The header's "segments" list holds each segment's byte length and CRC-32, so
-the CRC of `path` pins the sidecar's content too.  Move a run by copying
-both files.
+"crcs" holds one CRC-32 per segment, so the CRC of `path` pins the sidecar's
+content too.  Move a run by copying both files.
 
 A run's first save writes a fresh sidecar; each later save appends only the
 newly frozen segment.  The sidecar is written and fsynced before `path` is
 replaced (temp file, fsync, rename; see `fileio`), and the loader reads only
-the segments that `path` lists.  A crash at any point thus leaves the last
-completed stage loadable, whatever torn tail the sidecar has.
+the segments that `path` has CRCs for.  A crash at any point thus leaves the
+last completed stage loadable, whatever torn tail the sidecar has.
 
-Block shapes are not stored: `payload_layout` derives them from the stored
-config, the input width, the stage and the class count.  The loader requires
-the header to have exactly the keys it reads, each well typed; the stored
-config to validate and to equal its own `RunConfig.echo()`; the resume
-fields (matrix rows, retrieval log, donors) to be consistent; and every
-length and checksum to match.  Every violation is an IntegrityError, and a
-file of another format version is a VersionError.
+Each fact is stored once.  `payload_layout` derives every block shape, and
+so every segment length, from the config, the input width, the stage count
+(the number of records) and the class count.  A finished task's classifier
+columns are frozen, except under method finetune, which freezes none, and
+the retrieval log is rebuilt from the records.  The loader requires exactly
+the five keys, each well typed; the stored config to validate and to equal
+its own `RunConfig.echo()`; 1..tasks_total stages with disjoint class
+groups; and one CRC per segment, each matching.  Every violation is an
+IntegrityError, and a file of another format version is a VersionError.
 
 Float32 runs upcast to float64 on save and cast back on load (exact).  A
 float64 run's frozen blocks load as read-only views of the sidecar bytes
@@ -50,7 +57,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -60,11 +67,11 @@ from .config import RunConfig, make_config
 from .errors import ContractError, IntegrityError, VersionError
 from .fileio import write_at, write_atomic
 from .modulator import Modulator, param_layout
-from .prototypes import Prototype, PrototypeBank
+from .prototypes import PrototypeBank
 from .training import FinetuneModel
 
 MAGIC = b"TAAMCKPT"
-VERSION = 2
+VERSION = 3
 
 # Resuming in a different place is fine; resuming different run semantics is not.
 _CONFIG_KEYS_IGNORED_ON_RESUME = ("out_dir",)
@@ -80,7 +87,6 @@ class RunState:
     """
 
     config: RunConfig
-    stage: int
     tasks_total: int
     net: Backbone | FinetuneModel
     bank: PrototypeBank
@@ -88,6 +94,11 @@ class RunState:
     matrix_rows: list[list[float]]
     retrieval_log: list[dict]
     donors: list[int | None]
+
+    @property
+    def stage(self) -> int:
+        """The last completed stage: each one adds a matrix row."""
+        return len(self.matrix_rows)
 
     def check_config(self, cfg) -> None:
         stored = {k: v for k, v in self.config.echo().items() if k not in _CONFIG_KEYS_IGNORED_ON_RESUME}
@@ -122,6 +133,10 @@ def payload_layout(cfg: RunConfig, in_dim: int, stage: int, classes: int):
     return head, [backbone] + [task] * stage
 
 
+def _nbytes(shapes) -> int:
+    return 8 * sum(math.prod(s) for s in shapes)
+
+
 def _f8(arrays) -> list[np.ndarray]:
     return [np.ascontiguousarray(a, dtype="<f8") for a in arrays]
 
@@ -132,17 +147,17 @@ def _crc(chunks, crc: int = 0) -> int:
     return crc
 
 
-def save_checkpoint(path, state: RunState, segments: list[dict] | None = None) -> list[dict]:
-    """Write `state` to `path` and its sidecar; return the segment table.
+def save_checkpoint(path, state: RunState, crcs: list[int] | None = None) -> list[int]:
+    """Write `state` to `path` and its sidecar; return the segment CRCs.
 
-    `segments` is the table that this run's previous save to `path` returned.
-    Its segments are in the sidecar already, so only newer ones are appended.
-    None, for a run's first save, writes a fresh sidecar.
+    `crcs` is what this run's previous save to `path` returned.  Its segments
+    are in the sidecar already, so only newer ones are appended.  None, for a
+    run's first save, writes a fresh sidecar.
     """
     bank, head, net, cfg = state.bank, state.head, state.net, state.config
     tasks = range(1, len(bank) + 1)
     mutable = [head.weight]
-    frozen = [[p.data for p in bank.modulator(t).parameters()] + [bank.prototype(t).vector] for t in tasks]
+    frozen = [[p.data for p in bank.modulator(t).parameters()] + [bank.prototype(t)] for t in tasks]
     if cfg.method == "finetune":
         mutable += [net.w1, net.w2]
     else:
@@ -152,50 +167,36 @@ def save_checkpoint(path, state: RunState, segments: list[dict] | None = None) -
     if shapes != wanted:
         raise ContractError(f"run state arrays have shapes {shapes}; its config implies {wanted}")
 
-    table = list(segments or [])
-    fresh = [_f8(seg) for seg in frozen[len(table) :]]
-    table += [{"length": sum(a.nbytes for a in seg), "crc": _crc(seg)} for seg in fresh]
+    done = crcs or []
+    fresh = [_f8(seg) for seg in frozen[len(done) :]]
     chunks = [a for seg in fresh for a in seg]
-    if segments is None:
+    if crcs is None:
         write_atomic(frozen_path(path), chunks)
     else:
-        write_at(frozen_path(path), sum(s["length"] for s in segments), chunks)
+        write_at(frozen_path(path), sum(map(_nbytes, wanted[1][: len(done)])), chunks)
 
+    inferred = iter([e["inferred"] for e in state.retrieval_log])  # stage t made t decisions
+    stages = [
+        {"classes": classes, "accuracy": row, "inferred": list(islice(inferred, t)), "donor": donor}
+        for t, (classes, row, donor) in enumerate(zip(head.tasks, state.matrix_rows, state.donors), 1)
+    ]
     header = {
-        "version": VERSION,
         "config": cfg.echo(),
-        "stage": int(state.stage),
         "tasks_total": int(state.tasks_total),
-        "backbone": {"in_dim": int(net.w1.shape[0])},
-        "prototypes": [{"node_count": bank.prototype(t).node_count} for t in tasks],
-        "classifier": {"tasks": head.tasks, "frozen": [bool(b) for b in head.frozen]},
-        "matrix_rows": state.matrix_rows,
-        "retrieval_log": state.retrieval_log,
-        "donors": state.donors,
-        "segments": table,
+        "in_dim": int(net.w1.shape[0]),
+        "stages": stages,
+        "crcs": done + [_crc(seg) for seg in fresh],
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     payload = _f8(mutable)
     crc = _crc(payload, zlib.crc32(header_bytes))
     prefix = MAGIC + struct.pack("<IQ", VERSION, len(header_bytes))
     write_atomic(path, [prefix, header_bytes, *payload, struct.pack("<I", crc)])
-    return table
+    return header["crcs"]
 
 
 # Every header key, with the JSON type it must have.
-_HEADER_TYPES = {
-    "backbone": dict,
-    "classifier": dict,
-    "config": dict,
-    "donors": list,
-    "matrix_rows": list,
-    "prototypes": list,
-    "retrieval_log": list,
-    "segments": list,
-    "stage": int,
-    "tasks_total": int,
-    "version": int,
-}
+_HEADER_TYPES = {"config": dict, "crcs": list, "in_dim": int, "stages": list, "tasks_total": int}
 
 
 def _is(value, kind) -> bool:
@@ -226,7 +227,6 @@ def _check_header(header, path):
         need(key in header, f"missing {key!r}")
         need(_is(header[key], kind), f"{key!r} is not a {kind.__name__}")
     need(set(header) == set(_HEADER_TYPES), f"unexpected keys {sorted(set(header) - set(_HEADER_TYPES))}")
-    need(header["version"] == VERSION, f"version {header['version']} in a format {VERSION} file")
     try:
         cfg = make_config(header["config"])
     except ContractError as e:
@@ -234,50 +234,25 @@ def _check_header(header, path):
     # A run stores cfg.echo(); any other spelling of a valid config (a key
     # left out, "3" for 3) would load but fail the resume check.
     need(header["config"] == cfg.echo(), "stored config is not the form a run stores")
-    need(_fields(header["backbone"], in_dim=int) and header["backbone"]["in_dim"] >= 1, "bad backbone entry")
-    in_dim = header["backbone"]["in_dim"]
-    need(all(_fields(p, node_count=int) for p in header["prototypes"]), "bad prototype entry")
-    c = header["classifier"]
-    need(
-        _fields(c, tasks=list, frozen=list)
-        and all(isinstance(b, bool) for b in c["frozen"])
-        and all(isinstance(g, list) and g and all(_is(x, int) for x in g) for g in c["tasks"]),
-        "bad classifier entry",
-    )
-    classes = [x for g in c["tasks"] for x in g]
-    need(len(set(classes)) == len(classes) == len(c["frozen"]), "classifier classes and frozen flags disagree")
-
-    stage, total = header["stage"], header["tasks_total"]
-    need(1 <= stage <= total, f"stage {stage} is outside 1..{total}")
-    rows, decisions, donors = header["matrix_rows"], header["retrieval_log"], header["donors"]
-    need(
-        len(rows) == len(c["tasks"]) == len(donors) == stage,
-        f"{len(rows)} matrix rows, {len(c['tasks'])} class groups, {len(donors)} donors at stage {stage}",
-    )
-    is_accuracy = lambda v: _is(v, (int, float)) and 0 <= v <= 100
-    need(
-        all(isinstance(r, list) and len(r) == t and all(map(is_accuracy, r)) for t, r in enumerate(rows, 1)),
-        "matrix row t must hold t accuracies in [0, 100]",
-    )
-    need(all(d is None or _is(d, int) for d in donors), "a donor is neither null nor a task id")
-    asked = [(s, j) for s in range(1, stage + 1) for j in range(1, s + 1)]
-    inferred = [e.get("inferred") if isinstance(e, dict) else None for e in decisions]
-    logged = [decision(s, j, i) for (s, j), i in zip(asked, inferred)]
-    need(
-        len(decisions) == len(asked)
-        and all(i is None or _is(i, int) for i in inferred)
-        and decisions == logged,
-        "retrieval log is not one decision per (stage, task) up to this stage",
-    )
-    blocks, segments = payload_layout(cfg, in_dim, stage, len(classes))
-    stored = 0 if cfg.method == "finetune" else stage
-    need(len(header["prototypes"]) == stored, f"{len(header['prototypes'])} prototypes, {stored} stored tasks")
-    table = header["segments"]
-    need(all(_fields(s, length=int, crc=int) and 0 <= s["crc"] < 2**32 for s in table), "bad segment entry")
-    need(len(table) == len(segments), f"{len(table)} segments where the stored config implies {len(segments)}")
-    for i, (entry, shapes) in enumerate(zip(table, segments)):
-        want, got = 8 * sum(math.prod(s) for s in shapes), entry["length"]
-        need(got == want, f"segment {i} has {got} bytes where the stored config implies {want}")
+    need(header["in_dim"] >= 1, f"in_dim {header['in_dim']} is below 1")
+    stages, total = header["stages"], header["tasks_total"]
+    task_id = (int, type(None))
+    for t, s in enumerate(stages, 1):
+        need(
+            _fields(s, classes=list, accuracy=list, inferred=list, donor=task_id)
+            and s["classes"] and all(_is(c, int) for c in s["classes"])
+            and len(s["accuracy"]) == len(s["inferred"]) == t
+            and all(_is(v, (int, float)) and 0 <= v <= 100 for v in s["accuracy"])
+            and all(_is(i, task_id) for i in s["inferred"]),
+            f"stage {t} must hold its classes, {t} accuracies in [0, 100], {t} inferred task ids and a donor",
+        )
+    need(1 <= len(stages) <= total, f"{len(stages)} stages, outside 1..{total}")
+    classes = [c for s in stages for c in s["classes"]]
+    need(len(set(classes)) == len(classes), "a class is in two groups")
+    crcs = header["crcs"]
+    need(all(_is(c, int) and 0 <= c < 2**32 for c in crcs), "a CRC is not a u32")
+    blocks, segments = payload_layout(cfg, header["in_dim"], len(stages), len(classes))
+    need(len(crcs) == len(segments), f"{len(crcs)} CRCs where the stored config implies {len(segments)} segments")
     return cfg, blocks, segments
 
 
@@ -288,24 +263,24 @@ def _views(buf, shapes) -> list[np.ndarray]:
     return [flat[end - n : end].reshape(s) for s, n, end in zip(shapes, counts, accumulate(counts))]
 
 
-def _read_segments(path, table, segments) -> list[list[np.ndarray]]:
-    """The frozen segments listed in `table`, read from the sidecar of `path`."""
+def _read_segments(path, crcs, segments) -> list[list[np.ndarray]]:
+    """The frozen segments of these shapes, read from the sidecar of `path`
+    and checked against their CRCs."""
     sidecar = frozen_path(path)
-    total = sum(entry["length"] for entry in table)
+    ends = list(accumulate(map(_nbytes, segments), initial=0))
     try:
         with open(sidecar, "rb") as fh:
-            raw = memoryview(fh.read(total))
+            raw = memoryview(fh.read(ends[-1]))
     except FileNotFoundError:
         raise IntegrityError(f"{sidecar} is missing; copy it along with {path}") from None
-    if len(raw) < total:
+    if len(raw) < ends[-1]:
         raise IntegrityError(f"{sidecar} is truncated")
-    out, at = [], 0
-    for t, (entry, shapes) in enumerate(zip(table, segments)):
-        seg = raw[at : at + entry["length"]]
-        if zlib.crc32(seg) != entry["crc"]:
+    out = []
+    for t, (crc, shapes) in enumerate(zip(crcs, segments)):
+        seg = raw[ends[t] : ends[t + 1]]
+        if zlib.crc32(seg) != crc:
             raise IntegrityError(f"{sidecar} failed its checksum (segment {t})")
         out.append(_views(seg, shapes))
-        at += entry["length"]
     return out
 
 
@@ -328,15 +303,15 @@ def load_checkpoint(path) -> RunState:
         raise IntegrityError(f"{path} header is corrupt: {e}") from None
     cfg, blocks, segments = _check_header(header, path)
 
-    payload_len = 8 * sum(math.prod(s) for s in blocks)
-    if header_end + payload_len + 4 != len(raw):
-        raise IntegrityError(f"{path} is truncated (payload)")
+    payload_len, stored = _nbytes(blocks), len(raw) - header_end - 4
+    if stored != payload_len:
+        raise IntegrityError(f"{path} is truncated or its header malformed: {stored} payload bytes, not {payload_len}")
     payload = raw[header_end : header_end + payload_len]
     (crc_stored,) = struct.unpack_from("<I", raw, len(raw) - 4)
     if zlib.crc32(payload, zlib.crc32(header_bytes)) != crc_stored:
         raise IntegrityError(f"{path} failed its checksum")
     head_weight, *finetune_net = _views(payload, blocks)
-    frozen = _read_segments(path, header["segments"], segments)
+    frozen = _read_segments(path, header["crcs"], segments)
 
     def cast(view, copy=True):
         """The stored values in the run's dtype, which must hold them exactly
@@ -357,20 +332,20 @@ def load_checkpoint(path) -> RunState:
         (w1, w2), *tasks = frozen
         views = cfg.np_dtype == np.float64
         net = Backbone(cast(w1, copy=False), cast(w2, copy=False))
-        for (*params, vector), pmeta in zip(tasks, header["prototypes"]):
+        for *params, vector in tasks:
             mod = Modulator.from_arrays([cast(p, copy=False) for p in params])
-            vector = vector if views else vector.copy()
-            bank.commit(Prototype(vector, node_count=pmeta["node_count"]), mod)
+            bank.commit(vector if views else vector.copy(), mod)
 
-    cmeta = header["classifier"]
+    stages = header["stages"]
+    # Every trained task's columns are frozen, except under finetune, which freezes none.
+    head = ClassifierHead.restore(cast(head_weight), [s["classes"] for s in stages], cfg.method != "finetune")
     return RunState(
         config=cfg,
-        stage=header["stage"],
         tasks_total=header["tasks_total"],
         net=net,
         bank=bank,
-        head=ClassifierHead.restore(cast(head_weight), cmeta["tasks"], cmeta["frozen"]),
-        matrix_rows=header["matrix_rows"],
-        retrieval_log=header["retrieval_log"],
-        donors=header["donors"],
+        head=head,
+        matrix_rows=[s["accuracy"] for s in stages],
+        retrieval_log=[decision(t, j, i) for t, s in enumerate(stages, 1) for j, i in enumerate(s["inferred"], 1)],
+        donors=[s["donor"] for s in stages],
     )

@@ -22,12 +22,12 @@ class ClassifierHead:
         self.tasks: list[list[int]] = []  # global class ids of each task, in column order
 
     @classmethod
-    def restore(cls, weight: np.ndarray, tasks, frozen) -> "ClassifierHead":
+    def restore(cls, weight: np.ndarray, tasks, frozen: bool) -> "ClassifierHead":
         """A head holding `weight`, whose columns belong to the class groups
-        `tasks` in order, with the given per-column frozen flags."""
+        `tasks` in order, with all columns frozen or none."""
         head = cls(weight.shape[0], dtype=weight.dtype)
         head.weight = weight
-        head.frozen = np.array(frozen, dtype=bool)
+        head.frozen = np.full(weight.shape[1], frozen)
         head.tasks = [[int(c) for c in group] for group in tasks]
         return head
 

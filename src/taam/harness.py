@@ -126,12 +126,13 @@ class TaskStream:
 
 def build_stream(
     g: SparseGraph,
-    classes_per_task: int = 2,
+    classes_per_task: int | None,
     task_sizes: list[int] | None = None,
     seed: int = 0,
     shuffle_classes: bool = False,
-    train_frac: float = 0.6,
-    val_frac: float = 0.2,
+    *,
+    train_frac: float,
+    val_frac: float,
 ) -> TaskStream:
     """Partition the graph's classes into disjoint tasks with per-class splits.
 
@@ -226,9 +227,10 @@ def _block_diagonal(g: SparseGraph, block: np.ndarray) -> tuple[SparseGraph, np.
     Returns it and `kept`: node kept[k] of `g` is its node k.
 
     Rows keep their entries in `g`'s order, and within a block the new ids
-    follow the old ones, so each block is exactly `induced_subgraph(g, block
-    nodes)`.  One SparseGraph validates them all: a symmetric, well-formed
-    CSR none of whose edges leaves its block.
+    follow the old ones, so each block is exactly the subgraph that the
+    block's nodes induce in `g`, numbered in id order.  One SparseGraph
+    validates them all: a symmetric, well-formed CSR none of whose edges
+    leaves its block.
     """
     kept = np.argsort(block, kind="stable")[np.count_nonzero(block < 0) :]
     new_id = np.full(g.num_nodes, -1, dtype=np.int64)
@@ -406,7 +408,6 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
             net = FinetuneModel(net.w1, net.w2)
         state = RunState(
             config=cfg,
-            stage=0,
             tasks_total=t_total,
             net=net,
             bank=PrototypeBank(),
@@ -421,7 +422,7 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
 
     task_logs: list[TaskTrainLog] = []
     embeddings: dict = {}
-    segments = None
+    crcs = None
     for stage in range(first_stage, last + 1):
         tl = train_task(stream.tasks[stage - 1], state.net, state.bank, state.head, cfg)
         task_logs.append(tl)
@@ -429,9 +430,8 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
         state.matrix_rows.append(row)
         state.retrieval_log.extend(decisions)
         state.donors.append(tl.donor)
-        state.stage = stage
         if checkpoint_path is not None:
-            segments = save_checkpoint(checkpoint_path, state, segments)
+            crcs = save_checkpoint(checkpoint_path, state, crcs)
 
     matrix = np.full((t_total, t_total), np.nan)
     for t, row in enumerate(state.matrix_rows, start=1):

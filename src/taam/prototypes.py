@@ -1,16 +1,14 @@
 """Task prototypes and nearest-prototype retrieval.
 
-A task's prototype is the mean of its nodes' propagated raw features, the
-exact matrix the backbone consumes, so no learned parameters are involved
-and the prototype of a finished task never drifts.  At inference the test
-node set of an unidentified batch is summarized the same way and matched to
-the closest stored prototype in plain L2; the matched task's frozen
-modulator is used.
+A task's prototype is a float64 vector: the mean of its nodes' propagated
+raw features, the exact matrix the backbone consumes, so no learned
+parameters are involved and the prototype of a finished task never drifts.
+At inference the test node set of an unidentified batch is summarized the
+same way and matched to the closest stored prototype in plain L2; the
+matched task's frozen modulator is used.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,16 +16,7 @@ from .errors import ContractError, ShapeError
 from .modulator import Modulator, clone_structural, init_modulator
 
 
-@dataclass
-class Prototype:
-    vector: np.ndarray
-    node_count: int
-
-    def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=np.float64).reshape(-1)
-
-
-def compute_prototype(x_prop: np.ndarray, node_set) -> Prototype:
+def compute_prototype(x_prop: np.ndarray, node_set) -> np.ndarray:
     """Mean of the propagated feature rows `x_prop[node_set]`, taken in
     ascending node order."""
     idx = np.sort(np.asarray(node_set, dtype=np.int64).reshape(-1))
@@ -36,23 +25,23 @@ def compute_prototype(x_prop: np.ndarray, node_set) -> Prototype:
     return _prototype_of_rows(x_prop[idx])
 
 
-def _prototype_of_rows(x_rows: np.ndarray) -> Prototype:
-    """Mean of the propagated feature rows `x_rows`, summed in their order."""
+def _prototype_of_rows(x_rows: np.ndarray) -> np.ndarray:
+    """Mean of the float64 propagated feature rows `x_rows`, summed in their order."""
     if x_rows.shape[0] == 0:
         raise ContractError("prototype needs a non-empty node set")
-    return Prototype(vector=x_rows.mean(axis=0), node_count=int(x_rows.shape[0]))
+    return x_rows.mean(axis=0)
 
 
 class PrototypeBank:
     """Stored (prototype, frozen modulator) pairs, task ids 1-based."""
 
     def __init__(self):
-        self._entries: list[tuple[Prototype, Modulator]] = []
+        self._entries: list[tuple[np.ndarray, Modulator]] = []
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def prototype(self, task_id: int) -> Prototype:
+    def prototype(self, task_id: int) -> np.ndarray:
         self._check_id(task_id)
         return self._entries[task_id - 1][0]
 
@@ -69,28 +58,26 @@ class PrototypeBank:
         if not 1 <= task_id <= len(self._entries):
             raise ContractError(f"unknown task id {task_id} (bank holds {len(self._entries)})")
 
-    def nearest_task(self, query: Prototype) -> int:
+    def nearest_task(self, query: np.ndarray) -> int:
         """Task id of the closest stored prototype in L2; ties to the lowest id."""
         if not self._entries:
             raise ContractError("prototype bank is empty")
-        q = query.vector
-        dim = self._entries[0][0].vector.shape[0]
-        if q.shape[0] != dim:
-            raise ShapeError(f"query dim {q.shape[0]} != stored prototype dim {dim}")
-        stacked = np.stack([p.vector for p, _ in self._entries])
-        d2 = ((stacked - q[None, :]) ** 2).sum(axis=1)
+        dim = self._entries[0][0].shape[0]
+        if query.shape != (dim,):
+            raise ShapeError(f"query shape {query.shape} != stored prototype shape ({dim},)")
+        stacked = np.stack([p for p, _ in self._entries])
+        d2 = ((stacked - query[None, :]) ** 2).sum(axis=1)
         return int(np.argmin(d2)) + 1
 
-    def commit(self, proto: Prototype, mod: Modulator) -> int:
-        """Freeze the modulator and store the pair under the next task id."""
+    def commit(self, proto: np.ndarray, mod: Modulator) -> int:
+        """Freeze the modulator and the prototype vector, and store the pair
+        under the next task id."""
         if mod.frozen or any(m is mod for _, m in self._entries):
             raise ContractError("modulator is already frozen or already stored")
-        if self._entries and proto.vector.shape != self._entries[0][0].vector.shape:
-            raise ShapeError(
-                f"prototype dim {proto.vector.shape} != stored {self._entries[0][0].vector.shape}"
-            )
+        if self._entries and proto.shape != self._entries[0][0].shape:
+            raise ShapeError(f"prototype shape {proto.shape} != stored {self._entries[0][0].shape}")
         mod.freeze()
-        proto.vector.setflags(write=False)
+        proto.setflags(write=False)
         self._entries.append((proto, mod))
         return len(self._entries)
 
@@ -101,7 +88,7 @@ class PrototypeBank:
 
 def task_aware_init(
     bank: PrototypeBank,
-    proto: Prototype,
+    proto: np.ndarray,
     site_widths,
     rng: np.random.Generator,
     embed_dim: int,

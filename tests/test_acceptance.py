@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import require_dataset
+from streams import default_stream
 from taam.checkpoint import load_checkpoint
 from taam.config import make_config
 from taam.datasets import resolve_dataset
@@ -170,7 +171,7 @@ def _duplicated_means(dim=16, sep=10.0):
 
 def _shared_feature_stream(seed):
     g = generate_sbm(8, 40, 0.1, 0.02, 16, 10.0, seed, class_means=_duplicated_means())
-    return build_stream(g, classes_per_task=2, seed=seed)
+    return default_stream(g, classes_per_task=2, seed=seed)
 
 
 def test_criterion_08_warm_start_picks_distribution_matched_donor(line):

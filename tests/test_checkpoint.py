@@ -36,35 +36,51 @@ def small_run(tmp_path, classes=4, **overrides):
     base.update(overrides)
     cfg = make_config(None, base)
     g = generate_sbm(classes, 25, 0.1, 0.02, 8, 10.0, seed=cfg.seed)
-    stream = build_stream(g, classes_per_task=2, seed=cfg.seed)
+    stream = build_stream(g, classes_per_task=2, seed=cfg.seed, train_frac=cfg.train_frac, val_frac=cfg.val_frac)
     path = tmp_path / "run.bin"
     res = run_continual(stream, cfg, checkpoint_path=path)
     return cfg, stream, res, path
 
 
-def test_round_trip_restores_everything(tmp_path):
-    cfg, stream, res, path = small_run(tmp_path)
-    state = load_checkpoint(path)
+# variant -> config overrides; each stores and derives a different mix of facts
+ROUND_TRIP_VARIANTS = {
+    "taam-full-f64": {},
+    "taam-retrieval_only-f64": {"ablation": "retrieval_only"},
+    "taam-nsm_only-f64": {"ablation": "nsm_only"},
+    "oracle-f64": {"method": "oracle"},
+    "finetune-f64": {"method": "finetune"},
+    "taam-full-f32": {"precision": "f32"},
+}
 
-    assert state.stage == 2 and state.tasks_total == 2
-    assert state.config == res.state.config
-    assert np.array_equal(state.net.w1, res.state.net.w1)
-    assert np.array_equal(state.net.w2, res.state.net.w2)
-    assert state.matrix_rows == res.state.matrix_rows
-    assert state.retrieval_log == res.state.retrieval_log
-    assert state.donors == res.state.donors
 
-    for t in (1, 2):
-        a, b = state.bank.modulator(t), res.state.bank.modulator(t)
-        assert a.frozen
-        for pa, pb in zip(a.parameters(), b.parameters()):
-            assert np.array_equal(pa.data, pb.data)
-        assert np.array_equal(state.bank.prototype(t).vector, res.state.bank.prototype(t).vector)
-        assert state.bank.prototype(t).node_count == res.state.bank.prototype(t).node_count
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    assert np.array_equal(state.head.weight, res.state.head.weight)
-    assert np.array_equal(state.head.frozen, res.state.head.frozen)
-    assert state.head.tasks == res.state.head.tasks
+
+def stored_arrays(state):
+    arrays = [state.net.w1, state.net.w2, state.head.weight]
+    for t in range(1, len(state.bank) + 1):
+        arrays += [p.data for p in state.bank.modulator(t).parameters()] + [state.bank.prototype(t)]
+    return arrays
+
+
+@pytest.mark.parametrize("overrides", ROUND_TRIP_VARIANTS.values(), ids=ROUND_TRIP_VARIANTS)
+def test_round_trip_restores_everything(tmp_path, overrides):
+    # three stages, so that each stage record holds a different number of decisions
+    _, _, res, path = small_run(tmp_path, classes=6, **overrides)
+    state, end = load_checkpoint(path), res.state
+
+    assert (state.stage, state.tasks_total) == (end.stage, end.tasks_total) == (3, 3)
+    assert state.config == end.config
+    assert state.matrix_rows == end.matrix_rows
+    assert state.retrieval_log == end.retrieval_log
+    assert state.donors == end.donors
+    assert state.head.tasks == end.head.tasks
+    assert same_bits(state.head.frozen, end.head.frozen)
+    assert len(state.bank) == len(end.bank) == (0 if overrides.get("method") == "finetune" else 3)
+    assert all(state.bank.modulator(t).frozen for t in range(1, len(state.bank) + 1))
+    loaded, kept = stored_arrays(state), stored_arrays(end)
+    assert len(loaded) == len(kept) and all(map(same_bits, loaded, kept))
 
 
 def read_buffer(a):
@@ -82,7 +98,7 @@ def test_loaded_frozen_blocks_are_views_of_the_bytes_read_in_f64(tmp_path, preci
     frozen = [state.net.w1, state.net.w2]
     for t in (1, 2):
         frozen += [p.data for p in state.bank.modulator(t).parameters()]
-        frozen.append(state.bank.prototype(t).vector)
+        frozen.append(state.bank.prototype(t))
     for a in frozen:
         assert not a.flags.writeable
         if precision == "f64":  # no cast, so no copy: a view of the bytes read
@@ -155,13 +171,14 @@ def test_unsupported_version(tmp_path):
 
 def test_format_1_file_is_a_version_error(tmp_path):
     _, _, _, path = small_run(tmp_path)
-    raw = bytearray(path.read_bytes())
-    raw[8:12] = struct.pack("<I", 1)
-    old = tmp_path / "v1.bin"
-    old.write_bytes(bytes(raw))
-    with pytest.raises(VersionError, match="format 1 unsupported"):
-        load_checkpoint(old)
-    assert main(["eval", "--checkpoint", str(old)]) == 1
+    for version in (1, 2):  # format 2 is as unreadable as format 1
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = struct.pack("<I", version)
+        old = tmp_path / f"v{version}.bin"
+        old.write_bytes(bytes(raw))
+        with pytest.raises(VersionError, match=f"format {version} unsupported"):
+            load_checkpoint(old)
+        assert main(["eval", "--checkpoint", str(old)]) == 1
 
 
 def test_truncation_detected(tmp_path):
@@ -197,8 +214,15 @@ def flip_sidecar_byte(path):
 
 def swap_task_segments(path):
     # tasks 1 and 2 have equal lengths, so only their checksums tell them apart
-    swap = lambda h: {**h, "segments": [h["segments"][0], h["segments"][2], h["segments"][1]]}
+    swap = lambda h: {**h, "crcs": [h["crcs"][0], h["crcs"][2], h["crcs"][1]]}
     os.replace(with_header(path, path.with_name("swapped.bin"), swap), path)
+
+
+def store_other_heads(path):
+    # heads is stored once, in the config, and implies every segment length:
+    # the sidecar cut by other lengths fails its checksum
+    other = lambda h: {**h, "config": {**h["config"], "heads": 2}}
+    os.replace(with_header(path, path.with_name("other.bin"), other), path)
 
 
 @pytest.mark.parametrize(
@@ -208,8 +232,9 @@ def swap_task_segments(path):
         (cut_sidecar, "truncated"),
         (flip_sidecar_byte, "checksum"),
         (swap_task_segments, "checksum"),
+        (store_other_heads, "checksum"),
     ],
-    ids=["missing", "truncated", "bit_flip", "swapped_segments"],
+    ids=["missing", "truncated", "bit_flip", "swapped_segments", "config_implies_other_segments"],
 )
 def test_sidecar_damage_is_integrity_error(tmp_path, damage, message):
     _, _, _, path = small_run(tmp_path)
@@ -224,17 +249,17 @@ def test_sidecar_bytes_past_the_listed_segments_are_ignored(tmp_path):
     with open(frozen_path(path), "ab") as fh:
         fh.write(b"torn append")
     state = load_checkpoint(path)
-    assert np.array_equal(state.bank.prototype(2).vector, res.state.bank.prototype(2).vector)
+    assert np.array_equal(state.bank.prototype(2), res.state.bank.prototype(2))
 
 
 def snapshot_each_save(monkeypatch):
     """Record both files' bytes after every save_checkpoint call."""
     save, seen = harness.save_checkpoint, []
 
-    def saving(path, state, segments=None):
-        table = save(path, state, segments)
+    def saving(path, state, crcs=None):
+        crcs = save(path, state, crcs)
         seen.append((Path(path).read_bytes(), Path(frozen_path(path)).read_bytes()))
-        return table
+        return crcs
 
     monkeypatch.setattr(harness, "save_checkpoint", saving)
     return seen
@@ -411,23 +436,13 @@ def test_header_with_only_a_version_is_integrity_error(tmp_path):
     assert main(["eval", "--checkpoint", str(p)]) == 1
 
 
-@pytest.mark.parametrize("key", ["segments", "backbone", "classifier", "stage", "donors"])
+@pytest.mark.parametrize("key", ["config", "tasks_total", "in_dim", "stages", "crcs"])
 def test_header_missing_key_is_integrity_error(tmp_path, key):
     _, _, _, path = small_run(tmp_path)
     bad = with_header(path, tmp_path / "bad.bin", lambda h: {k: h[k] for k in h if k != key})
     with pytest.raises(IntegrityError, match=f"missing '{key}'"):
         load_checkpoint(bad)
-
-
-def segment_length(index, delta):
-    """A segment table whose entry `index` is off by `delta` bytes."""
-    return lambda h: [
-        {**s, "length": s["length"] + delta} if i == index else s for i, s in enumerate(h["segments"])
-    ]
-
-
-def classifier_with(**edits):
-    return lambda h: {**h["classifier"], **{k: edit(h["classifier"]) for k, edit in edits.items()}}
+    assert main(["eval", "--checkpoint", str(bad)]) == 1
 
 
 def config_with(**values):
@@ -435,38 +450,37 @@ def config_with(**values):
 
 
 def extra_segment(h):
-    return h["segments"] + [{"length": 0, "crc": 0}]
+    return h["crcs"] + [0]
 
 
 @pytest.mark.parametrize(
     "field,value",
     [
-        # "blocks", "dtype", "modulators" and the classifier's "hidden_dim"
-        # are format 1 keys, which the config fixes: a header holding one is
-        # not a format 2 header
+        # Keys of formats 1 and 2 ("blocks", "dtype" and "modulators" are
+        # format 1's).  Format 3 derives what they held or no longer has it,
+        # so a header that holds one, right or wrong, is not a format 3 header.
+        # A callable value is applied to the header.
         ("blocks", {"backbone.w1": [8, 16]}),
         ("stage", "2"),
         ("stage", True),
         ("dtype", "int8"),
-        ("config", []),
+        ("config", []),  # a format 3 key of another type
         ("modulators", [{"site_widths": 3}]),
         ("prototypes", [{"node_count": 1.5}, {"node_count": 3}]),
         ("classifier", {"hidden_dim": 16, "tasks": [["0"]], "frozen": []}),
-        # well typed, but disagreeing with the rest of the header (a callable
-        # value is applied to the header); payload size and CRC stay valid
-        ("segments", segment_length(1, 8)),
-        ("segments", segment_length(0, -8)),
-        ("classifier", classifier_with(hidden_dim=lambda c: 17)),
-        ("classifier", classifier_with(tasks=lambda c: c["tasks"][:-1] + [c["tasks"][-1] + [9]])),
+        ("segments", lambda h: [{"length": 8, "crc": c} for c in h["crcs"]]),
+        ("segments", lambda h: h["crcs"]),
+        ("classifier", lambda h: {"tasks": [s["classes"] for s in h["stages"]]}),
+        ("classifier", lambda h: {"frozen": [True for s in h["stages"] for _ in s["classes"]]}),
         ("stage", 5),
         ("stage", 0),
-        # the stored config must be valid and agree with the metadata, and the
-        # block list must be exactly the layout the metadata implies
+        # the stored config must be valid, in the form a run stores, and
+        # describe the arrays stored (payload size, f32 exactness)
         ("config", config_with(bogus=1)),
         ("config", config_with(method="svm")),
         ("config", config_with(precision="f32")),
         ("config", config_with(hidden_dim=17)),
-        ("config", config_with(heads=2)),
+        ("config", config_with(precision="f16")),
         ("config", config_with(seed=float("inf"))),
         ("config", config_with(train_frac=1.5)),
         ("config", config_with(heads=0)),
@@ -474,6 +488,24 @@ def extra_segment(h):
         ("segments", {"backbone": 1}),
         ("segments", [{"length": 8, "crc": -1}]),
         ("version", 1),
+        # a format 3 key holding a value of another type
+        ("config", "taam"),
+        ("tasks_total", "2"),
+        ("tasks_total", True),
+        ("tasks_total", 2.0),
+        ("in_dim", None),
+        ("in_dim", 8.0),
+        ("in_dim", 0),
+        ("stages", {"1": {}}),
+        ("stages", [[]]),
+        ("stages", lambda h: [{**s, "donor": "1"} for s in h["stages"]]),
+        ("stages", lambda h: [{**s, "classes": [str(c) for c in s["classes"]]} for s in h["stages"]]),
+        ("stages", lambda h: [{**s, "classes": []} for s in h["stages"]]),
+        ("stages", lambda h: [{k: v for k, v in s.items() if k != "donor"} for s in h["stages"]]),
+        ("stages", lambda h: [{**s, "stage": t} for t, s in enumerate(h["stages"], 1)]),
+        ("crcs", {"0": 1}),
+        ("crcs", lambda h: [str(c) for c in h["crcs"]]),
+        ("crcs", lambda h: [float(c) for c in h["crcs"]]),
     ],
 )
 def test_header_wrong_type_is_integrity_error(tmp_path, field, value):
@@ -487,9 +519,54 @@ def test_header_wrong_type_is_integrity_error(tmp_path, field, value):
 
 def test_header_naming_a_missing_block_is_integrity_error(tmp_path):
     _, _, _, path = small_run(tmp_path)
-    without_task2 = lambda h: {**h, "segments": h["segments"][:-1]}
-    with pytest.raises(IntegrityError, match="2 segments where the stored config implies 3"):
+    without_task2 = lambda h: {**h, "crcs": h["crcs"][:-1]}
+    with pytest.raises(IntegrityError, match="2 CRCs where the stored config implies 3 segments"):
         load_checkpoint(with_header(path, tmp_path / "bad.bin", without_task2))
+
+
+def in_stage(t, **edits):
+    """A header edit that applies `edits` (key -> function of the old value)
+    to stage record t."""
+    return lambda h: {
+        **h,
+        "stages": [
+            {**s, **{k: f(s[k]) for k, f in edits.items()}} if i == t else s
+            for i, s in enumerate(h["stages"], 1)
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (in_stage(2, accuracy=lambda a: a[:-1]), "stage 2 must hold"),
+        (in_stage(2, accuracy=lambda a: a + [50.0]), "stage 2 must hold"),
+        (in_stage(2, inferred=lambda i: i[:-1]), "stage 2 must hold"),
+        (in_stage(1, inferred=lambda i: i + [1]), "stage 1 must hold"),
+        (in_stage(1, accuracy=lambda a: [-0.5]), "stage 1 must hold"),
+        (in_stage(2, accuracy=lambda a: [a[0], 100.5]), "stage 2 must hold"),
+        (in_stage(2, classes=lambda c: [c[0], 0]), "a class is in two groups"),
+        (in_stage(1, classes=lambda c: [c[0], c[0]]), "a class is in two groups"),
+        (lambda h: {**h, "stages": []}, "0 stages, outside 1..2"),
+        (lambda h: {**h, "tasks_total": 1}, "2 stages, outside 1..1"),
+        (lambda h: {**h, "crcs": [-1] + h["crcs"][1:]}, "a CRC is not a u32"),
+        (lambda h: {**h, "crcs": [2**32] + h["crcs"][1:]}, "a CRC is not a u32"),
+        (lambda h: {**h, "crcs": h["crcs"] + [0]}, "4 CRCs where the stored config implies 3 segments"),
+        (lambda h: {**h, "crcs": h["crcs"][:-1]}, "2 CRCs where the stored config implies 3 segments"),
+    ],
+    ids=[
+        "too_few_accuracies", "too_many_accuracies", "too_few_inferred", "too_many_inferred",
+        "accuracy_below_0", "accuracy_above_100", "class_in_two_groups", "class_twice_in_a_group",
+        "no_stage", "more_stages_than_tasks", "negative_crc", "crc_of_33_bits",
+        "crc_too_many", "crc_too_few",
+    ],
+)
+def test_inconsistent_header_is_integrity_error(tmp_path, edit, message):
+    _, _, _, path = small_run(tmp_path)
+    bad = with_header(path, tmp_path / "bad.bin", edit)
+    with pytest.raises(IntegrityError, match=f"malformed: {message}"):
+        load_checkpoint(bad)
+    assert main(["eval", "--checkpoint", str(bad)]) == 1
 
 
 @pytest.fixture(scope="module")
@@ -502,14 +579,19 @@ def stage_one(tmp_path_factory):
     return conf, root / "checkpoint.bin"
 
 
+# The RunState resume fields, and the key of the stage record that stores each.
+RECORD_KEY = {"matrix_rows": "accuracy", "retrieval_log": "inferred", "donors": "donor"}
+
+
 @pytest.mark.parametrize(
     "field,value",
     [
-        ("matrix_rows", [["a"]]),
-        ("matrix_rows", [[None]]),
-        ("matrix_rows", [[True]]),
-        ("matrix_rows", [[float("nan")]]),
-        ("retrieval_log", [7, 8]),
+        # stored in stage 1's record: its matrix row, its decisions, its donor
+        ("matrix_rows", ["a"]),
+        ("matrix_rows", [None]),
+        ("matrix_rows", [True]),
+        ("matrix_rows", [float("nan")]),
+        ("retrieval_log", [1, 1]),
         ("retrieval_log", []),
         ("retrieval_log", [{"stage": 1, "task": 1, "true": 1, "inferred": 1}]),
         ("donors", ["x"]),
@@ -522,7 +604,10 @@ def stage_one(tmp_path_factory):
 )
 def test_bad_resume_fields_are_integrity_errors(tmp_path, stage_one, field, value):
     conf, path = stage_one
-    edit = lambda h: {**h, field: value(h) if callable(value) else value}
+    if field == "config":
+        edit = lambda h: {**h, "config": value(h)}
+    else:
+        edit = lambda h: {**h, "stages": [{**h["stages"][0], RECORD_KEY[field]: value}]}
     bad = with_header(path, tmp_path / "bad.bin", edit)
     with pytest.raises(IntegrityError, match="malformed"):
         load_checkpoint(bad)
@@ -543,10 +628,15 @@ JSON_VALUES = st.recursive(
 def test_header_fuzz_is_loaded_or_integrity_error(tmp_path_factory, stage_one, data):
     _, path = stage_one
     header, _ = read_header(path)
-    field = data.draw(st.sampled_from(sorted(header)), label="field")
+    record = sorted(header["stages"][0])
+    field = data.draw(st.sampled_from(sorted(header) + [f"stages/{k}" for k in record]), label="field")
     value = data.draw(JSON_VALUES, label="value")
     root = tmp_path_factory.mktemp("fuzz")
-    bad = with_header(path, root / "bad.bin", lambda h: {**h, field: value})
+    if field.startswith("stages/"):  # one key of stage 1's record
+        edit = lambda h: {**h, "stages": [{**h["stages"][0], field[len("stages/") :]: value}]}
+    else:
+        edit = lambda h: {**h, field: value}
+    bad = with_header(path, root / "bad.bin", edit)
     try:
         load_checkpoint(bad)
     except IntegrityError:

@@ -1,4 +1,5 @@
-"""Graph container, normalization, propagation, subgraphs, block model."""
+"""Graph container, normalization, propagation, block model, and the
+induced-subgraph oracle of the stream tests."""
 
 import tracemalloc
 
@@ -10,13 +11,9 @@ from hypothesis import strategies as st
 
 from taam import graph
 from taam.errors import ContractError, NumericError, ShapeError
-from taam.graph import (
-    SparseGraph,
-    generate_sbm,
-    induced_subgraph,
-    normalize_adjacency,
-    propagate,
-)
+from taam.graph import SparseGraph, generate_sbm, normalize_adjacency, propagate
+
+from subgraph import induced_subgraph
 
 
 def path_graph(n=3, dim=2):

@@ -13,7 +13,7 @@ from taam.backbone import Backbone
 from taam.checkpoint import frozen_path, load_checkpoint
 from taam.config import make_config
 from taam.errors import ContractError
-from taam.graph import SparseGraph, generate_sbm, induced_subgraph, normalize_adjacency, propagate
+from taam.graph import SparseGraph, generate_sbm, normalize_adjacency, propagate
 from taam.harness import (
     average_accuracy,
     average_forgetting,
@@ -25,6 +25,8 @@ from taam.harness import (
 )
 
 from matrix_csv import read_matrix_csv
+from streams import default_stream
+from subgraph import induced_subgraph
 
 
 def seven_class_graph(seed=0):
@@ -47,15 +49,15 @@ def stream_for(cfg, classes=4, npc=25, sep=10.0, seed=None):
 # ---------------------------------------------------------------- streams
 
 def test_equal_grouping_drops_leftover():
-    stream = build_stream(seven_class_graph(), classes_per_task=2, seed=0)
+    stream = default_stream(seven_class_graph(), classes_per_task=2, seed=0)
     assert [t.classes for t in stream.tasks] == [[0, 1], [2, 3], [4, 5]]
     assert stream.dropped_classes == [6]
 
 
 def test_equal_grouping_is_unequal_grouping_of_equal_sizes():
     g = seven_class_graph()
-    equal = build_stream(g, classes_per_task=2, seed=0)
-    sizes = build_stream(g, task_sizes=[2, 2, 2], seed=0)
+    equal = default_stream(g, classes_per_task=2, seed=0)
+    sizes = default_stream(g, task_sizes=[2, 2, 2], seed=0)
     assert equal.dropped_classes == sizes.dropped_classes == [6]
     assert np.array_equal(equal.graph.features, sizes.graph.features)
     for a, b in zip(equal.tasks, sizes.tasks, strict=True):
@@ -65,29 +67,29 @@ def test_equal_grouping_is_unequal_grouping_of_equal_sizes():
 
 
 def test_unequal_grouping():
-    stream = build_stream(seven_class_graph(), task_sizes=[3, 2], seed=0)
+    stream = default_stream(seven_class_graph(), task_sizes=[3, 2], seed=0)
     assert [t.classes for t in stream.tasks] == [[0, 1, 2], [3, 4]]
     assert stream.dropped_classes == [5, 6]
     with pytest.raises(ContractError):
-        build_stream(seven_class_graph(), task_sizes=[5, 4], seed=0)
+        default_stream(seven_class_graph(), task_sizes=[5, 4], seed=0)
     with pytest.raises(ContractError):
-        build_stream(seven_class_graph(), task_sizes=[0, 2], seed=0)
+        default_stream(seven_class_graph(), task_sizes=[0, 2], seed=0)
 
 
 def test_stream_contracts():
     g = seven_class_graph()
     with pytest.raises(ContractError):
-        build_stream(g, classes_per_task=0, seed=0)
+        default_stream(g, classes_per_task=0, seed=0)
     with pytest.raises(ContractError):
-        build_stream(g, classes_per_task=8, seed=0)  # zero full groups
+        default_stream(g, classes_per_task=8, seed=0)  # zero full groups
     with pytest.raises(ContractError):
         build_stream(g, classes_per_task=2, seed=0, train_frac=0.9, val_frac=0.2)
 
 
 def test_shuffled_class_order_is_seeded():
-    a = build_stream(seven_class_graph(), classes_per_task=2, seed=3, shuffle_classes=True)
-    b = build_stream(seven_class_graph(), classes_per_task=2, seed=3, shuffle_classes=True)
-    c = build_stream(seven_class_graph(), classes_per_task=2, seed=4, shuffle_classes=True)
+    a = default_stream(seven_class_graph(), classes_per_task=2, seed=3, shuffle_classes=True)
+    b = default_stream(seven_class_graph(), classes_per_task=2, seed=3, shuffle_classes=True)
+    c = default_stream(seven_class_graph(), classes_per_task=2, seed=4, shuffle_classes=True)
     assert [t.classes for t in a.tasks] == [t.classes for t in b.tasks]
     assert [t.classes for t in a.tasks] != [t.classes for t in c.tasks]
 
@@ -105,8 +107,8 @@ def test_split_sizes_and_disjointness():
 def test_splits_do_not_depend_on_stream_shape():
     # the same class must get the same member split under both protocols
     g = seven_class_graph()
-    a = build_stream(g, classes_per_task=2, seed=5)
-    b = build_stream(g, task_sizes=[3, 2, 2], seed=5)
+    a = default_stream(g, classes_per_task=2, seed=5)
+    b = default_stream(g, task_sizes=[3, 2, 2], seed=5)
 
     def train_nodes_of(stream, cls):
         for t in stream.tasks:
@@ -120,7 +122,7 @@ def test_splits_do_not_depend_on_stream_shape():
 
 
 def test_local_labels_consistent_with_classes():
-    stream = build_stream(seven_class_graph(), classes_per_task=2, seed=0)
+    stream = default_stream(seven_class_graph(), classes_per_task=2, seed=0)
     for task in stream.tasks:
         globals_back = np.array(task.classes)[task.local_labels]
         assert np.array_equal(globals_back, task.labels)
@@ -130,16 +132,16 @@ def test_class_too_small_to_split():
     feats = np.random.default_rng(0).normal(size=(4, 2))
     g = SparseGraph.from_edges(4, [(0, 1)], feats, np.array([0, 0, 0, 1]))
     with pytest.raises(ContractError, match="too small"):
-        build_stream(g, classes_per_task=1, seed=0)
+        default_stream(g, classes_per_task=1, seed=0)
 
 
 def test_dropped_class_is_never_split():
     # 5 + 5 + 1 nodes: classes 0 and 1 fill the one task, class 2 is dropped
     feats = np.random.default_rng(0).normal(size=(11, 2))
     g = SparseGraph.from_edges(11, [(0, 1), (5, 6)], feats, np.array([0] * 5 + [1] * 5 + [2]))
-    stream = build_stream(g, classes_per_task=2, seed=0)
+    stream = default_stream(g, classes_per_task=2, seed=0)
     assert stream.dropped_classes == [2]
-    without = build_stream(induced_subgraph(g, np.arange(10)), classes_per_task=2, seed=0)
+    without = default_stream(induced_subgraph(g, np.arange(10)), classes_per_task=2, seed=0)
     for a, b in zip(stream.tasks, without.tasks, strict=True):
         for split in ("train_idx", "val_idx", "test_idx"):
             assert np.array_equal(getattr(a, split), getattr(b, split))
@@ -147,7 +149,7 @@ def test_dropped_class_is_never_split():
 
 def test_propagated_is_cached():
     # every task's rows are views of the one propagation per hop count
-    stream = build_stream(seven_class_graph(), classes_per_task=2, seed=0)
+    stream = default_stream(seven_class_graph(), classes_per_task=2, seed=0)
     a, b = stream.tasks[:2]
     assert a.propagated(2).base is a.propagated(2).base is b.propagated(2).base
     assert a.propagated(0).base is not a.propagated(2).base
@@ -189,7 +191,7 @@ def ring(n):
     ids=["interleaved", "edgeless", "isolated", "dropped", "shuffled", "unequal"],
 )
 def test_stream_graph_blocks_equal_per_task_subgraphs(g, protocol):
-    assert_tasks_match_their_own_subgraphs(g, build_stream(g, seed=1, **protocol))
+    assert_tasks_match_their_own_subgraphs(g, default_stream(g, seed=1, **protocol))
 
 
 @st.composite
@@ -212,15 +214,15 @@ def graphs_and_protocols(draw):
 @given(graphs_and_protocols())
 def test_stream_graph_blocks_equal_per_task_subgraphs_property(case):
     g, protocol = case
-    assert_tasks_match_their_own_subgraphs(g, build_stream(g, **protocol))
+    assert_tasks_match_their_own_subgraphs(g, default_stream(g, **protocol))
 
 
 def test_stream_slices_a_run_of_nodes_and_gathers_any_other_order():
     g = seven_class_graph()  # classes stored one after another
-    run = build_stream(g, classes_per_task=2, seed=0)  # keeps nodes 0..89, drops class 6
+    run = default_stream(g, classes_per_task=2, seed=0)  # keeps nodes 0..89, drops class 6
     assert np.shares_memory(run.graph.features, g.features)
     assert g.features.flags.writeable  # only the stream's view is read-only
-    shuffled = build_stream(g, classes_per_task=2, seed=3, shuffle_classes=True)
+    shuffled = default_stream(g, classes_per_task=2, seed=3, shuffle_classes=True)
     assert [t.classes for t in shuffled.tasks] != [t.classes for t in run.tasks]
     assert not np.shares_memory(shuffled.graph.features, g.features)
     assert_tasks_match_their_own_subgraphs(g, run)
@@ -229,17 +231,17 @@ def test_stream_slices_a_run_of_nodes_and_gathers_any_other_order():
 
 def test_changing_one_task_leaves_the_other_tasks_unchanged():
     g = seven_class_graph()
-    before = build_stream(g, classes_per_task=2, seed=0)
+    before = default_stream(g, classes_per_task=2, seed=0)
     feats = g.features.copy()
     feats[g.labels == 2] += 1.0  # class 2 is in task 2
-    after = build_stream(SparseGraph(g.adj, feats, g.labels), classes_per_task=2, seed=0)
+    after = default_stream(SparseGraph(g.adj, feats, g.labels), classes_per_task=2, seed=0)
     for a, b in zip(before.tasks, after.tasks, strict=True):
         same = np.array_equal(a.propagated(2), b.propagated(2))
         assert same == (a.task_id != 2)
 
 
 def test_task_views_are_read_only():
-    stream = build_stream(seven_class_graph(), classes_per_task=2, seed=0)
+    stream = default_stream(seven_class_graph(), classes_per_task=2, seed=0)
     for task in stream.tasks:
         for arr in (task.propagated(0), task.propagated(2), stream.graph.features[task.rows], task.labels):
             assert not arr.flags.writeable
@@ -435,13 +437,13 @@ def test_evaluate_final_row_propagates_only_test_rows_of_a_fresh_stream(monkeypa
 def test_evaluate_final_row_rejects_another_stream():
     cfg = cfg_for(dataset="sbm:classes=6,npc=25,dim=8,sep=10", epochs=3)
     g = generate_sbm(6, 25, 0.1, 0.02, 8, 10.0, seed=0)
-    res = run_continual(build_stream(g, classes_per_task=2, seed=0), cfg)
-    shuffled = build_stream(g, classes_per_task=2, seed=0, shuffle_classes=True)
+    res = run_continual(default_stream(g, classes_per_task=2, seed=0), cfg)
+    shuffled = default_stream(g, classes_per_task=2, seed=0, shuffle_classes=True)
     assert [t.classes for t in shuffled.tasks] != res.state.head.tasks
     with pytest.raises(ContractError, match="class groups"):
         evaluate_final_row(shuffled, cfg, res.state)
     with pytest.raises(ContractError, match="3 tasks, the stream has 2"):
-        evaluate_final_row(build_stream(g, classes_per_task=3, seed=0), cfg, res.state)
+        evaluate_final_row(default_stream(g, classes_per_task=3, seed=0), cfg, res.state)
 
 
 def test_predict_over_all_widens_the_label_space():

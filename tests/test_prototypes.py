@@ -13,12 +13,7 @@ import pytest
 from taam.errors import ContractError, ShapeError
 from taam.graph import generate_sbm, normalize_adjacency, propagate
 from taam.modulator import init_modulator
-from taam.prototypes import (
-    Prototype,
-    PrototypeBank,
-    compute_prototype,
-    task_aware_init,
-)
+from taam.prototypes import PrototypeBank, compute_prototype, task_aware_init
 from taam.rng import rng_for
 
 
@@ -38,7 +33,7 @@ def mod_for(widths=(3,), seed=0):
 def bank_with(vectors, widths=(3,)):
     bank = PrototypeBank()
     for i, v in enumerate(vectors):
-        bank.commit(Prototype(np.asarray(v, float), node_count=1), mod_for(widths, seed=i))
+        bank.commit(np.asarray(v, float), mod_for(widths, seed=i))
     return bank
 
 
@@ -47,8 +42,8 @@ def test_compute_prototype_is_mean_of_propagated_rows():
     x_prop = propagate(normalize_adjacency(g), g.features, 2)
     nodes = [0, 3, 7, 12]
     p = compute_prototype(x_prop, nodes)
-    assert np.allclose(p.vector, x_prop[nodes].mean(axis=0), rtol=1e-14)
-    assert p.node_count == 4
+    assert p.dtype == np.float64 and p.shape == (4,)
+    assert np.allclose(p, x_prop[nodes].mean(axis=0), rtol=1e-14)
 
 
 def test_compute_prototype_contracts():
@@ -64,7 +59,7 @@ def test_compute_prototype_contracts():
 
 def test_nearest_exact_tie_prefers_lowest_task():
     bank = bank_with([[0.0], [10.0]], widths=(1,))
-    assert bank.nearest_task(Prototype(np.array([5.0]), 1)) == 1
+    assert bank.nearest_task(np.array([5.0])) == 1
     assert nearest_oracle([[0.0], [10.0]], [5.0]) == 1
 
 
@@ -74,46 +69,46 @@ def test_nearest_matches_fraction_oracle(seed):
     vectors = rng.normal(size=(5, 6))
     bank = bank_with(vectors, widths=(3,))
     for q in rng.normal(size=(8, 6)):
-        assert bank.nearest_task(Prototype(q, 1)) == nearest_oracle(vectors, q)
+        assert bank.nearest_task(q) == nearest_oracle(vectors, q)
 
 
 def test_nearest_accepts_prototype_and_checks_dims():
     bank = bank_with([[1.0, 0.0], [0.0, 1.0]], widths=(2,))
-    assert bank.nearest_task(Prototype(np.array([0.9, 0.0]), 1)) == 1
+    assert bank.nearest_task(np.array([0.9, 0.0])) == 1
     with pytest.raises(ShapeError):
-        bank.nearest_task(Prototype(np.zeros(3), 1))
+        bank.nearest_task(np.zeros(3))
     with pytest.raises(ContractError):
-        PrototypeBank().nearest_task(Prototype(np.zeros(2), 1))
+        PrototypeBank().nearest_task(np.zeros(2))
 
 
 def test_commit_assigns_sequential_ids_and_freezes():
     bank = PrototypeBank()
     for i in range(3):
-        proto = Prototype(np.array([float(i)]), node_count=2)
+        proto = np.array([float(i)])
         mod = mod_for((1,), seed=i)
         assert bank.commit(proto, mod) == i + 1
         assert mod.frozen
         with pytest.raises(ValueError):
-            proto.vector[0] = 99.0  # stored prototype is write-locked
+            proto[0] = 99.0  # stored prototype is write-locked
     assert len(bank) == 3 and bank.latest_task() == 3
 
 
 def test_commit_rejects_frozen_or_duplicate_modulator():
     bank = PrototypeBank()
     mod = mod_for((1,))
-    bank.commit(Prototype(np.zeros(1), 1), mod)
+    bank.commit(np.zeros(1), mod)
     with pytest.raises(ContractError):
-        bank.commit(Prototype(np.ones(1), 1), mod)
+        bank.commit(np.ones(1), mod)
     pre_frozen = mod_for((1,), seed=5)
     pre_frozen.freeze()
     with pytest.raises(ContractError):
-        bank.commit(Prototype(np.ones(1), 1), pre_frozen)
+        bank.commit(np.ones(1), pre_frozen)
 
 
 def test_commit_rejects_dim_drift():
     bank = bank_with([[1.0, 2.0]], widths=(2,))
     with pytest.raises(ShapeError):
-        bank.commit(Prototype(np.zeros(3), 1), mod_for((2,), seed=9))
+        bank.commit(np.zeros(3), mod_for((2,), seed=9))
 
 
 def test_bank_lookup_contracts():
@@ -128,7 +123,7 @@ def test_bank_lookup_contracts():
 
 def test_task_aware_init_empty_bank_is_random():
     mod, donor = task_aware_init(
-        PrototypeBank(), Prototype(np.zeros(2), 1), (3,), rng_for(0, "w"),
+        PrototypeBank(), np.zeros(2), (3,), rng_for(0, "w"),
         embed_dim=4, heads=2,
     )
     assert donor is None and not mod.frozen
@@ -139,9 +134,9 @@ def test_task_aware_init_empty_bank_is_random():
 def test_task_aware_init_clones_nearest_donor():
     vectors = [[0.0, 0.0], [10.0, 0.0]]
     bank = bank_with(vectors, widths=(3,))
-    query = Prototype(np.array([9.0, 0.5]), 1)
+    query = np.array([9.0, 0.5])
     mod, donor = task_aware_init(bank, query, (3,), rng_for(1, "w"), embed_dim=4, heads=2)
-    assert donor == nearest_oracle(vectors, query.vector) == 2
+    assert donor == nearest_oracle(vectors, query) == 2
     donor_mod = bank.modulator(2)
     for a, b in zip(mod.sites[0], donor_mod.sites[0]):
         assert np.array_equal(a.data, b.data)

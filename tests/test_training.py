@@ -16,7 +16,6 @@ from taam import training
 from taam.config import make_config
 from taam.errors import ContractError
 from taam.graph import generate_sbm
-from taam.harness import build_stream
 from taam.prototypes import PrototypeBank
 from taam.classifier import ClassifierHead
 from taam.backbone import init_backbone
@@ -30,6 +29,8 @@ from taam.training import (
     end_to_end_grad_check,
     train_task,
 )
+
+from streams import default_stream
 
 
 def adam_reference(theta, grads, lr, b1=0.9, b2=0.999, eps=1e-8, wd=0.0):
@@ -163,7 +164,7 @@ def logistic_regression_oracle(x, y, classes=2, steps=400, lr=0.5):
 def test_train_task_learns_separable_classes():
     cfg = tiny_cfg()
     g = generate_sbm(2, 30, 0.3, 0.05, 8, 10.0, seed=0)
-    stream = build_stream(g, classes_per_task=2, seed=cfg.seed)
+    stream = default_stream(g, classes_per_task=2, seed=cfg.seed)
     task = stream.tasks[0]
 
     x = task.propagated(cfg.hops)[task.train_idx]
@@ -198,7 +199,7 @@ def test_taam_training_step_records_six_tape_entries(monkeypatch):
     monkeypatch.setattr(training, "Tape", CountingTape)
     cfg = tiny_cfg(epochs=1)
     g = generate_sbm(2, 30, 0.3, 0.05, 8, 10.0, seed=0)
-    stream = build_stream(g, classes_per_task=2, seed=cfg.seed)
+    stream = default_stream(g, classes_per_task=2, seed=cfg.seed)
     backbone = init_backbone(g.feature_dim, cfg.hidden_dim, rng_for(cfg.seed, "backbone"))
     train_task(stream.tasks[0], backbone, PrototypeBank(), ClassifierHead(cfg.hidden_dim), cfg)
     assert recorded == [{"matmul": 3, "modulate": 2, "weighted_cross_entropy": 1}]
@@ -207,7 +208,7 @@ def test_taam_training_step_records_six_tape_entries(monkeypatch):
 def test_train_task_second_task_warm_starts_from_first():
     cfg = tiny_cfg(dataset="sbm:classes=4,npc=30,dim=8,sep=10", epochs=15)
     g = generate_sbm(4, 30, 0.3, 0.05, 8, 10.0, seed=0)
-    stream = build_stream(g, classes_per_task=2, seed=cfg.seed)
+    stream = default_stream(g, classes_per_task=2, seed=cfg.seed)
     backbone = init_backbone(g.feature_dim, cfg.hidden_dim, rng_for(cfg.seed, "backbone"))
     bank, head = PrototypeBank(), ClassifierHead(cfg.hidden_dim)
     first = train_task(stream.tasks[0], backbone, bank, head, cfg)
@@ -225,7 +226,7 @@ def test_train_task_second_task_warm_starts_from_first():
 def test_train_task_without_validation_split():
     cfg = tiny_cfg(epochs=5, val_frac=0.0)
     g = generate_sbm(2, 20, 0.3, 0.05, 8, 10.0, seed=1)
-    stream = build_stream(g, classes_per_task=2, seed=1, val_frac=0.0)
+    stream = default_stream(g, classes_per_task=2, seed=1, val_frac=0.0)
     backbone = init_backbone(g.feature_dim, cfg.hidden_dim, rng_for(1, "backbone"))
     log = train_task(stream.tasks[0], backbone, PrototypeBank(), ClassifierHead(cfg.hidden_dim), cfg)
     assert all(np.isnan(e.val_acc) for e in log.epochs)
@@ -234,7 +235,7 @@ def test_train_task_without_validation_split():
 def test_finetune_trains_shared_weights_over_all_columns():
     cfg = tiny_cfg(dataset="sbm:classes=4,npc=30,dim=8,sep=10", epochs=400, method="finetune")
     g = generate_sbm(4, 30, 0.3, 0.05, 8, 10.0, seed=0)
-    stream = build_stream(g, classes_per_task=2, seed=0)
+    stream = default_stream(g, classes_per_task=2, seed=0)
     bb = init_backbone(g.feature_dim, cfg.hidden_dim, rng_for(0, "backbone"))
     model = FinetuneModel(bb.w1, bb.w2)
     head = ClassifierHead(cfg.hidden_dim)
