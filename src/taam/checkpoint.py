@@ -1,14 +1,16 @@
-"""Binary run checkpoints, format 3: a small file rewritten at every stage
+"""Binary run checkpoints, format 4: a small file rewritten at every stage
 plus an append-only sidecar of frozen blocks.
 
 `path` holds what changes from stage to stage (integers little-endian):
 
     bytes 0..7    magic "TAAMCKPT"
-    bytes 8..11   u32 format version (currently 3)
+    bytes 8..11   u32 format version (currently 4)
     bytes 12..19  u64 header length H
     next H bytes  header, UTF-8 JSON (sorted keys)
     payload       the classifier weight matrix, then for method finetune its
-                  trained w1 and w2; raw float64 little-endian, C order
+                  trained w1 and w2, then the epoch logs: for each completed
+                  stage, one (loss, train_acc, val_acc) row per epoch; raw
+                  float64 little-endian, C order
     last 4 bytes  u32 CRC-32 of header bytes + payload bytes
 
 The header has five keys: "config" (the run's `RunConfig.echo()`),
@@ -32,13 +34,15 @@ the segments that `path` has CRCs for.  A crash at any point thus leaves the
 last completed stage loadable, whatever torn tail the sidecar has.
 
 Each fact is stored once.  `payload_layout` derives every block shape, and
-so every segment length, from the config, the input width, the stage count
-(the number of records) and the class count.  A finished task's classifier
-columns are frozen, except under method finetune, which freezes none, and
-the retrieval log is rebuilt from the records.  The loader requires exactly
+so every segment length, from the config (the epoch count among it), the
+input width, the stage count (the number of records) and the class count.
+A finished task's classifier columns are frozen, except under method
+finetune, which freezes none, and the retrieval log and the task logs are
+rebuilt from the records and the epoch logs.  The loader requires exactly
 the five keys, each well typed; the stored config to validate and to equal
 its own `RunConfig.echo()`; 1..tasks_total stages with disjoint class
-groups; and one CRC per segment, each matching.  Every violation is an
+groups, inferred task ids in 1..t and donors before t; epoch-log
+accuracies in [0, 100] or NaN; and one CRC per segment, each matching.  Every violation is an
 IntegrityError, and a file of another format version is a VersionError.
 
 Float32 runs upcast to float64 on save and cast back on load (exact).  A
@@ -68,10 +72,10 @@ from .errors import ContractError, IntegrityError, VersionError
 from .fileio import write_at, write_atomic
 from .modulator import Modulator, param_layout
 from .prototypes import PrototypeBank
-from .training import FinetuneModel
+from .training import EpochLog, FinetuneModel, TaskTrainLog
 
 MAGIC = b"TAAMCKPT"
-VERSION = 3
+VERSION = 4
 
 # Resuming in a different place is fine; resuming different run semantics is not.
 _CONFIG_KEYS_IGNORED_ON_RESUME = ("out_dir",)
@@ -84,6 +88,7 @@ class RunState:
     `run_continual` advances one of these in place, stage by stage.  `net` is
     the frozen Backbone, or for method finetune the trainable FinetuneModel;
     either way `net.w1` and `net.w2` are ndarrays in the run's dtype.
+    `task_logs` holds one training log per completed stage.
     """
 
     config: RunConfig
@@ -93,12 +98,17 @@ class RunState:
     head: ClassifierHead
     matrix_rows: list[list[float]]
     retrieval_log: list[dict]
-    donors: list[int | None]
+    task_logs: list[TaskTrainLog]
 
     @property
     def stage(self) -> int:
         """The last completed stage: each one adds a matrix row."""
         return len(self.matrix_rows)
+
+    @property
+    def donors(self) -> list[int | None]:
+        """The warm-start donor of each completed stage's task."""
+        return [tl.donor for tl in self.task_logs]
 
     def check_config(self, cfg) -> None:
         stored = {k: v for k, v in self.config.echo().items() if k not in _CONFIG_KEYS_IGNORED_ON_RESUME}
@@ -125,12 +135,12 @@ def payload_layout(cfg: RunConfig, in_dim: int, stage: int, classes: int):
     """Shapes of every stored array, in storage order: those of the payload
     of `path`, and those of each frozen segment of the sidecar."""
     d_h = cfg.hidden_dim
-    head, backbone = [(d_h, classes)], [(in_dim, d_h), (d_h, d_h)]
+    head, backbone, logs = [(d_h, classes)], [(in_dim, d_h), (d_h, d_h)], [(stage, cfg.epochs, 3)]
     if cfg.method == "finetune":
-        return head + backbone, []
+        return head + backbone + logs, []
     params = param_layout([in_dim, d_h], cfg.heads, cfg.embed_dim)
     task = [shape for _, shape in params] + [(in_dim,)]
-    return head, [backbone] + [task] * stage
+    return head + logs, [backbone] + [task] * stage
 
 
 def _nbytes(shapes) -> int:
@@ -162,6 +172,8 @@ def save_checkpoint(path, state: RunState, crcs: list[int] | None = None) -> lis
         mutable += [net.w1, net.w2]
     else:
         frozen.insert(0, [net.w1, net.w2])
+    logs = [[(e.loss, e.train_acc, e.val_acc) for e in tl.epochs] for tl in state.task_logs]
+    mutable.append(np.array(logs, dtype=np.float64))
     shapes = ([a.shape for a in mutable], [[a.shape for a in seg] for seg in frozen])
     wanted = payload_layout(cfg, int(net.w1.shape[0]), state.stage, head.num_classes)
     if shapes != wanted:
@@ -177,8 +189,8 @@ def save_checkpoint(path, state: RunState, crcs: list[int] | None = None) -> lis
 
     inferred = iter([e["inferred"] for e in state.retrieval_log])  # stage t made t decisions
     stages = [
-        {"classes": classes, "accuracy": row, "inferred": list(islice(inferred, t)), "donor": donor}
-        for t, (classes, row, donor) in enumerate(zip(head.tasks, state.matrix_rows, state.donors), 1)
+        {"classes": classes, "accuracy": row, "inferred": list(islice(inferred, t)), "donor": tl.donor}
+        for t, (classes, row, tl) in enumerate(zip(head.tasks, state.matrix_rows, state.task_logs), 1)
     ]
     header = {
         "config": cfg.echo(),
@@ -243,8 +255,10 @@ def _check_header(header, path):
             and s["classes"] and all(_is(c, int) for c in s["classes"])
             and len(s["accuracy"]) == len(s["inferred"]) == t
             and all(_is(v, (int, float)) and 0 <= v <= 100 for v in s["accuracy"])
-            and all(_is(i, task_id) for i in s["inferred"]),
-            f"stage {t} must hold its classes, {t} accuracies in [0, 100], {t} inferred task ids and a donor",
+            and all(i is None or _is(i, int) and 1 <= i <= t for i in s["inferred"])
+            and (s["donor"] is None or 1 <= s["donor"] < t),
+            f"stage {t} must hold its classes, {t} accuracies in [0, 100], {t} inferred task ids"
+            f" in 1..{t} and a donor that is an earlier task or null",
         )
     need(1 <= len(stages) <= total, f"{len(stages)} stages, outside 1..{total}")
     classes = [c for s in stages for c in s["classes"]]
@@ -310,7 +324,10 @@ def load_checkpoint(path) -> RunState:
     (crc_stored,) = struct.unpack_from("<I", raw, len(raw) - 4)
     if zlib.crc32(payload, zlib.crc32(header_bytes)) != crc_stored:
         raise IntegrityError(f"{path} failed its checksum")
-    head_weight, *finetune_net = _views(payload, blocks)
+    head_weight, *finetune_net, logs = _views(payload, blocks)
+    accuracy = logs[..., 1:]  # validation accuracy is NaN for a task without validation nodes
+    if not (np.isnan(accuracy) | (0 <= accuracy) & (accuracy <= 100)).all():
+        raise IntegrityError(f"{path} is malformed: an epoch log holds an accuracy outside [0, 100]")
     frozen = _read_segments(path, header["crcs"], segments)
 
     def cast(view, copy=True):
@@ -347,5 +364,8 @@ def load_checkpoint(path) -> RunState:
         head=head,
         matrix_rows=[s["accuracy"] for s in stages],
         retrieval_log=[decision(t, j, i) for t, s in enumerate(stages, 1) for j, i in enumerate(s["inferred"], 1)],
-        donors=[s["donor"] for s in stages],
+        task_logs=[
+            TaskTrainLog(t, s["donor"], [EpochLog(e, *row) for e, row in enumerate(epochs, 1)])
+            for t, (s, epochs) in enumerate(zip(stages, logs.tolist()), 1)
+        ],
     )

@@ -111,7 +111,7 @@ def _run_one(cfg: RunConfig, out_dir: str, resume_path=None, stop_after=None) ->
     write_matrix_csv(os.path.join(out_dir, "matrix.csv"), result.matrix, result.completed)
     summary = result.summary(cfg)
     _dump_json(os.path.join(out_dir, "summary.json"), summary)
-    for task_log in result.task_logs:
+    for task_log in result.state.task_logs:
         log_path = os.path.join(out_dir, f"task_{task_log.task_id:02d}_train.log")
         write_atomic(log_path, [(entry.line() + "\n").encode("utf-8") for entry in task_log.epochs])
     return summary
@@ -220,3 +220,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

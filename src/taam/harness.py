@@ -9,9 +9,10 @@ just-trained diagonal entry to its final-row entry.
 A stream is one block-diagonal graph: each task's induced subgraph is one
 diagonal block, and a task is a row range of it.  The stream graph is built,
 validated and normalized once, and row for row it gives the same bits as
-each task's subgraph would on its own.  Training propagates the whole
-stream once.  Evaluating a checkpoint on a fresh stream reads only test
-rows, so there the last propagation hop runs at those rows alone.
+each task's subgraph would on its own.  The stream propagates it once per
+hop count, and training is handed each task's rows of that.  Evaluating a
+checkpoint on a fresh stream reads only test rows, so there the last
+propagation hop runs at those rows alone.
 
 Methods:
     taam      modulator per task over a frozen backbone; at eval time the
@@ -47,33 +48,9 @@ from .graph import SparseGraph, normalize_adjacency, propagate
 from .prototypes import PrototypeBank
 from .rng import rng_for
 from .tensor import Tensor
-from .training import FinetuneModel, TaskTrainLog, accuracy_percent, train_task
+from .training import FinetuneModel, accuracy_percent, train_task
 
 log = logging.getLogger(__name__)
-
-
-class _Propagation:
-    """Propagated features S^hops X of the whole stream graph, computed once
-    per hop count and shared, read-only, by every task of the stream."""
-
-    def __init__(self, graph: SparseGraph):
-        self.graph = graph
-        self._by_hops: dict[int, np.ndarray] = {}
-
-    def __call__(self, hops: int) -> np.ndarray:
-        if hops not in self._by_hops:
-            out = propagate(normalize_adjacency(self.graph), self.graph.features, hops)
-            out.setflags(write=False)
-            self._by_hops[hops] = out
-        return self._by_hops[hops]
-
-    def rows(self, hops: int, rows: np.ndarray) -> np.ndarray:
-        """S^hops X at the stream rows `rows`: a gather from the whole array
-        when it is built, else one propagation whose last hop runs at `rows`
-        alone.  Either way the same bits."""
-        if hops in self._by_hops:
-            return self._by_hops[hops][rows]
-        return propagate(normalize_adjacency(self.graph), self.graph.features, hops, rows)
 
 
 @dataclass
@@ -94,11 +71,6 @@ class TaskSpec:
     val_idx: np.ndarray
     test_idx: np.ndarray
     local_labels: np.ndarray
-    _propagation: _Propagation = field(repr=False)
-
-    def propagated(self, hops: int) -> np.ndarray:
-        """Read-only view of the stream's propagated features at the task's rows."""
-        return self._propagation(hops)[self.rows]
 
 
 @dataclass
@@ -113,15 +85,30 @@ class TaskStream:
     tasks: list[TaskSpec]
     dropped_classes: list[int]
     graph: SparseGraph
-    _propagation: _Propagation = field(repr=False)
+    _by_hops: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+
+    def propagated(self, hops: int) -> np.ndarray:
+        """S^hops X of the stream graph, computed once per hop count and
+        shared, read-only, by every task: task t's rows are `[task.rows]`."""
+        if hops not in self._by_hops:
+            out = propagate(normalize_adjacency(self.graph), self.graph.features, hops)
+            out.setflags(write=False)
+            self._by_hops[hops] = out
+        return self._by_hops[hops]
 
     def propagated_test_rows(self, hops: int, count: int) -> list[np.ndarray]:
         """Propagated features of the test nodes of tasks 1..count, one array
-        per task in test_idx order, all from one `_Propagation.rows` call."""
+        per task in test_idx order.  They are gathered from `propagated(hops)`
+        when it is built, else made by one propagation whose last hop runs at
+        those rows alone; either way the same bits."""
         tasks = self.tasks[:count]
         rows = np.concatenate([task.rows.start + task.test_idx for task in tasks])
         ends = np.cumsum([task.test_idx.size for task in tasks])
-        return np.split(self._propagation.rows(hops, rows), ends[:-1])
+        if hops in self._by_hops:
+            x = self._by_hops[hops][rows]
+        else:
+            x = propagate(normalize_adjacency(self.graph), self.graph.features, hops, rows)
+        return np.split(x, ends[:-1])
 
 
 def build_stream(
@@ -193,7 +180,6 @@ def build_stream(
     graph, kept = _block_diagonal(g, block)
     graph.features.setflags(write=False)
     graph.labels.setflags(write=False)
-    shared = _Propagation(graph)
     bounds = np.concatenate([[0], np.cumsum(np.bincount(block[block >= 0], minlength=len(groups)))])
     tasks = []
     for tid, group in enumerate(groups, start=1):
@@ -213,12 +199,9 @@ def build_stream(
                 val_idx=val_idx,
                 test_idx=test_idx,
                 local_labels=(labels[:, None] == np.asarray(group)).argmax(1),
-                _propagation=shared,
             )
         )
-    return TaskStream(
-        tasks=tasks, dropped_classes=[int(c) for c in dropped], graph=graph, _propagation=shared
-    )
+    return TaskStream(tasks=tasks, dropped_classes=[int(c) for c in dropped], graph=graph)
 
 
 def _block_diagonal(g: SparseGraph, block: np.ndarray) -> tuple[SparseGraph, np.ndarray]:
@@ -308,7 +291,6 @@ class RunResult:
     retrieval_log: list[dict]
     per_stage_retrieval: list[float] | None
     donors: list[int | None]
-    task_logs: list[TaskTrainLog]
     wall_time_seconds: float
     state: "object"
 
@@ -383,23 +365,21 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
     `resume` is a RunState from a saved checkpoint: training continues after
     its last completed stage and, because every random draw is keyed by
     (seed, purpose, task), reproduces the uninterrupted run exactly.  The run
-    advances that state in place.  After each completed stage the checkpoint
-    at `checkpoint_path` is saved: its first save writes it whole, each later
-    one appends only the newly frozen blocks.
+    advances that state in place; a checkpoint of every stage trains nothing.
+    After each completed stage the checkpoint at `checkpoint_path` is saved:
+    its first save writes it whole, each later one appends only the newly
+    frozen blocks.  A run that trains nothing saves it once.
     """
     cfg.validate()
     t_total = len(stream.tasks)
     started = time.perf_counter()
     if resume is not None:
         resume.check_config(cfg)
-        if resume.tasks_total != t_total:
-            raise ContractError(f"checkpoint is for {resume.tasks_total} tasks, the stream has {t_total}")
-        if resume.stage >= t_total:
-            raise ContractError(f"checkpoint already covers all {t_total} stages")
+        _check_stream(stream, resume)
     first_stage = 1 if resume is None else resume.stage + 1
     last = t_total if stop_after is None else min(int(stop_after), t_total)
-    if last < first_stage:
-        raise ContractError(f"stop_after={stop_after} is before the first stage to run ({first_stage})")
+    if last < min(first_stage, t_total):
+        raise ContractError(f"stop_after={stop_after} is before stage {min(first_stage, t_total)}")
 
     if resume is None:
         in_dim = stream.graph.feature_dim
@@ -414,24 +394,25 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
             head=ClassifierHead(cfg.hidden_dim, dtype=cfg.np_dtype),
             matrix_rows=[],
             retrieval_log=[],
-            donors=[],
+            task_logs=[],
         )
     else:
         state = resume
         state.config = cfg
 
-    task_logs: list[TaskTrainLog] = []
     embeddings: dict = {}
     crcs = None
     for stage in range(first_stage, last + 1):
-        tl = train_task(stream.tasks[stage - 1], state.net, state.bank, state.head, cfg)
-        task_logs.append(tl)
+        task = stream.tasks[stage - 1]
+        x_prop64 = stream.propagated(cfg.hops)[task.rows]
+        state.task_logs.append(train_task(task, x_prop64, state.net, state.bank, state.head, cfg))
         row, decisions = _evaluate_stage(stream, cfg, state, stage, embeddings)
         state.matrix_rows.append(row)
         state.retrieval_log.extend(decisions)
-        state.donors.append(tl.donor)
         if checkpoint_path is not None:
             crcs = save_checkpoint(checkpoint_path, state, crcs)
+    if checkpoint_path is not None and crcs is None:
+        save_checkpoint(checkpoint_path, state)
 
     matrix = np.full((t_total, t_total), np.nan)
     for t, row in enumerate(state.matrix_rows, start=1):
@@ -445,24 +426,29 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
         retrieval_log=state.retrieval_log,
         per_stage_retrieval=_per_stage_retrieval(cfg, state.retrieval_log, last),
         donors=state.donors,
-        task_logs=task_logs,
         wall_time_seconds=time.perf_counter() - started,
         state=state,
     )
 
 
-def evaluate_final_row(stream: TaskStream, cfg, state) -> tuple[np.ndarray, list[dict]]:
-    """Re-run the evaluation of the last completed stage from a restored state.
-
-    The stream must be the checkpoint's: as many tasks, and tasks 1..stage
-    with the class groups of its head.  On a fresh stream only the test rows
-    of those tasks go through the last propagation hop.
-    """
+def _check_stream(stream: TaskStream, state) -> None:
+    """Raise ContractError unless `stream` can be the one `state` was trained
+    on: as many tasks, and tasks 1..stage with the class groups of its head."""
     t_total = len(stream.tasks)
     if t_total != state.tasks_total:
         raise ContractError(f"checkpoint is for {state.tasks_total} tasks, the stream has {t_total}")
     groups = [task.classes for task in stream.tasks[: state.stage]]
     if groups != state.head.tasks:
         raise ContractError(f"checkpoint has the class groups {state.head.tasks}, the stream {groups}")
+
+
+def evaluate_final_row(stream: TaskStream, cfg, state) -> tuple[np.ndarray, list[dict]]:
+    """Re-run the evaluation of the last completed stage from a restored state.
+
+    The stream must pass the resume check (`_check_stream`).  On a fresh
+    stream only the test rows of tasks 1..stage go through the last
+    propagation hop.
+    """
+    _check_stream(stream, state)
     row, decisions = _evaluate_stage(stream, cfg, state, state.stage, {})
     return np.array(row), decisions

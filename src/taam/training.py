@@ -29,6 +29,10 @@ class Adam:
             m      = b1*m + (1-b1)*g
             v      = b2*v + (1-b2)*g^2
             theta -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
+
+    `step` evaluates each expression in this order, one numpy operation at a
+    time, into two scratch buffers shared by all parameters and allocated
+    once, so a step allocates nothing.
     """
 
     BETA1 = 0.9
@@ -45,6 +49,8 @@ class Adam:
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+        size = max((p.data.nbytes for p in self.params), default=0)
+        self._scratch = (np.empty(size, np.uint8), np.empty(size, np.uint8))
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -57,12 +63,18 @@ class Adam:
         for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 raise ContractError("step() with a missing gradient; run backward first")
-            g = p.grad + self.weight_decay * p.data
+            g, tmp = (b[: p.data.nbytes].view(p.data.dtype).reshape(p.data.shape) for b in self._scratch)
+            np.multiply(self.weight_decay, p.data, out=g)
+            np.add(p.grad, g, out=g)
             m *= self.BETA1
-            m += (1.0 - self.BETA1) * g
+            m += np.multiply(1.0 - self.BETA1, g, out=tmp)
             v *= self.BETA2
-            v += (1.0 - self.BETA2) * (g * g)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.EPS)
+            np.multiply(g, g, out=tmp)
+            v += np.multiply(1.0 - self.BETA2, tmp, out=tmp)
+            # g is spent: it takes the numerator, tmp the denominator
+            np.multiply(self.lr, np.divide(m, c1, out=g), out=g)
+            np.add(np.sqrt(np.divide(v, c2, out=tmp), out=tmp), self.EPS, out=tmp)
+            p.data -= np.divide(g, tmp, out=g)
 
 
 def class_weights(labels, classes) -> np.ndarray:
@@ -139,8 +151,11 @@ def _fit(embed, params, w: Tensor, x_prop, task, labels, node_w, cfg) -> list[Ep
     return epochs
 
 
-def train_task(task, backbone, bank, head, cfg) -> TaskTrainLog:
+def train_task(task, x_prop64, backbone, bank, head, cfg) -> TaskTrainLog:
     """Train one task and register its classes in the head.
+
+    `x_prop64` is the stream's float64 propagated features at the task's
+    rows (`stream.propagated(cfg.hops)[task.rows]`).
 
     With modulators, only a fresh modulator and the task's new head columns
     receive gradients.  The task's prototype is computed from its train nodes
@@ -150,7 +165,6 @@ def train_task(task, backbone, bank, head, cfg) -> TaskTrainLog:
     `bank` is unused: everything is trained, over every class registered so
     far, and nothing is frozen or stored.
     """
-    x_prop64 = task.propagated(cfg.hops)
     x_prop = x_prop64.astype(cfg.np_dtype, copy=False)
     t = head.extend(task.classes, rng_for(cfg.seed, "task", task.task_id, "head"))
     cw = class_weights(task.labels[task.train_idx], task.classes)

@@ -75,6 +75,7 @@ def test_round_trip_restores_everything(tmp_path, overrides):
     assert state.matrix_rows == end.matrix_rows
     assert state.retrieval_log == end.retrieval_log
     assert state.donors == end.donors
+    assert state.task_logs == end.task_logs
     assert state.head.tasks == end.head.tasks
     assert same_bits(state.head.frozen, end.head.frozen)
     assert len(state.bank) == len(end.bank) == (0 if overrides.get("method") == "finetune" else 3)
@@ -171,7 +172,7 @@ def test_unsupported_version(tmp_path):
 
 def test_format_1_file_is_a_version_error(tmp_path):
     _, _, _, path = small_run(tmp_path)
-    for version in (1, 2):  # format 2 is as unreadable as format 1
+    for version in (1, 2, 3):  # formats 2 and 3 are as unreadable as format 1
         raw = bytearray(path.read_bytes())
         raw[8:12] = struct.pack("<I", version)
         old = tmp_path / f"v{version}.bin"
@@ -378,11 +379,91 @@ def test_run_killed_in_a_save_resumes_bitwise(tmp_path, where):
 
     assert main([*run, "--resume", str(ckpt)]) == 0
     resumed = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert set(resumed) == set(full) - {"task_01_train.log"}
+    assert set(resumed) == set(full)
     summary = lambda data: {k: v for k, v in json.loads(data).items() if k != "wall_time_seconds"}
     assert summary(resumed.pop("summary.json")) == summary(full["summary.json"])
     for name in sorted(resumed):
         assert resumed[name] == full[name], name
+
+
+def count_fileio_calls(monkeypatch, die_at=0) -> list[str]:
+    """Count every write, truncate, fsync (the directory's included) and
+    rename that `taam.fileio` makes; the process kills itself just before
+    call number `die_at`.  Returns the names of the calls made so far."""
+    calls = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            if len(calls) == die_at:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return fn(*args, **kwargs)
+
+        return call
+
+    class File:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def __getattr__(self, name):
+            attr = getattr(self.fh, name)
+            return counted(name, attr) if name in ("write", "truncate") else attr
+
+    class Os:
+        fsync = staticmethod(counted("fsync", os.fsync))
+        replace = staticmethod(counted("rename", os.replace))
+
+        def __getattr__(self, name):
+            return getattr(os, name)
+
+    monkeypatch.setattr(fileio, "open", lambda *a, **k: File(open(*a, **k)), raising=False)
+    monkeypatch.setattr(fileio, "os", Os())
+    return calls
+
+
+def test_run_killed_at_any_file_operation_resumes_bitwise(tmp_path, monkeypatch):
+    # A run killed just before its k-th file operation, for every k, then
+    # resumed into the same directory (or rerun, if it left no checkpoint),
+    # writes the artifacts of the uninterrupted run.
+    conf = tmp_path / "run.conf"
+    conf.write_text("dataset = sbm:classes=6,npc=15,dim=8,sep=10\nhidden_dim = 16\nembed_dim = 8\nepochs = 2\n")
+    out = tmp_path / "out"
+    ckpt = out / "checkpoint.bin"
+    run = ["run", "--config", str(conf), "--out", str(out)]
+
+    def artifacts():
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        summary = json.loads(files.pop("summary.json"))
+        return files, {k: v for k, v in summary.items() if k != "wall_time_seconds"}
+
+    with monkeypatch.context() as counting:
+        calls = count_fileio_calls(counting)
+        assert main(run) == 0
+    full = artifacts()
+    assert {"write", "truncate", "fsync", "rename"} <= set(calls)
+
+    failed = []
+    for k in range(1, len(calls) + 1):
+        shutil.rmtree(out)
+        pid = os.fork()
+        if pid == 0:  # the child dies at call k; it never returns to pytest
+            try:
+                count_fileio_calls(pytest.MonkeyPatch(), die_at=k)
+                main(run)
+            finally:
+                os._exit(1)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL, k
+        again = [*run, "--resume", str(ckpt)] if ckpt.exists() else run
+        if main(again) != 0 or artifacts() != full:
+            failed.append(k)
+    assert failed == []
 
 
 def test_garbage_header_is_integrity_error(tmp_path):
@@ -416,10 +497,11 @@ def read_header(path):
     return json.loads(raw[20 : 20 + hlen]), raw[20 + hlen : -4]
 
 
-def with_header(path, out, edit):
-    """Copy a checkpoint (both files) with `edit` applied to its header and a
-    recomputed CRC."""
+def with_header(path, out, edit, edit_payload=lambda payload: payload):
+    """Copy a checkpoint (both files) with `edit` applied to its header,
+    `edit_payload` to its payload bytes, and a recomputed CRC."""
     header, payload = read_header(path)
+    payload = edit_payload(payload)
     hb = json.dumps(edit(header)).encode("utf-8")
     crc = zlib.crc32(payload, zlib.crc32(hb))
     out.write_bytes(MAGIC + struct.pack("<IQ", VERSION, len(hb)) + hb + payload + struct.pack("<I", crc))
@@ -517,6 +599,23 @@ def test_header_wrong_type_is_integrity_error(tmp_path, field, value):
     assert main(["eval", "--checkpoint", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("value", [250.0, -1.0, float("inf")])
+@pytest.mark.parametrize("column", ["train_acc", "val_acc"])
+def test_epoch_log_accuracy_out_of_range_is_integrity_error(tmp_path, column, value):
+    _, _, _, path = small_run(tmp_path)
+
+    def edit_payload(payload):
+        floats = np.frombuffer(payload, dtype="<f8").copy()
+        # the payload ends with the last stage's last (loss, train_acc, val_acc) row
+        floats[{"train_acc": -2, "val_acc": -1}[column]] = value
+        return floats.tobytes()
+
+    bad = with_header(path, tmp_path / "bad.bin", lambda h: h, edit_payload)
+    with pytest.raises(IntegrityError, match="outside \\[0, 100\\]"):
+        load_checkpoint(bad)
+    assert main(["eval", "--checkpoint", str(bad)]) == 1
+
+
 def test_header_naming_a_missing_block_is_integrity_error(tmp_path):
     _, _, _, path = small_run(tmp_path)
     without_task2 = lambda h: {**h, "crcs": h["crcs"][:-1]}
@@ -553,12 +652,20 @@ def in_stage(t, **edits):
         (lambda h: {**h, "crcs": [2**32] + h["crcs"][1:]}, "a CRC is not a u32"),
         (lambda h: {**h, "crcs": h["crcs"] + [0]}, "4 CRCs where the stored config implies 3 segments"),
         (lambda h: {**h, "crcs": h["crcs"][:-1]}, "2 CRCs where the stored config implies 3 segments"),
+        (in_stage(1, inferred=lambda i: [99]), "stage 1 must hold"),
+        (in_stage(2, inferred=lambda i: [0, i[1]]), "stage 2 must hold"),
+        (in_stage(2, inferred=lambda i: [i[0], 3]), "stage 2 must hold"),
+        (in_stage(1, donor=lambda d: 1), "stage 1 must hold"),
+        (in_stage(2, donor=lambda d: 7), "stage 2 must hold"),
+        (in_stage(2, donor=lambda d: 2), "stage 2 must hold"),
+        (in_stage(2, donor=lambda d: 0), "stage 2 must hold"),
     ],
     ids=[
         "too_few_accuracies", "too_many_accuracies", "too_few_inferred", "too_many_inferred",
         "accuracy_below_0", "accuracy_above_100", "class_in_two_groups", "class_twice_in_a_group",
         "no_stage", "more_stages_than_tasks", "negative_crc", "crc_of_33_bits",
-        "crc_too_many", "crc_too_few",
+        "crc_too_many", "crc_too_few", "inferred_99", "inferred_0", "inferred_later_task",
+        "stage_1_donor", "donor_7", "donor_is_its_own_task", "donor_0",
     ],
 )
 def test_inconsistent_header_is_integrity_error(tmp_path, edit, message):

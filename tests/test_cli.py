@@ -4,15 +4,19 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import taam
 from taam.checkpoint import frozen_path, load_checkpoint
 from taam.cli import main
 from taam.config import RunConfig
@@ -279,3 +283,16 @@ def test_console_script_is_installed(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0
     assert "seed=0" in proc.stdout
+
+
+def test_module_entry_point_runs(tmp_path):
+    # `python -m taam.cli` is the way in where the console script is not installed
+    src = str(Path(taam.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cli = [sys.executable, "-m", "taam.cli", "run"]
+    out = tmp_path / "out"
+    ok = subprocess.run([*cli, "--epochs", "1", "--out", str(out)], env=env, capture_output=True, timeout=300)
+    assert ok.returncode == 0, ok.stderr.decode()
+    assert (out / "matrix.csv").is_file()
+    bad = subprocess.run([*cli, "--no-such-flag"], env=env, capture_output=True, timeout=300)
+    assert bad.returncode == 2 and b"unrecognized arguments" in bad.stderr

@@ -2,6 +2,7 @@
 
 import dataclasses
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,11 +149,10 @@ def test_dropped_class_is_never_split():
 
 
 def test_propagated_is_cached():
-    # every task's rows are views of the one propagation per hop count
+    # one propagation per hop count, whose rows every task reads
     stream = default_stream(seven_class_graph(), classes_per_task=2, seed=0)
-    a, b = stream.tasks[:2]
-    assert a.propagated(2).base is a.propagated(2).base is b.propagated(2).base
-    assert a.propagated(0).base is not a.propagated(2).base
+    assert stream.propagated(2) is stream.propagated(2)
+    assert stream.propagated(0) is not stream.propagated(2)
 
 
 def assert_tasks_match_their_own_subgraphs(g, stream):
@@ -164,7 +164,7 @@ def assert_tasks_match_their_own_subgraphs(g, stream):
         assert np.array_equal(stream.graph.features[task.rows], sub.features)
         s = normalize_adjacency(sub)
         for hops in range(4):
-            assert np.array_equal(task.propagated(hops), propagate(s, sub.features, hops))
+            assert np.array_equal(stream.propagated(hops)[task.rows], propagate(s, sub.features, hops))
 
 
 def graph_of(labels, edges, dim=3, seed=0):
@@ -236,14 +236,15 @@ def test_changing_one_task_leaves_the_other_tasks_unchanged():
     feats[g.labels == 2] += 1.0  # class 2 is in task 2
     after = default_stream(SparseGraph(g.adj, feats, g.labels), classes_per_task=2, seed=0)
     for a, b in zip(before.tasks, after.tasks, strict=True):
-        same = np.array_equal(a.propagated(2), b.propagated(2))
+        same = np.array_equal(before.propagated(2)[a.rows], after.propagated(2)[b.rows])
         assert same == (a.task_id != 2)
 
 
 def test_task_views_are_read_only():
     stream = default_stream(seven_class_graph(), classes_per_task=2, seed=0)
     for task in stream.tasks:
-        for arr in (task.propagated(0), task.propagated(2), stream.graph.features[task.rows], task.labels):
+        propagated = (stream.propagated(hops)[task.rows] for hops in (0, 2))
+        for arr in (*propagated, stream.graph.features[task.rows], task.labels):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -366,8 +367,8 @@ def test_resume_contracts():
     cfg = cfg_for()
     stream = stream_for(cfg)
     done = run_continual(stream, cfg)
-    with pytest.raises(ContractError, match="covers all"):
-        run_continual(stream, cfg, resume=done.state)
+    with pytest.raises(ContractError, match="stop_after=1"):
+        run_continual(stream, cfg, resume=done.state, stop_after=1)
     part = run_continual(stream, cfg, stop_after=1)
     other = cfg_for(seed=1)
     with pytest.raises(ContractError, match="seed"):
@@ -379,6 +380,35 @@ def test_resume_contracts():
         run_continual(stream, cfg, resume=part.state, stop_after=1)
     # every check runs before the state is advanced
     assert part.state.stage == 1 and len(part.state.matrix_rows) == 1
+
+
+def test_resume_of_every_stage_trains_nothing(tmp_path, monkeypatch):
+    cfg = cfg_for()
+    stream = stream_for(cfg)
+    done = run_continual(stream, cfg, checkpoint_path=tmp_path / "done.bin")
+    monkeypatch.setattr(harness, "train_task", None)  # any training would fail
+    again = run_continual(stream, cfg, resume=load_checkpoint(tmp_path / "done.bin"),
+                          checkpoint_path=tmp_path / "again.bin")
+    assert again.completed == 2 and again.state.stage == 2
+    assert np.array_equal(again.matrix, done.matrix, equal_nan=True)
+    assert (again.aa, again.af, again.donors) == (done.aa, done.af, done.donors)
+    assert again.state.task_logs == done.state.task_logs
+    # the run's checkpoint is written all the same
+    assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "done.bin").read_bytes()
+    assert Path(frozen_path(tmp_path / "again.bin")).read_bytes() == Path(frozen_path(tmp_path / "done.bin")).read_bytes()
+
+
+def test_resume_rejects_another_class_grouping():
+    # same config, same graph, same task count: only the class groups differ
+    cfg = cfg_for(dataset="sbm:classes=6,npc=25,dim=8,sep=10", epochs=3)
+    g = generate_sbm(6, 25, 0.1, 0.02, 8, 10.0, seed=0)
+    part = run_continual(default_stream(g, classes_per_task=2, seed=0), cfg, stop_after=1)
+    regrouped = default_stream(g, classes_per_task=2, seed=1, shuffle_classes=True)
+    assert len(regrouped.tasks) == part.state.tasks_total
+    assert regrouped.tasks[0].classes != part.state.head.tasks[0]
+    with pytest.raises(ContractError, match="class groups"):
+        run_continual(regrouped, cfg, resume=part.state)
+    assert part.state.stage == 1
 
 
 def test_bad_method_rejected():

@@ -148,6 +148,36 @@ def tiny_cfg(**overrides):
     return make_config(None, base)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adam_step_gives_the_bits_of_its_expression_form(dtype):
+    # parameters of several sizes share the step's scratch buffers
+    rng = np.random.default_rng(0)
+    params = [Tensor(rng.normal(size=s).astype(dtype), requires_grad=True) for s in [(7, 5), (3,), (40, 2), (1, 1)]]
+    expected = [p.data.copy() for p in params]
+    moments = [(np.zeros_like(e), np.zeros_like(e)) for e in expected]
+    opt = Adam(params, lr=0.01, weight_decay=5e-4)
+    for t in range(1, 6):
+        c1, c2 = 1.0 - Adam.BETA1**t, 1.0 - Adam.BETA2**t
+        for p, theta, (m, v) in zip(params, expected, moments):
+            p.grad = rng.normal(size=p.data.shape).astype(dtype)
+            g = p.grad + opt.weight_decay * theta
+            m *= Adam.BETA1
+            m += (1.0 - Adam.BETA1) * g
+            v *= Adam.BETA2
+            v += (1.0 - Adam.BETA2) * (g * g)
+            theta -= opt.lr * (m / c1) / (np.sqrt(v / c2) + Adam.EPS)
+        opt.step()
+        for p, theta in zip(params, expected):
+            assert p.data.dtype == dtype and p.data.tobytes() == theta.tobytes()
+
+
+def train(stream, i, net, bank, head, cfg):
+    """train_task on task i (0-based) of `stream`, given the task's
+    propagated rows as `run_continual` gives them."""
+    task = stream.tasks[i]
+    return train_task(task, stream.propagated(cfg.hops)[task.rows], net, bank, head, cfg)
+
+
 def logistic_regression_oracle(x, y, classes=2, steps=400, lr=0.5):
     # plain full-batch gradient descent on mean cross-entropy
     w = np.zeros((x.shape[1], classes))
@@ -167,13 +197,13 @@ def test_train_task_learns_separable_classes():
     stream = default_stream(g, classes_per_task=2, seed=cfg.seed)
     task = stream.tasks[0]
 
-    x = task.propagated(cfg.hops)[task.train_idx]
+    x = stream.propagated(cfg.hops)[task.rows][task.train_idx]
     y = task.local_labels[task.train_idx]
     assert logistic_regression_oracle(x, y) >= 99.0  # the data is learnable
 
     backbone = init_backbone(g.feature_dim, cfg.hidden_dim, rng_for(cfg.seed, "backbone"))
     bank, head = PrototypeBank(), ClassifierHead(cfg.hidden_dim)
-    log = train_task(task, backbone, bank, head, cfg)
+    log = train(stream, 0, backbone, bank, head, cfg)
 
     assert log.task_id == 1 and log.donor is None
     assert len(log.epochs) == cfg.epochs
@@ -201,7 +231,7 @@ def test_taam_training_step_records_six_tape_entries(monkeypatch):
     g = generate_sbm(2, 30, 0.3, 0.05, 8, 10.0, seed=0)
     stream = default_stream(g, classes_per_task=2, seed=cfg.seed)
     backbone = init_backbone(g.feature_dim, cfg.hidden_dim, rng_for(cfg.seed, "backbone"))
-    train_task(stream.tasks[0], backbone, PrototypeBank(), ClassifierHead(cfg.hidden_dim), cfg)
+    train(stream, 0, backbone, PrototypeBank(), ClassifierHead(cfg.hidden_dim), cfg)
     assert recorded == [{"matmul": 3, "modulate": 2, "weighted_cross_entropy": 1}]
 
 
@@ -211,15 +241,15 @@ def test_train_task_second_task_warm_starts_from_first():
     stream = default_stream(g, classes_per_task=2, seed=cfg.seed)
     backbone = init_backbone(g.feature_dim, cfg.hidden_dim, rng_for(cfg.seed, "backbone"))
     bank, head = PrototypeBank(), ClassifierHead(cfg.hidden_dim)
-    first = train_task(stream.tasks[0], backbone, bank, head, cfg)
-    second = train_task(stream.tasks[1], backbone, bank, head, cfg)
+    first = train(stream, 0, backbone, bank, head, cfg)
+    second = train(stream, 1, backbone, bank, head, cfg)
     assert (first.donor, second.donor) == (None, 1)
 
     # with warm start ablated away the donor disappears
     cfg_abl = tiny_cfg(dataset=cfg.dataset, epochs=15, ablation="retrieval_only")
     bank2, head2 = PrototypeBank(), ClassifierHead(cfg.hidden_dim)
-    train_task(stream.tasks[0], backbone, bank2, head2, cfg_abl)
-    second_abl = train_task(stream.tasks[1], backbone, bank2, head2, cfg_abl)
+    train(stream, 0, backbone, bank2, head2, cfg_abl)
+    second_abl = train(stream, 1, backbone, bank2, head2, cfg_abl)
     assert second_abl.donor is None
 
 
@@ -228,7 +258,7 @@ def test_train_task_without_validation_split():
     g = generate_sbm(2, 20, 0.3, 0.05, 8, 10.0, seed=1)
     stream = default_stream(g, classes_per_task=2, seed=1, val_frac=0.0)
     backbone = init_backbone(g.feature_dim, cfg.hidden_dim, rng_for(1, "backbone"))
-    log = train_task(stream.tasks[0], backbone, PrototypeBank(), ClassifierHead(cfg.hidden_dim), cfg)
+    log = train(stream, 0, backbone, PrototypeBank(), ClassifierHead(cfg.hidden_dim), cfg)
     assert all(np.isnan(e.val_acc) for e in log.epochs)
 
 
@@ -241,16 +271,16 @@ def test_finetune_trains_shared_weights_over_all_columns():
     head = ClassifierHead(cfg.hidden_dim)
     bank = PrototypeBank()
     w1_before = model.w1.copy()
-    train_task(stream.tasks[0], model, bank, head, cfg)
+    train(stream, 0, model, bank, head, cfg)
     assert not np.array_equal(model.w1, w1_before)  # backbone actually moves
-    train_task(stream.tasks[1], model, bank, head, cfg)
+    train(stream, 1, model, bank, head, cfg)
     assert head.num_classes == 4
     assert not head.frozen.any() and len(bank) == 0  # the naive loop freezes and stores nothing
 
     # second-task training happily overwrites first-task behavior: after task 2,
     # task-1 test nodes are mostly dragged to the new classes
     t1 = stream.tasks[0]
-    x = Tensor(t1.propagated(cfg.hops)[t1.test_idx])
+    x = Tensor(stream.propagated(cfg.hops)[t1.rows][t1.test_idx])
     pred = head.predict(model.embed(x).data)
     truth = t1.labels[t1.test_idx]
     acc = 100.0 * float((pred == truth).sum()) / truth.size
