@@ -1,10 +1,10 @@
-"""Binary run checkpoints, format 4: a small file rewritten at every stage
+"""Binary run checkpoints, format 5: a small file rewritten at every stage
 plus an append-only sidecar of frozen blocks.
 
 `path` holds what changes from stage to stage (integers little-endian):
 
     bytes 0..7    magic "TAAMCKPT"
-    bytes 8..11   u32 format version (currently 4)
+    bytes 8..11   u32 format version (currently 5)
     bytes 12..19  u64 header length H
     next H bytes  header, UTF-8 JSON (sorted keys)
     payload       the classifier weight matrix, then for method finetune its
@@ -21,17 +21,27 @@ completed stage t: "classes", task t's class ids in column order;
 
 `frozen_path(path)` (`path` + ".frozen") holds the blocks that never change
 once written, as consecutive segments of raw float64 little-endian, C order.
-Segment 0 is the backbone's w1 and w2; segment t is task t's modulator
-parameters in `modulator.param_layout` order, then its prototype.  Method
-finetune trains its net and stores no modulators, so its sidecar is empty.
-"crcs" holds one CRC-32 per segment, so the CRC of `path` pins the sidecar's
-content too.  Move a run by copying both files.
+Segment 0 is the backbone's w1 and w2.  Each task then adds two segments,
+in the two parts of `modulator.frozen_layout`: segment 2t - 1 is task t's
+inference form (per site its basis, w_attn and b_attn), then its prototype;
+segment 2t is its generator (per site w_base and b_base), which only a later
+task's warm start reads.  Method finetune trains its net and stores no
+modulators, so its sidecar is empty.  "crcs" holds one CRC-32 per segment,
+so the CRC of `path` pins the sidecar's content too.  Move a run by copying
+both files.
 
 A run's first save writes a fresh sidecar; each later save appends only the
-newly frozen segment.  The sidecar is written and fsynced before `path` is
-replaced (temp file, fsync, rename; see `fileio`), and the loader reads only
-the segments that `path` has CRCs for.  A crash at any point thus leaves the
-last completed stage loadable, whatever torn tail the sidecar has.
+newly frozen segments, in one write.  The sidecar is written and fsynced
+before `path` is replaced (temp file, fsync, rename; see `fileio`), and the
+loader reads only the segments that `path` has CRCs for.  A crash at any
+point thus leaves the last completed stage loadable, whatever torn tail the
+sidecar has.
+
+A load reads and checks segment 0 and the inference segments alone, which is
+all that evaluating a checkpoint (`taam eval`) needs: at the default widths
+about 2% of a task's floats.  A generator segment is read and checked when
+it is first needed, each read opening the sidecar anew; a resumed run reads
+them all before it trains or saves, so a damaged one stops it there.
 
 Each fact is stored once.  `payload_layout` derives every block shape, and
 so every segment length, from the config (the epoch count among it), the
@@ -42,8 +52,10 @@ rebuilt from the records and the epoch logs.  The loader requires exactly
 the five keys, each well typed; the stored config to validate and to equal
 its own `RunConfig.echo()`; 1..tasks_total stages with disjoint class
 groups, inferred task ids in 1..t and donors before t; epoch-log
-accuracies in [0, 100] or NaN; and one CRC per segment, each matching.  Every violation is an
-IntegrityError, and a file of another format version is a VersionError.
+accuracies in [0, 100] or NaN; a sidecar that holds every listed segment;
+and one CRC per segment, each matching when the segment is read.  Every
+violation is an IntegrityError, and a file of another format version is a
+VersionError.
 
 Float32 runs upcast to float64 on save and cast back on load (exact).  A
 float64 run's frozen blocks load as read-only views of the sidecar bytes
@@ -70,12 +82,12 @@ from .classifier import ClassifierHead
 from .config import RunConfig, make_config
 from .errors import ContractError, IntegrityError, VersionError
 from .fileio import write_at, write_atomic
-from .modulator import Modulator, param_layout
+from .modulator import Modulator, frozen_layout
 from .prototypes import PrototypeBank
 from .training import EpochLog, FinetuneModel, TaskTrainLog
 
 MAGIC = b"TAAMCKPT"
-VERSION = 4
+VERSION = 5
 
 # Resuming in a different place is fine; resuming different run semantics is not.
 _CONFIG_KEYS_IGNORED_ON_RESUME = ("out_dir",)
@@ -138,9 +150,13 @@ def payload_layout(cfg: RunConfig, in_dim: int, stage: int, classes: int):
     head, backbone, logs = [(d_h, classes)], [(in_dim, d_h), (d_h, d_h)], [(stage, cfg.epochs, 3)]
     if cfg.method == "finetune":
         return head + backbone + logs, []
-    params = param_layout([in_dim, d_h], cfg.heads, cfg.embed_dim)
-    task = [shape for _, shape in params] + [(in_dim,)]
-    return head + logs, [backbone] + [task] * stage
+    inference, generator = frozen_layout([in_dim, d_h], cfg.heads, cfg.embed_dim)
+    return head + logs, [backbone] + [inference + [(in_dim,)], generator] * stage
+
+
+def _segment_name(k: int) -> str:
+    """What sidecar segment k holds."""
+    return "the backbone" if k == 0 else f"task {(k + 1) // 2}'s {('generator', 'inference form')[k % 2]}"
 
 
 def _nbytes(shapes) -> int:
@@ -167,7 +183,10 @@ def save_checkpoint(path, state: RunState, crcs: list[int] | None = None) -> lis
     bank, head, net, cfg = state.bank, state.head, state.net, state.config
     tasks = range(1, len(bank) + 1)
     mutable = [head.weight]
-    frozen = [[p.data for p in bank.modulator(t).parameters()] + [bank.prototype(t)] for t in tasks]
+    frozen = []
+    for t in tasks:
+        mod = bank.modulator(t)
+        frozen += [[p.data for site in mod.sites for p in site] + [bank.prototype(t)], mod.generator()]
     if cfg.method == "finetune":
         mutable += [net.w1, net.w2]
     else:
@@ -277,25 +296,25 @@ def _views(buf, shapes) -> list[np.ndarray]:
     return [flat[end - n : end].reshape(s) for s, n, end in zip(shapes, counts, accumulate(counts))]
 
 
-def _read_segments(path, crcs, segments) -> list[list[np.ndarray]]:
-    """The frozen segments of these shapes, read from the sidecar of `path`
-    and checked against their CRCs."""
+def _read_segments(path, crcs, segments, picks) -> list[list[np.ndarray]]:
+    """Segments `picks` of the sidecar of `path`, which must hold all of
+    `segments` (shapes), each read at its offset and checked against its CRC."""
     sidecar = frozen_path(path)
     ends = list(accumulate(map(_nbytes, segments), initial=0))
     try:
         with open(sidecar, "rb") as fh:
-            raw = memoryview(fh.read(ends[-1]))
+            if os.fstat(fh.fileno()).st_size < ends[-1]:
+                raise IntegrityError(f"{sidecar} is truncated")
+            out = []
+            for k in picks:
+                fh.seek(ends[k])
+                raw = fh.read(ends[k + 1] - ends[k])
+                if zlib.crc32(raw) != crcs[k]:
+                    raise IntegrityError(f"{sidecar} failed its checksum (segment {k}, {_segment_name(k)})")
+                out.append(_views(raw, segments[k]))
+            return out
     except FileNotFoundError:
         raise IntegrityError(f"{sidecar} is missing; copy it along with {path}") from None
-    if len(raw) < ends[-1]:
-        raise IntegrityError(f"{sidecar} is truncated")
-    out = []
-    for t, (crc, shapes) in enumerate(zip(crcs, segments)):
-        seg = raw[ends[t] : ends[t + 1]]
-        if zlib.crc32(seg) != crc:
-            raise IntegrityError(f"{sidecar} failed its checksum (segment {t})")
-        out.append(_views(seg, shapes))
-    return out
 
 
 def load_checkpoint(path) -> RunState:
@@ -328,7 +347,9 @@ def load_checkpoint(path) -> RunState:
     accuracy = logs[..., 1:]  # validation accuracy is NaN for a task without validation nodes
     if not (np.isnan(accuracy) | (0 <= accuracy) & (accuracy <= 100)).all():
         raise IntegrityError(f"{path} is malformed: an epoch log holds an accuracy outside [0, 100]")
-    frozen = _read_segments(path, header["crcs"], segments)
+    crcs = header["crcs"]
+    # segment 0 and each task's inference form; the generators wait until needed
+    frozen = _read_segments(path, crcs, segments, [k for k in range(len(segments)) if k == 0 or k % 2])
 
     def cast(view, copy=True):
         """The stored values in the run's dtype, which must hold them exactly
@@ -349,9 +370,18 @@ def load_checkpoint(path) -> RunState:
         (w1, w2), *tasks = frozen
         views = cfg.np_dtype == np.float64
         net = Backbone(cast(w1, copy=False), cast(w2, copy=False))
-        for *params, vector in tasks:
-            mod = Modulator.from_arrays([cast(p, copy=False) for p in params])
-            bank.commit(vector if views else vector.copy(), mod)
+
+        def generator(k):
+            """Segment k, task k // 2's generator, read when first needed."""
+            return lambda: [cast(v, copy=False) for v in _read_segments(path, crcs, segments, [k])[0]]
+
+        bank = PrototypeBank.restore(
+            (
+                vector if views else vector.copy(),
+                Modulator.from_frozen([cast(a, copy=False) for a in arrays], generator(2 * t)),
+            )
+            for t, (*arrays, vector) in enumerate(tasks, 1)
+        )
 
     stages = header["stages"]
     # Every trained task's columns are frozen, except under finetune, which freezes none.

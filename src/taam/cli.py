@@ -166,6 +166,8 @@ def _cmd_ablate(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if args.seeds < 1:
         raise ContractError(f"--seeds must be >= 1, got {args.seeds}")
+    if not np.isfinite(args.tolerance) or args.tolerance < 0:
+        raise ContractError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     worst_overall = 0.0
     failed = False
     for seed in range(args.seeds):

@@ -185,6 +185,9 @@ def generate_sbm(
         raise ContractError("need at least one class and one node per class")
     if not (0.0 <= p_out <= p_in <= 1.0):
         raise ContractError(f"need 0 <= p_out <= p_in <= 1, got p_in={p_in} p_out={p_out}")
+    for name, value in (("separation", separation), ("feature_noise", feature_noise)):
+        if not np.isfinite(value):
+            raise ContractError(f"{name} must be finite, got {value}")
     n = num_classes * nodes_per_class
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), nodes_per_class)
     rng = rng_for(seed, "sbm")

@@ -376,6 +376,11 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
     if resume is not None:
         resume.check_config(cfg)
         _check_stream(stream, resume)
+        # Any stored task may be a donor and the first save rewrites the
+        # sidecar, so every generator is read now: a damaged one stops the
+        # run before it trains or writes.
+        for t in range(1, len(resume.bank) + 1):
+            resume.bank.modulator(t).generator()
     first_stage = 1 if resume is None else resume.stage + 1
     last = t_total if stop_after is None else min(int(stop_after), t_total)
     if last < min(first_stage, t_total):

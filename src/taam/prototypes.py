@@ -38,6 +38,17 @@ class PrototypeBank:
     def __init__(self):
         self._entries: list[tuple[np.ndarray, Modulator]] = []
 
+    @classmethod
+    def restore(cls, entries) -> "PrototypeBank":
+        """A bank of stored (prototype, frozen modulator) pairs, task 1 first."""
+        bank = cls()
+        for proto, mod in entries:
+            if not mod.frozen:
+                raise ContractError("a restored modulator must be frozen")
+            proto.setflags(write=False)
+            bank._entries.append((proto, mod))
+        return bank
+
     def __len__(self) -> int:
         return len(self._entries)
 

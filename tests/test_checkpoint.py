@@ -3,6 +3,7 @@ crash safety."""
 
 import dataclasses
 import json
+import math
 import os
 import shutil
 import signal
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 import taam
 from taam import fileio, harness
 from taam.backbone import Backbone
-from taam.checkpoint import MAGIC, VERSION, frozen_path, load_checkpoint, save_checkpoint
+from taam.checkpoint import MAGIC, VERSION, frozen_path, load_checkpoint, payload_layout, save_checkpoint
 from taam.cli import main
 from taam.config import make_config
 from taam.errors import ContractError, IntegrityError, VersionError
@@ -57,10 +58,17 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def frozen_arrays(state, t):
+    """Task t's frozen modulator in storage order (inference form, then
+    generator), then its prototype."""
+    mod = state.bank.modulator(t)
+    return [p.data for site in mod.sites for p in site] + mod.generator() + [state.bank.prototype(t)]
+
+
 def stored_arrays(state):
     arrays = [state.net.w1, state.net.w2, state.head.weight]
     for t in range(1, len(state.bank) + 1):
-        arrays += [p.data for p in state.bank.modulator(t).parameters()] + [state.bank.prototype(t)]
+        arrays += frozen_arrays(state, t)
     return arrays
 
 
@@ -98,8 +106,7 @@ def test_loaded_frozen_blocks_are_views_of_the_bytes_read_in_f64(tmp_path, preci
     state = load_checkpoint(path)
     frozen = [state.net.w1, state.net.w2]
     for t in (1, 2):
-        frozen += [p.data for p in state.bank.modulator(t).parameters()]
-        frozen.append(state.bank.prototype(t))
+        frozen += frozen_arrays(state, t)
     for a in frozen:
         assert not a.flags.writeable
         if precision == "f64":  # no cast, so no copy: a view of the bytes read
@@ -135,7 +142,20 @@ def test_f32_round_trip_exact(tmp_path):
     assert state.net.w1.dtype == np.float32
     assert np.array_equal(state.net.w1, res.state.net.w1)
     assert state.head.weight.dtype == np.float32
-    assert state.bank.modulator(1).embedding.dtype == np.float32
+    mod = state.bank.modulator(1)
+    assert all(p.dtype == np.float32 for site in mod.sites for p in site)
+    assert all(a.dtype == np.float32 for a in mod.generator())
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_loaded_bases_equal_the_bases_in_memory(tmp_path, precision):
+    _, _, res, path = small_run(tmp_path, precision=precision)
+    state = load_checkpoint(path)
+    for t in (1, 2):
+        kept, loaded = res.state.bank.modulator(t).sites, state.bank.modulator(t).sites
+        assert len(kept) == len(loaded) == 2
+        for (basis, _, _), (again, _, _) in zip(kept, loaded):
+            assert same_bits(basis.data, again.data)
 
 
 def test_loader_builds_the_net_by_method(tmp_path):
@@ -172,7 +192,7 @@ def test_unsupported_version(tmp_path):
 
 def test_format_1_file_is_a_version_error(tmp_path):
     _, _, _, path = small_run(tmp_path)
-    for version in (1, 2, 3):  # formats 2 and 3 are as unreadable as format 1
+    for version in (1, 2, 3, 4):  # formats 2 to 4 are as unreadable as format 1
         raw = bytearray(path.read_bytes())
         raw[8:12] = struct.pack("<I", version)
         old = tmp_path / f"v{version}.bin"
@@ -206,16 +226,32 @@ def cut_sidecar(path):
     sidecar.write_bytes(sidecar.read_bytes()[:-8])
 
 
-def flip_sidecar_byte(path):
+def segment_bounds(path):
+    """Start and end byte of each sidecar segment of the checkpoint at `path`."""
+    header, _ = read_header(path)
+    stages, in_dim = header["stages"], header["in_dim"]
+    classes = sum(len(s["classes"]) for s in stages)
+    _, segments = payload_layout(make_config(header["config"]), in_dim, len(stages), classes)
+    ends = np.cumsum([0] + [8 * sum(math.prod(shape) for shape in seg) for seg in segments])
+    return list(zip(ends[:-1], ends[1:]))
+
+
+def flip_byte_of_segment(path, k):
+    start, end = segment_bounds(path)[k]
     sidecar = Path(frozen_path(path))
     raw = bytearray(sidecar.read_bytes())
-    raw[len(raw) // 2] ^= 0xFF
+    raw[(start + end) // 2] ^= 0xFF
     sidecar.write_bytes(bytes(raw))
 
 
+def flip_sidecar_byte(path):
+    flip_byte_of_segment(path, 3)  # task 2's inference form, which every load reads
+
+
 def swap_task_segments(path):
-    # tasks 1 and 2 have equal lengths, so only their checksums tell them apart
-    swap = lambda h: {**h, "crcs": [h["crcs"][0], h["crcs"][2], h["crcs"][1]]}
+    # the inference segments of tasks 1 and 2 have equal lengths, so only
+    # their checksums tell them apart
+    swap = lambda h: {**h, "crcs": [h["crcs"][i] for i in (0, 3, 2, 1, 4)]}
     os.replace(with_header(path, path.with_name("swapped.bin"), swap), path)
 
 
@@ -243,6 +279,46 @@ def test_sidecar_damage_is_integrity_error(tmp_path, damage, message):
     with pytest.raises(IntegrityError, match=message):
         load_checkpoint(path)
     assert main(["eval", "--checkpoint", str(path)]) == 1
+
+
+@pytest.mark.parametrize("task", [1, 2, 3])
+def test_a_damaged_generator_stops_a_resume_but_not_an_eval(tmp_path, capsys, task):
+    # only a warm start reads a generator, so evaluating never does; a
+    # resume reads them all before it trains or writes anything
+    conf = tmp_path / "run.conf"
+    conf.write_text("dataset = sbm:classes=6,npc=25,dim=8,sep=10\nhidden_dim = 16\nepochs = 5\n")
+    out = tmp_path / "out"
+    ckpt = out / "checkpoint.bin"
+    run = ["run", "--config", str(conf), "--out", str(out)]
+    assert main(run) == 0
+    assert main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "intact")]) == 0
+    k = 2 * task
+    flip_byte_of_segment(ckpt, k)
+
+    assert main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "flipped")]) == 0
+    summary = lambda d: json.loads((tmp_path / d / "eval_summary.json").read_text())
+    assert summary("flipped") == summary("intact")
+
+    capsys.readouterr()
+    resumed = tmp_path / "resumed"
+    assert main([*run[:-1], str(resumed), "--resume", str(ckpt)]) == 1
+    assert f"failed its checksum (segment {k}, task {task}'s generator)" in capsys.readouterr().err
+    assert list(resumed.iterdir()) == []
+
+
+def test_a_resume_reads_every_generator_before_it_trains(tmp_path, monkeypatch):
+    # without a warm start no later stage would read task 1's generator
+    # until the save that rewrites the sidecar
+    conf = tmp_path / "run.conf"
+    conf.write_text("dataset = sbm:classes=6,npc=25,dim=8,sep=10\nhidden_dim = 16\nepochs = 5\n")
+    run = ["run", "--config", str(conf), "--ablation", "retrieval_only"]
+    assert main([*run, "--out", str(tmp_path / "out"), "--stop-after", "1"]) == 0
+    ckpt = tmp_path / "out" / "checkpoint.bin"
+    flip_byte_of_segment(ckpt, 2)
+    trained = []
+    monkeypatch.setattr(harness, "train_task", lambda *args: trained.append(args))
+    assert main([*run, "--out", str(tmp_path / "resumed"), "--resume", str(ckpt)]) == 1
+    assert trained == [] and list((tmp_path / "resumed").iterdir()) == []
 
 
 def test_sidecar_bytes_past_the_listed_segments_are_ignored(tmp_path):
@@ -618,8 +694,8 @@ def test_epoch_log_accuracy_out_of_range_is_integrity_error(tmp_path, column, va
 
 def test_header_naming_a_missing_block_is_integrity_error(tmp_path):
     _, _, _, path = small_run(tmp_path)
-    without_task2 = lambda h: {**h, "crcs": h["crcs"][:-1]}
-    with pytest.raises(IntegrityError, match="2 CRCs where the stored config implies 3 segments"):
+    without_task2 = lambda h: {**h, "crcs": h["crcs"][:-2]}
+    with pytest.raises(IntegrityError, match="3 CRCs where the stored config implies 5 segments"):
         load_checkpoint(with_header(path, tmp_path / "bad.bin", without_task2))
 
 
@@ -650,8 +726,8 @@ def in_stage(t, **edits):
         (lambda h: {**h, "tasks_total": 1}, "2 stages, outside 1..1"),
         (lambda h: {**h, "crcs": [-1] + h["crcs"][1:]}, "a CRC is not a u32"),
         (lambda h: {**h, "crcs": [2**32] + h["crcs"][1:]}, "a CRC is not a u32"),
-        (lambda h: {**h, "crcs": h["crcs"] + [0]}, "4 CRCs where the stored config implies 3 segments"),
-        (lambda h: {**h, "crcs": h["crcs"][:-1]}, "2 CRCs where the stored config implies 3 segments"),
+        (lambda h: {**h, "crcs": h["crcs"] + [0]}, "6 CRCs where the stored config implies 5 segments"),
+        (lambda h: {**h, "crcs": h["crcs"][:-1]}, "4 CRCs where the stored config implies 5 segments"),
         (in_stage(1, inferred=lambda i: [99]), "stage 1 must hold"),
         (in_stage(2, inferred=lambda i: [0, i[1]]), "stage 2 must hold"),
         (in_stage(2, inferred=lambda i: [i[0], 3]), "stage 2 must hold"),

@@ -155,6 +155,29 @@ def test_gradcheck_without_seeds_is_a_usage_error(capsys, seeds):
     assert "--seeds must be >= 1" in captured.err and "worst over" not in captured.out
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-4"])
+def test_gradcheck_with_a_bad_tolerance_is_a_usage_error(capsys, tolerance):
+    # "worst > nan" is false, so a NaN tolerance would pass every seed
+    assert run_cli("gradcheck", "--seeds", "1", f"--tolerance={tolerance}") == 2
+    captured = capsys.readouterr()
+    assert "--tolerance must be finite and >= 0" in captured.err and "seed=0" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["gen-sbm", "--noise", "nan"], "feature_noise"),
+        (["gen-sbm", "--separation", "inf"], "separation"),
+        (["run", "--dataset", "sbm:sep=nan"], "separation"),
+        (["run", "--dataset", "sbm:noise=-inf"], "feature_noise"),
+    ],
+)
+def test_non_finite_sbm_parameter_is_a_usage_error(tmp_path, capsys, argv, name):
+    assert run_cli(*argv, "--out", str(tmp_path / "x")) == 2
+    assert f"error: {name} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists() or list((tmp_path / "x").iterdir()) == []
+
+
 def test_gen_sbm_round_trips_through_parser(tmp_path, capsys):
     prefix = tmp_path / "toy" / "toy"
     assert run_cli("gen-sbm", "--out", str(prefix), "--classes", "3",

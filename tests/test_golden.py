@@ -107,7 +107,7 @@ def run_digests(workdir, config, flags) -> dict:
 FINGERPRINT = "numpy 2.4.6; OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64"
 GOLDEN = {
     "finetune-f64": {
-        "checkpoint.bin": "004b289acfc8aaace0eaa39b7d6e240e483bcbd230ed8cedf84beba38fbdae36",
+        "checkpoint.bin": "861ed4d879fd86fd8e7f417ae11a5e388a854f3e33abb1f910d39d6b81caf18c",
         "checkpoint.bin.frozen": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "matrix.csv": "aa7951b49a945927955a6ad1e207b0017e218256b80ff8a518fdbba25dca4493",
         "summary.json": "7246be840017e3d3f99bf6a9011d67b128ad4ed0339a52d31fa77317cfb1a7f7",
@@ -116,8 +116,8 @@ GOLDEN = {
         "task_03_train.log": "1c6d6523872607b0ca65629e5d775952a5e4234afc1001983cb153162723f000",
     },
     "oracle-f64": {
-        "checkpoint.bin": "91a32322ec63af1ddeaae646ebcdfa51675f2d4c93ada0773b4e3f2b08f5ef27",
-        "checkpoint.bin.frozen": "9569538bdaa42274b74b0d101a41d14b48055468f54ba911641adbbfb0fab573",
+        "checkpoint.bin": "6fd18acad56b0ebb84bda8975ce19bf7ff9e79e501d22430ef15936c6df0434d",
+        "checkpoint.bin.frozen": "7b92c9e4732c0ed3e7137da03ba030d17b193b4ef2bde2e8700c14945d7cbf9f",
         "matrix.csv": "7136e86a046cdef9c1ecc33f92f3ea12ea4bb31a74e168eef9c4834afa2a3d84",
         "summary.json": "4d4837c4298aecd1ab9f1446850654ee6dd4a4ca3b11b2241f3ee694581ff460",
         "task_01_train.log": "ccfb8156257486546fe9ef53a6517d8b540c51a464e063f9822e917a71ebeb96",
@@ -125,8 +125,8 @@ GOLDEN = {
         "task_03_train.log": "451a7cae51c75b32550af94cbd1258f8ae39f20a1f1c37aa0b12cb3cf12b9428",
     },
     "taam-full-f32": {
-        "checkpoint.bin": "cf0e0a25e29b9e403d8081eb132ff9813cfe18789f0816ddd1e283d9ee2050b1",
-        "checkpoint.bin.frozen": "a0512b76980bc662949a2bfc178c89303c1f01345515268d22b43826a861d7b1",
+        "checkpoint.bin": "22761dea59660d352fc738fe73cb38fde23806743ae9e0b4262faa03893eed7d",
+        "checkpoint.bin.frozen": "d7829b5771b8e1297deea3ac92380413851875a2c8893652abfecc8cf8b87045",
         "matrix.csv": "7136e86a046cdef9c1ecc33f92f3ea12ea4bb31a74e168eef9c4834afa2a3d84",
         "summary.json": "9e51fbf7c176e2cabec97ee707601b02693ddd61c1a456256179b15d9fc3f5a3",
         "task_01_train.log": "53db96dc48b583c906a6f095253a2aecec2b16a9a610a2696a6f734d87a2f586",
@@ -134,16 +134,16 @@ GOLDEN = {
         "task_03_train.log": "160a96ff56d38b9157280ebae0dfdd2e74b6e503dc75eec4c4c562646877d1fd",
     },
     "taam-full-f32-wide": {
-        "checkpoint.bin": "578e049fcdb9a2b2ec14c780b4f766759c8d3bdcdcd1085644e5eb033bbb10d7",
-        "checkpoint.bin.frozen": "3eadcb63201fe09915f23a086075f941badf1bef13b39ed6874a68a9595eaa54",
+        "checkpoint.bin": "dabaae72ae9cd38e507ec184b61b80da299b48efb4b88bb59e457797d2cef83b",
+        "checkpoint.bin.frozen": "858de85a5adeb121b8ce21e692bea73defcd76e9f7889f5e1b3df2b39441390f",
         "matrix.csv": "3ecf937403dbeb81d83ed985985d74064bda4f823a3722bfa3fe4038dbc0bcdf",
         "summary.json": "8d131d94901ef1567c008543b8785b11d26dde7cede21dbee8001d3260c46970",
         "task_01_train.log": "6c6df0ef6f28d83f23e72c64b68a1cd04c987cfa1b3d4df421f494c040c12ca6",
         "task_02_train.log": "90b0671e7f44d9c64344f7869c769bfec13988f71fd85c0af488bd243f3e9993",
     },
     "taam-full-f64": {
-        "checkpoint.bin": "a5ccc90530ef4abefa14a34125e60098dddfe8420d59c6b42abb19d4241f5f24",
-        "checkpoint.bin.frozen": "9569538bdaa42274b74b0d101a41d14b48055468f54ba911641adbbfb0fab573",
+        "checkpoint.bin": "48e07303b02a3475ee42693a6c5dc7ef8ff0c195c5502b63bf591b1bafe847d0",
+        "checkpoint.bin.frozen": "7b92c9e4732c0ed3e7137da03ba030d17b193b4ef2bde2e8700c14945d7cbf9f",
         "matrix.csv": "7136e86a046cdef9c1ecc33f92f3ea12ea4bb31a74e168eef9c4834afa2a3d84",
         "summary.json": "aa7243e31abb0f81b866493dc3dbbb729227f7861c5687d998fbaacac867705a",
         "task_01_train.log": "ccfb8156257486546fe9ef53a6517d8b540c51a464e063f9822e917a71ebeb96",
@@ -151,8 +151,8 @@ GOLDEN = {
         "task_03_train.log": "451a7cae51c75b32550af94cbd1258f8ae39f20a1f1c37aa0b12cb3cf12b9428",
     },
     "taam-nsm_only-f64": {
-        "checkpoint.bin": "095e981fa9eb2880d1dc028ccb92e13b067026f8bcc4a3b5e336d03ec3af12d3",
-        "checkpoint.bin.frozen": "243ef7f4a00eccacb27fb8fc3d9fe3a7233dddb62a37ed83950ef032db5a636a",
+        "checkpoint.bin": "eab5d6619d950954fd2416f6d0db10dba7b0ca610e2afc62f3cb4260b5521828",
+        "checkpoint.bin.frozen": "2dd8d1b4e199ebebff106dceb27b08c1943d3298d1a118c116503fc2b8b870f4",
         "matrix.csv": "8001f17262fa3a545b4a0544b509c6a31846f4339ec99753a602671f545bf727",
         "summary.json": "53b160de2b5cc636f56c3c64a198080f1405fed198e4472e0ce7439bd454b8cd",
         "task_01_train.log": "ccfb8156257486546fe9ef53a6517d8b540c51a464e063f9822e917a71ebeb96",
@@ -160,8 +160,8 @@ GOLDEN = {
         "task_03_train.log": "9093fb493ed7d3ce944548ba77e549700bc93701ff17f8e533e55f596e7cdfad",
     },
     "taam-retrieval_only-f64": {
-        "checkpoint.bin": "8d3ece364a1f5837c7af7af8efb6da4102353a754d6ffdb6bac4e57c85c7ce31",
-        "checkpoint.bin.frozen": "243ef7f4a00eccacb27fb8fc3d9fe3a7233dddb62a37ed83950ef032db5a636a",
+        "checkpoint.bin": "eaff0afbe0db9f171c2ecf448156efb0a4f374f6ce79aa7618c2f74977cad790",
+        "checkpoint.bin.frozen": "2dd8d1b4e199ebebff106dceb27b08c1943d3298d1a118c116503fc2b8b870f4",
         "matrix.csv": "d8c42f840d0df11a8edbda86ab6e1fadeaa91265849923c00e0d45a4e2823fc5",
         "summary.json": "ab8abce7a91fd55d5accb9779795761491b07c5013b4e9ad138491fd39dbfefb",
         "task_01_train.log": "ccfb8156257486546fe9ef53a6517d8b540c51a464e063f9822e917a71ebeb96",

@@ -348,3 +348,11 @@ def test_sbm_contracts():
         generate_sbm(2, 10, 0.1, 0.3, 4, 1.0, seed=0)  # p_out > p_in
     with pytest.raises(ContractError):
         generate_sbm(0, 10, 0.3, 0.1, 4, 1.0, seed=0)
+
+
+@pytest.mark.parametrize("name", ["separation", "feature_noise"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_sbm_rejects_a_non_finite_separation_or_noise(name, value):
+    kwargs = {"separation": 2.0, "feature_noise": 1.0, name: value}
+    with pytest.raises(ContractError, match=f"{name} must be finite"):
+        generate_sbm(3, 4, 0.5, 0.1, 3, seed=0, **kwargs)

@@ -17,6 +17,7 @@ from taam.modulator import (
     EMBED_INIT_STD,
     Modulator,
     clone_structural,
+    frozen_layout,
     init_modulator,
     modulate,
     param_layout,
@@ -175,18 +176,61 @@ def test_parameters_order_and_dtype():
 
 def test_freeze_locks_everything():
     mod = fresh()
+    (w_base, b_base, w_attn, b_attn), e = mod.sites[0], mod.embedding.data
     mod.freeze()
-    assert mod.frozen
-    for p in mod.parameters():
-        assert not p.requires_grad and p.grad is None
+    assert mod.frozen and mod.embedding is None and mod.parameters() == []
+    basis, attn_w, attn_b = mod.sites[0]
+    assert attn_w is not w_attn and attn_w.data is w_attn.data and attn_b.data is b_attn.data
+    assert basis.data.tobytes() == (w_base.data @ e + b_base.data).reshape(3, 12).tobytes()
+    assert [a is b for a, b in zip(mod.generator(), (w_base.data, b_base.data))] == [True, True]
+    for a in [t.data for t in mod.sites[0]] + mod.generator():
         with pytest.raises(ValueError):
-            p.data[0] = 0.0
-    # frozen params record nothing on a tape
+            a[0] = 0.0
+    for t in mod.sites[0]:
+        assert not t.requires_grad
+    # frozen weights record nothing on a tape
     h = Tensor(np.ones((2, 6)), requires_grad=True)
     with Tape() as tape:
         loss = sum_all(modulate(mod.sites[0], mod.embedding, h))
     tape.backward(loss)
-    assert mod.sites[0][0].grad is None and h.grad is not None
+    assert all(t.grad is None for t in mod.sites[0]) and h.grad is not None
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+def test_frozen_site_gives_the_trainable_bits(dtype):
+    # the stored basis is the one each trainable forward computes
+    mod = init_modulator([40, 256], rng_for(3, "t"), embed_dim=64, heads=3, dtype=dtype)
+    rng = np.random.default_rng(3)
+    hs = [Tensor(rng.normal(size=(30, w)).astype(dtype)) for w in (40, 256)]
+    before = [modulate(site, mod.embedding, h).data for site, h in zip(mod.sites, hs)]
+    mod.freeze()
+    after = [modulate(site, mod.embedding, h).data for site, h in zip(mod.sites, hs)]
+    for a, b in zip(before, after):
+        assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()
+
+
+def test_frozen_layout_is_the_frozen_modulator():
+    mod = init_modulator([3, 2], rng_for(0, "z"), embed_dim=4, heads=2)
+    mod.freeze()
+    inference, generator = frozen_layout([3, 2], 2, 4)
+    assert [t.shape for site in mod.sites for t in site] == inference
+    assert [a.shape for a in mod.generator()] == generator
+
+
+def test_from_frozen_reads_the_generator_once_when_first_needed():
+    src = fresh(seed=4)
+    src.freeze()
+    reads = []
+    arrays = [t.data.copy() for site in src.sites for t in site]
+    loaded = Modulator.from_frozen(arrays, lambda: reads.append(1) or [a.copy() for a in src.generator()])
+    assert loaded.frozen and reads == []
+    assert all(not a.flags.writeable for a in arrays)
+    clone = clone_structural(loaded, rng_for(1, "c"))
+    assert loaded.generator() is loaded.generator() and reads == [1]
+    assert all(not a.flags.writeable for a in loaded.generator())
+    want = clone_structural(src, rng_for(1, "c"))
+    for a, b in zip(clone.parameters(), want.parameters()):
+        assert a.data.tobytes() == b.data.tobytes()
 
 
 def test_gradients_reach_every_parameter():
@@ -209,17 +253,21 @@ def test_clone_requires_frozen_source():
 
 def test_clone_copies_sites_redraws_embedding():
     src = fresh(seed=12)
+    trained = [t.data.copy() for t in src.parameters()]
     src.freeze()
     clone = clone_structural(src, rng_for(1, "c"))
     assert not clone.frozen
-    for a, b in zip(clone.sites[0], src.sites[0]):
-        assert np.array_equal(a.data, b.data)
+    for a, b in zip(clone.sites[0], trained):
+        assert np.array_equal(a.data, b)
         assert a.requires_grad
-    assert not np.array_equal(clone.embedding.data, src.embedding.data)
+    # the embedding is drawn as init_modulator draws it: same shape, dtype and scale
+    redraw = rng_for(1, "c").normal(0.0, EMBED_INIT_STD, size=(5, 1))
+    assert np.array_equal(clone.embedding.data, redraw)
+    assert not np.array_equal(clone.embedding.data, trained[-1])
     # mutating the clone must not leak into the frozen source
-    before = src.sites[0][0].data.copy()
+    before = src.generator()[0].copy()
     clone.sites[0][0].data[0, 0] += 1.0
-    assert np.array_equal(src.sites[0][0].data, before)
+    assert np.array_equal(src.generator()[0], before)
 
 
 def test_site_params_shape_checks():

@@ -105,6 +105,16 @@ def test_commit_rejects_frozen_or_duplicate_modulator():
         bank.commit(np.ones(1), pre_frozen)
 
 
+def test_restore_keeps_frozen_pairs_only():
+    done = mod_for((1,), seed=1)
+    done.freeze()
+    proto = np.zeros(1)
+    bank = PrototypeBank.restore([(proto, done)])
+    assert len(bank) == 1 and bank.modulator(1) is done and not proto.flags.writeable
+    with pytest.raises(ContractError, match="frozen"):
+        PrototypeBank.restore([(np.zeros(1), mod_for((1,), seed=2))])
+
+
 def test_commit_rejects_dim_drift():
     bank = bank_with([[1.0, 2.0]], widths=(2,))
     with pytest.raises(ShapeError):
@@ -138,9 +148,11 @@ def test_task_aware_init_clones_nearest_donor():
     mod, donor = task_aware_init(bank, query, (3,), rng_for(1, "w"), embed_dim=4, heads=2)
     assert donor == nearest_oracle(vectors, query) == 2
     donor_mod = bank.modulator(2)
-    for a, b in zip(mod.sites[0], donor_mod.sites[0]):
-        assert np.array_equal(a.data, b.data)
-    assert not np.array_equal(mod.embedding.data, donor_mod.embedding.data)
+    w_base, b_base = donor_mod.generator()
+    _, w_attn, b_attn = donor_mod.sites[0]
+    for a, b in zip(mod.sites[0], (w_base, b_base, w_attn.data, b_attn.data)):
+        assert np.array_equal(a.data, b)
+    assert mod.embedding.shape == (4, 1)
     with pytest.raises(ContractError, match="widths"):
         task_aware_init(bank, query, (4,), rng_for(1, "w"), embed_dim=4, heads=2)
 
