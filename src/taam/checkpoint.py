@@ -17,7 +17,10 @@ The header has five keys: "config" (the run's `RunConfig.echo()`),
 "tasks_total", "in_dim" (the input feature width), "stages" (one record per
 completed stage t: "classes", task t's class ids in column order;
 "accuracy", matrix row t; "inferred", the task id picked for each of tasks
-1..t or null; "donor", task t's warm-start donor or null) and "crcs".
+1..t or null; "donor", task t's warm-start donor or null) and "crcs".  A
+stage record and its epoch log load as one `Stage`, and `RunState` derives
+the accuracy matrix, AA and AF (defined here, next to it), the retrieval log
+and the donors from its stages.
 
 `frozen_path(path)` (`path` + ".frozen") holds the blocks that never change
 once written, as consecutive segments of raw float64 little-endian, C order.
@@ -47,8 +50,7 @@ Each fact is stored once.  `payload_layout` derives every block shape, and
 so every segment length, from the config (the epoch count among it), the
 input width, the stage count (the number of records) and the class count.
 A finished task's classifier columns are frozen, except under method
-finetune, which freezes none, and the retrieval log and the task logs are
-rebuilt from the records and the epoch logs.  The loader requires exactly
+finetune, which freezes none.  The loader requires exactly
 the five keys, each well typed; the stored config to validate and to equal
 its own `RunConfig.echo()`; 1..tasks_total stages with disjoint class
 groups, inferred task ids in 1..t and donors before t; epoch-log
@@ -73,7 +75,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate
 
 import numpy as np
 
@@ -84,7 +86,7 @@ from .errors import ContractError, IntegrityError, VersionError
 from .fileio import write_at, write_atomic
 from .modulator import Modulator, frozen_layout
 from .prototypes import PrototypeBank
-from .training import EpochLog, FinetuneModel, TaskTrainLog
+from .training import FinetuneModel, accuracy_percent
 
 MAGIC = b"TAAMCKPT"
 VERSION = 5
@@ -94,13 +96,55 @@ _CONFIG_KEYS_IGNORED_ON_RESUME = ("out_dir",)
 
 
 @dataclass
+class Stage:
+    """Completed stage t as its checkpoint record stores it (see above), with
+    task t's (epochs, 3) float64 log of loss, train and validation accuracy."""
+
+    accuracy: list[float]
+    inferred: list[int | None]
+    donor: int | None
+    epochs: np.ndarray
+
+
+def average_accuracy(matrix: np.ndarray) -> float:
+    """Mean of the final row (accuracy on every task after the last stage)."""
+    last = matrix[-1]
+    if np.isnan(last).any():
+        raise ContractError("final matrix row is incomplete")
+    return float(last.mean())
+
+
+def average_forgetting(matrix: np.ndarray) -> float:
+    """Mean over earlier tasks of (accuracy right after training it) minus
+    (accuracy after the final stage).  Positive means performance was lost."""
+    t = matrix.shape[0]
+    if t < 2:
+        raise ContractError("forgetting needs at least two stages")
+    diag = np.diagonal(matrix)[: t - 1]
+    final = matrix[-1, : t - 1]
+    if np.isnan(diag).any() or np.isnan(final).any():
+        raise ContractError("matrix entries needed for forgetting are missing")
+    return float((diag - final).mean())
+
+
+def decisions(inferred: list[int | None]) -> list[dict]:
+    """The retrieval-log records of stage t, which picked `inferred[j - 1]` for task j in 1..t."""
+    t = len(inferred)
+    return [
+        {"stage": t, "task": j, "true": j, "inferred": i, "correct": None if i is None else i == j}
+        for j, i in enumerate(inferred, 1)
+    ]
+
+
+@dataclass
 class RunState:
     """A run at a stage boundary: everything needed to continue or re-evaluate it.
 
-    `run_continual` advances one of these in place, stage by stage.  `net` is
-    the frozen Backbone, or for method finetune the trainable FinetuneModel;
-    either way `net.w1` and `net.w2` are ndarrays in the run's dtype.
-    `task_logs` holds one training log per completed stage.
+    `run_continual` advances one of these in place, stage by stage, and
+    returns it.  `net` is the frozen Backbone, or for method finetune the
+    trainable FinetuneModel; either way `net.w1` and `net.w2` are ndarrays in
+    the run's dtype.  `stages` holds one record per completed stage; the
+    properties below derive the run's results from it.
     """
 
     config: RunConfig
@@ -108,19 +152,47 @@ class RunState:
     net: Backbone | FinetuneModel
     bank: PrototypeBank
     head: ClassifierHead
-    matrix_rows: list[list[float]]
-    retrieval_log: list[dict]
-    task_logs: list[TaskTrainLog]
+    stages: list[Stage]
 
     @property
-    def stage(self) -> int:
-        """The last completed stage: each one adds a matrix row."""
-        return len(self.matrix_rows)
+    def completed(self) -> int:
+        """The last completed stage."""
+        return len(self.stages)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The square accuracy matrix, NaN where no stage has filled it."""
+        out = np.full((self.tasks_total, self.tasks_total), np.nan)
+        for t, s in enumerate(self.stages, 1):
+            out[t - 1, :t] = s.accuracy
+        return out
+
+    @property
+    def aa(self) -> float:
+        t = self.completed
+        return average_accuracy(self.matrix[:t, :t])
+
+    @property
+    def af(self) -> float | None:
+        """Average forgetting, or None before a second stage."""
+        t = self.completed
+        return average_forgetting(self.matrix[:t, :t]) if t >= 2 else None
+
+    @property
+    def retrieval_log(self) -> list[dict]:
+        return [d for s in self.stages for d in decisions(s.inferred)]
+
+    @property
+    def per_stage_retrieval(self) -> list[float] | None:
+        """Share of correct task ids per stage, for variants that pick one per task."""
+        if self.config.variant.task_id not in ("retrieved", "true"):
+            return None
+        return [accuracy_percent(np.array(s.inferred), np.arange(1, t + 1)) for t, s in enumerate(self.stages, 1)]
 
     @property
     def donors(self) -> list[int | None]:
         """The warm-start donor of each completed stage's task."""
-        return [tl.donor for tl in self.task_logs]
+        return [s.donor for s in self.stages]
 
     def check_config(self, cfg) -> None:
         stored = {k: v for k, v in self.config.echo().items() if k not in _CONFIG_KEYS_IGNORED_ON_RESUME}
@@ -130,12 +202,6 @@ class RunState:
                 k for k in set(stored) | set(current) if stored.get(k) != current.get(k)
             )
             raise ContractError(f"checkpoint config does not match current config; differs in {diff}")
-
-
-def decision(stage: int, task: int, inferred: int | None) -> dict:
-    """The retrieval-log record for `task` at `stage`; `inferred` is None if no task id is picked."""
-    correct = None if inferred is None else inferred == task
-    return {"stage": stage, "task": task, "true": task, "inferred": inferred, "correct": correct}
 
 
 def frozen_path(path) -> str:
@@ -191,10 +257,9 @@ def save_checkpoint(path, state: RunState, crcs: list[int] | None = None) -> lis
         mutable += [net.w1, net.w2]
     else:
         frozen.insert(0, [net.w1, net.w2])
-    logs = [[(e.loss, e.train_acc, e.val_acc) for e in tl.epochs] for tl in state.task_logs]
-    mutable.append(np.array(logs, dtype=np.float64))
+    mutable.append(np.array([s.epochs for s in state.stages], dtype=np.float64))
     shapes = ([a.shape for a in mutable], [[a.shape for a in seg] for seg in frozen])
-    wanted = payload_layout(cfg, int(net.w1.shape[0]), state.stage, head.num_classes)
+    wanted = payload_layout(cfg, int(net.w1.shape[0]), len(state.stages), head.num_classes)
     if shapes != wanted:
         raise ContractError(f"run state arrays have shapes {shapes}; its config implies {wanted}")
 
@@ -206,16 +271,14 @@ def save_checkpoint(path, state: RunState, crcs: list[int] | None = None) -> lis
     else:
         write_at(frozen_path(path), sum(map(_nbytes, wanted[1][: len(done)])), chunks)
 
-    inferred = iter([e["inferred"] for e in state.retrieval_log])  # stage t made t decisions
-    stages = [
-        {"classes": classes, "accuracy": row, "inferred": list(islice(inferred, t)), "donor": tl.donor}
-        for t, (classes, row, tl) in enumerate(zip(head.tasks, state.matrix_rows, state.task_logs), 1)
-    ]
     header = {
         "config": cfg.echo(),
         "tasks_total": int(state.tasks_total),
         "in_dim": int(net.w1.shape[0]),
-        "stages": stages,
+        "stages": [
+            {"classes": classes, "accuracy": s.accuracy, "inferred": s.inferred, "donor": s.donor}
+            for classes, s in zip(head.tasks, state.stages)
+        ],
         "crcs": done + [_crc(seg) for seg in fresh],
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -392,10 +455,5 @@ def load_checkpoint(path) -> RunState:
         net=net,
         bank=bank,
         head=head,
-        matrix_rows=[s["accuracy"] for s in stages],
-        retrieval_log=[decision(t, j, i) for t, s in enumerate(stages, 1) for j, i in enumerate(s["inferred"], 1)],
-        task_logs=[
-            TaskTrainLog(t, s["donor"], [EpochLog(e, *row) for e, row in enumerate(epochs, 1)])
-            for t, (s, epochs) in enumerate(zip(stages, logs.tolist()), 1)
-        ],
+        stages=[Stage(s["accuracy"], s["inferred"], s["donor"], epochs) for s, epochs in zip(stages, logs)],
     )

@@ -20,16 +20,17 @@ import json
 import logging
 import os
 import sys
+import time
 
 import numpy as np
 
-from .checkpoint import load_checkpoint
+from .checkpoint import average_accuracy, load_checkpoint
 from .config import ABLATIONS, METHODS, PRECISIONS, RunConfig, make_config, read_config_file
 from .datasets import SBM_DEFAULTS, write_planetoid
 from .errors import ContractError, IntegrityError, NumericError, ParseError
 from .fileio import write_atomic
 from .graph import generate_sbm
-from .harness import evaluate_final_row, run_continual, stream_from_config, write_matrix_csv
+from .harness import evaluate_final_row, run_continual, stream_from_config, summary, write_matrix_csv
 from .training import end_to_end_grad_check
 
 log = logging.getLogger(__name__)
@@ -100,21 +101,29 @@ def _dump_json(path, payload) -> None:
     write_atomic(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")])
 
 
+def _epoch_lines(epochs: np.ndarray) -> list[bytes]:
+    """A task's train log: one line per row of its (epochs, 3) epoch log."""
+    return [
+        f"epoch={e} loss={loss!r} train_acc={train_acc:.4f} val_acc={val_acc:.4f}\n".encode("utf-8")
+        for e, (loss, train_acc, val_acc) in enumerate(epochs.tolist(), 1)
+    ]
+
+
 def _run_one(cfg: RunConfig, out_dir: str, resume_path=None, stop_after=None) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     stream = stream_from_config(cfg)
     resume = load_checkpoint(resume_path) if resume_path else None
     checkpoint_path = os.path.join(out_dir, "checkpoint.bin")
-    result = run_continual(
+    started = time.perf_counter()
+    state = run_continual(
         stream, cfg, resume=resume, checkpoint_path=checkpoint_path, stop_after=stop_after
     )
-    write_matrix_csv(os.path.join(out_dir, "matrix.csv"), result.matrix, result.completed)
-    summary = result.summary(cfg)
-    _dump_json(os.path.join(out_dir, "summary.json"), summary)
-    for task_log in result.state.task_logs:
-        log_path = os.path.join(out_dir, f"task_{task_log.task_id:02d}_train.log")
-        write_atomic(log_path, [(entry.line() + "\n").encode("utf-8") for entry in task_log.epochs])
-    return summary
+    record = summary(state, time.perf_counter() - started)
+    write_matrix_csv(os.path.join(out_dir, "matrix.csv"), state.matrix, state.completed)
+    _dump_json(os.path.join(out_dir, "summary.json"), record)
+    for t, stage in enumerate(state.stages, 1):
+        write_atomic(os.path.join(out_dir, f"task_{t:02d}_train.log"), _epoch_lines(stage.epochs))
+    return record
 
 
 def _cmd_run(args) -> int:
@@ -137,9 +146,9 @@ def _cmd_eval(args) -> int:
     row, decisions = evaluate_final_row(stream_from_config(cfg), cfg, state)
     payload = {
         "checkpoint": args.checkpoint,
-        "stage": state.stage,
+        "stage": state.completed,
         "accuracies": [float(v) for v in row],
-        "AA": float(np.mean(row)),
+        "AA": average_accuracy(row[None]),
         "retrieval": decisions,
     }
     out_dir = args.out or os.path.dirname(os.path.abspath(args.checkpoint))

@@ -2,9 +2,9 @@
 
 Builds disjoint-class task streams from one labeled graph, trains stage by
 stage, and fills the lower-triangular accuracy matrix M[t][j]: accuracy on
-task j's test nodes after finishing stage t.  Average accuracy is the mean
-of the final row; average forgetting is the mean drop from each task's
-just-trained diagonal entry to its final-row entry.
+task j's test nodes after finishing stage t.  The `RunState` that
+`run_continual` returns keeps each stage as a `checkpoint.Stage` and derives
+M and its metrics, AA and AF, which `checkpoint` defines next to RunState.
 
 A stream is one block-diagonal graph: each task's induced subgraph is one
 diagonal block, and a task is a row range of it.  The stream graph is built,
@@ -31,14 +31,13 @@ from __future__ import annotations
 import csv
 import io
 import logging
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .backbone import init_backbone
-from .checkpoint import RunState, decision, save_checkpoint
+from .checkpoint import RunState, Stage, decisions, save_checkpoint
 from .classifier import ClassifierHead
 from .config import check_split_fractions
 from .datasets import resolve_dataset
@@ -247,27 +246,6 @@ def stream_from_config(cfg) -> TaskStream:
     )
 
 
-def average_accuracy(matrix: np.ndarray) -> float:
-    """Mean of the final row (accuracy on every task after the last stage)."""
-    last = matrix[-1]
-    if np.isnan(last).any():
-        raise ContractError("final matrix row is incomplete")
-    return float(last.mean())
-
-
-def average_forgetting(matrix: np.ndarray) -> float:
-    """Mean over earlier tasks of (accuracy right after training it) minus
-    (accuracy after the final stage).  Positive means performance was lost."""
-    t = matrix.shape[0]
-    if t < 2:
-        raise ContractError("forgetting needs at least two stages")
-    diag = np.diagonal(matrix)[: t - 1]
-    final = matrix[-1, : t - 1]
-    if np.isnan(diag).any() or np.isnan(final).any():
-        raise ContractError("matrix entries needed for forgetting are missing")
-    return float((diag - final).mean())
-
-
 def write_matrix_csv(path, matrix: np.ndarray, completed: int) -> None:
     """Rows `stage,task_1..task_T`; cells use repr() so values round-trip exactly."""
     t_total = matrix.shape[1]
@@ -282,38 +260,28 @@ def write_matrix_csv(path, matrix: np.ndarray, completed: int) -> None:
     write_atomic(path, [text.getvalue().encode("utf-8")])
 
 
-@dataclass
-class RunResult:
-    matrix: np.ndarray
-    completed: int
-    aa: float | None
-    af: float | None
-    retrieval_log: list[dict]
-    per_stage_retrieval: list[float] | None
-    donors: list[int | None]
-    wall_time_seconds: float
-    state: "object"
-
-    def summary(self, cfg) -> dict:
-        return {
-            "dataset": cfg.dataset,
-            "method": cfg.method,
-            "ablation": cfg.ablation if cfg.method == "taam" else None,
-            "seed": cfg.seed,
-            "tasks_total": int(self.matrix.shape[0]),
-            "stages_completed": self.completed,
-            "AA": self.aa,
-            "AF": self.af,
-            "per_stage_retrieval_accuracy": self.per_stage_retrieval,
-            "warm_start_donors": self.donors,
-            "wall_time_seconds": self.wall_time_seconds,
-            "config": cfg.echo(),
-        }
+def summary(state: RunState, wall_time_seconds: float) -> dict:
+    """summary.json's record of the run that reached `state`."""
+    cfg = state.config
+    return {
+        "dataset": cfg.dataset,
+        "method": cfg.method,
+        "ablation": cfg.ablation if cfg.method == "taam" else None,
+        "seed": cfg.seed,
+        "tasks_total": state.tasks_total,
+        "stages_completed": state.completed,
+        "AA": state.aa,
+        "AF": state.af,
+        "per_stage_retrieval_accuracy": state.per_stage_retrieval,
+        "warm_start_donors": state.donors,
+        "wall_time_seconds": wall_time_seconds,
+        "config": cfg.echo(),
+    }
 
 
-def _evaluate_stage(stream, cfg, state, stage, embeddings: dict) -> tuple[list[float], list[dict]]:
-    """Matrix row `stage` (accuracy on each task seen so far) and the task-id
-    decision made for each of those tasks.
+def _evaluate_stage(stream, cfg, state, stage, embeddings: dict) -> tuple[list[float], list[int | None]]:
+    """Matrix row `stage` (accuracy on each task seen so far) and the task id
+    picked for each of those tasks (None where the variant picks none).
 
     `embeddings` maps (task j, modulator id) to task j's test embedding.  The
     backbone and every stored modulator are frozen, so within a run each
@@ -323,7 +291,7 @@ def _evaluate_stage(stream, cfg, state, stage, embeddings: dict) -> tuple[list[f
     variant = cfg.variant
     net, bank, head = state.net, state.bank, state.head
     row: list[float] = []
-    decisions: list[dict] = []
+    picks: list[int | None] = []
     for j, x64 in enumerate(stream.propagated_test_rows(cfg.hops, stage), start=1):
         task = stream.tasks[j - 1]
         x = Tensor(x64.astype(cfg.np_dtype, copy=False))
@@ -344,19 +312,8 @@ def _evaluate_stage(stream, cfg, state, stage, embeddings: dict) -> tuple[list[f
         seen = variant.label_space == "seen" or cfg.predict_over_all
         pred = head.predict(emb, None if seen else inferred)
         row.append(accuracy_percent(pred, truth))
-        decisions.append(decision(stage, j, inferred))
-    return row, decisions
-
-
-def _per_stage_retrieval(cfg, retrieval_log, completed) -> list[float] | None:
-    """Share of correct task ids per stage, for variants that pick one per task."""
-    if cfg.variant.task_id not in ("retrieved", "true"):
-        return None
-    out = []
-    for t in range(1, completed + 1):
-        inferred_and_true = [(e["inferred"], e["task"]) for e in retrieval_log if e["stage"] == t]
-        out.append(accuracy_percent(*np.array(inferred_and_true).T))
-    return out
+        picks.append(inferred)
+    return row, picks
 
 
 def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, stop_after=None):
@@ -365,14 +322,14 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
     `resume` is a RunState from a saved checkpoint: training continues after
     its last completed stage and, because every random draw is keyed by
     (seed, purpose, task), reproduces the uninterrupted run exactly.  The run
-    advances that state in place; a checkpoint of every stage trains nothing.
+    advances that state in place and returns it; a checkpoint of every stage
+    trains nothing.
     After each completed stage the checkpoint at `checkpoint_path` is saved:
     its first save writes it whole, each later one appends only the newly
     frozen blocks.  A run that trains nothing saves it once.
     """
     cfg.validate()
     t_total = len(stream.tasks)
-    started = time.perf_counter()
     if resume is not None:
         resume.check_config(cfg)
         _check_stream(stream, resume)
@@ -381,7 +338,7 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
         # run before it trains or writes.
         for t in range(1, len(resume.bank) + 1):
             resume.bank.modulator(t).generator()
-    first_stage = 1 if resume is None else resume.stage + 1
+    first_stage = 1 if resume is None else resume.completed + 1
     last = t_total if stop_after is None else min(int(stop_after), t_total)
     if last < min(first_stage, t_total):
         raise ContractError(f"stop_after={stop_after} is before stage {min(first_stage, t_total)}")
@@ -397,9 +354,7 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
             net=net,
             bank=PrototypeBank(),
             head=ClassifierHead(cfg.hidden_dim, dtype=cfg.np_dtype),
-            matrix_rows=[],
-            retrieval_log=[],
-            task_logs=[],
+            stages=[],
         )
     else:
         state = resume
@@ -410,39 +365,23 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
     for stage in range(first_stage, last + 1):
         task = stream.tasks[stage - 1]
         x_prop64 = stream.propagated(cfg.hops)[task.rows]
-        state.task_logs.append(train_task(task, x_prop64, state.net, state.bank, state.head, cfg))
-        row, decisions = _evaluate_stage(stream, cfg, state, stage, embeddings)
-        state.matrix_rows.append(row)
-        state.retrieval_log.extend(decisions)
+        donor, epochs = train_task(task, x_prop64, state.net, state.bank, state.head, cfg)
+        row, inferred = _evaluate_stage(stream, cfg, state, stage, embeddings)
+        state.stages.append(Stage(row, inferred, donor, epochs))
         if checkpoint_path is not None:
             crcs = save_checkpoint(checkpoint_path, state, crcs)
     if checkpoint_path is not None and crcs is None:
         save_checkpoint(checkpoint_path, state)
-
-    matrix = np.full((t_total, t_total), np.nan)
-    for t, row in enumerate(state.matrix_rows, start=1):
-        matrix[t - 1, :t] = row
-    final = matrix[:last, :last]
-    return RunResult(
-        matrix=matrix,
-        completed=last,
-        aa=average_accuracy(final),
-        af=average_forgetting(final) if last >= 2 else None,
-        retrieval_log=state.retrieval_log,
-        per_stage_retrieval=_per_stage_retrieval(cfg, state.retrieval_log, last),
-        donors=state.donors,
-        wall_time_seconds=time.perf_counter() - started,
-        state=state,
-    )
+    return state
 
 
 def _check_stream(stream: TaskStream, state) -> None:
     """Raise ContractError unless `stream` can be the one `state` was trained
-    on: as many tasks, and tasks 1..stage with the class groups of its head."""
+    on: as many tasks, and tasks 1..completed with the class groups of its head."""
     t_total = len(stream.tasks)
     if t_total != state.tasks_total:
         raise ContractError(f"checkpoint is for {state.tasks_total} tasks, the stream has {t_total}")
-    groups = [task.classes for task in stream.tasks[: state.stage]]
+    groups = [task.classes for task in stream.tasks[: state.completed]]
     if groups != state.head.tasks:
         raise ContractError(f"checkpoint has the class groups {state.head.tasks}, the stream {groups}")
 
@@ -452,8 +391,8 @@ def evaluate_final_row(stream: TaskStream, cfg, state) -> tuple[np.ndarray, list
 
     The stream must pass the resume check (`_check_stream`).  On a fresh
     stream only the test rows of tasks 1..stage go through the last
-    propagation hop.
+    propagation hop.  Returns the row and the stage's retrieval-log records.
     """
     _check_stream(stream, state)
-    row, decisions = _evaluate_stage(stream, cfg, state, state.stage, {})
-    return np.array(row), decisions
+    row, inferred = _evaluate_stage(stream, cfg, state, state.completed, {})
+    return np.array(row), decisions(inferred)

@@ -333,8 +333,6 @@ def weighted_cross_entropy(logits: Tensor, labels, node_weights, reduction: str 
     out = Tensor(np.asarray(total))
 
     def bwd(g, accum):
-        if not logits.requires_grad:
-            return
         p = np.exp(logp)
         p[np.arange(n), labels] -= 1.0
         dz = w[:, None] * p * float(g)

@@ -10,8 +10,6 @@ loop, `_fit`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractError
@@ -88,27 +86,6 @@ def class_weights(labels, classes) -> np.ndarray:
     return 1.0 / np.maximum(counts, 1.0)
 
 
-@dataclass
-class EpochLog:
-    epoch: int
-    loss: float
-    train_acc: float
-    val_acc: float
-
-    def line(self) -> str:
-        return (
-            f"epoch={self.epoch} loss={self.loss!r} "
-            f"train_acc={self.train_acc:.4f} val_acc={self.val_acc:.4f}"
-        )
-
-
-@dataclass
-class TaskTrainLog:
-    task_id: int
-    donor: int | None
-    epochs: list[EpochLog]
-
-
 def accuracy_percent(pred: np.ndarray, truth: np.ndarray) -> float:
     """Percentage of predictions equal to the truth; NaN for no nodes."""
     if truth.size == 0:
@@ -116,15 +93,15 @@ def accuracy_percent(pred: np.ndarray, truth: np.ndarray) -> float:
     return 100.0 * float((pred == truth).sum()) / truth.size
 
 
-def _fit(embed, params, w: Tensor, x_prop, task, labels, node_w, cfg) -> list[EpochLog]:
+def _fit(embed, params, w: Tensor, x_prop, task, labels, node_w, cfg) -> np.ndarray:
     """Train `params` and the head block `w` on the task's train nodes.
 
     `embed` maps propagated features and their layer norm (both Tensors) to
     embeddings, `labels` gives every node of the task graph its column of
     `w`, and `node_w` weights the loss of each train node.  The features are
-    constant within the task, so they are normalized once, here.  Logs loss
-    and train/validation accuracy per epoch; the validation pass is not
-    recorded on the tape.
+    constant within the task, so they are normalized once, here.  Returns
+    the (epochs, 3) float64 log of loss and train/validation accuracy per
+    epoch; the validation pass is not recorded on the tape.
     """
     y_train = labels[task.train_idx]
     y_val = labels[task.val_idx]
@@ -133,26 +110,24 @@ def _fit(embed, params, w: Tensor, x_prop, task, labels, node_w, cfg) -> list[Ep
     x_val = Tensor(x_prop[task.val_idx]) if task.val_idx.size else None
     n_val = layer_norm(x_val) if x_val is not None else None
     opt = Adam(params + [w], lr=cfg.lr, weight_decay=cfg.weight_decay)
-    epochs: list[EpochLog] = []
-    for epoch in range(1, cfg.epochs + 1):
+    epochs = np.full((cfg.epochs, 3), np.nan)  # without validation nodes, val_acc stays NaN
+    for epoch in range(cfg.epochs):
         with Tape() as tape:
             z = matmul(embed(x_train, n_train), w)
             loss = weighted_cross_entropy(z, y_train, node_w, reduction=cfg.reduction)
-        train_acc = accuracy_percent(z.data.argmax(axis=1), y_train)
+        epochs[epoch, :2] = loss.item(), accuracy_percent(z.data.argmax(axis=1), y_train)
         if x_val is not None:
             z_val = embed(x_val, n_val).data @ w.data
-            val_acc = accuracy_percent(z_val.argmax(axis=1), y_val)
-        else:
-            val_acc = float("nan")
-        epochs.append(EpochLog(epoch, loss.item(), train_acc, val_acc))
+            epochs[epoch, 2] = accuracy_percent(z_val.argmax(axis=1), y_val)
         opt.zero_grad()
         tape.backward(loss)
         opt.step()
     return epochs
 
 
-def train_task(task, x_prop64, backbone, bank, head, cfg) -> TaskTrainLog:
-    """Train one task and register its classes in the head.
+def train_task(task, x_prop64, backbone, bank, head, cfg) -> tuple[int | None, np.ndarray]:
+    """Train one task and register its classes in the head; return its
+    warm-start donor (None without one) and its epoch log (see `_fit`).
 
     `x_prop64` is the stream's float64 propagated features at the task's
     rows (`stream.propagated(cfg.hops)[task.rows]`).
@@ -176,7 +151,7 @@ def train_task(task, x_prop64, backbone, bank, head, cfg) -> TaskTrainLog:
         embed = lambda x, _norm: backbone.embed(x)  # no norm in the baseline
         epochs = _fit(embed, backbone.parameters(), w, x_prop, task, labels, node_w, cfg)
         head.set_block(w.data)
-        return TaskTrainLog(task_id=task.task_id, donor=None, epochs=epochs)
+        return None, epochs
 
     proto = compute_prototype(x_prop64, task.train_idx)
     rng_mod = rng_for(cfg.seed, "task", task.task_id, "nsm")
@@ -191,7 +166,7 @@ def train_task(task, x_prop64, backbone, bank, head, cfg) -> TaskTrainLog:
     head.set_block(w.data, t)
     head.freeze(t)
     bank.commit(proto, mod)
-    return TaskTrainLog(task_id=task.task_id, donor=donor, epochs=epochs)
+    return donor, epochs
 
 
 class FinetuneModel:

@@ -76,14 +76,14 @@ def stored_arrays(state):
 def test_round_trip_restores_everything(tmp_path, overrides):
     # three stages, so that each stage record holds a different number of decisions
     _, _, res, path = small_run(tmp_path, classes=6, **overrides)
-    state, end = load_checkpoint(path), res.state
+    state, end = load_checkpoint(path), res
 
-    assert (state.stage, state.tasks_total) == (end.stage, end.tasks_total) == (3, 3)
+    assert (state.completed, state.tasks_total) == (end.completed, end.tasks_total) == (3, 3)
     assert state.config == end.config
-    assert state.matrix_rows == end.matrix_rows
+    assert [s.accuracy for s in state.stages] == [s.accuracy for s in end.stages]
     assert state.retrieval_log == end.retrieval_log
     assert state.donors == end.donors
-    assert state.task_logs == end.task_logs
+    assert all(same_bits(s.epochs, e.epochs) for s, e in zip(state.stages, end.stages))
     assert state.head.tasks == end.head.tasks
     assert same_bits(state.head.frozen, end.head.frozen)
     assert len(state.bank) == len(end.bank) == (0 if overrides.get("method") == "finetune" else 3)
@@ -121,26 +121,26 @@ def test_loaded_frozen_blocks_are_views_of_the_bytes_read_in_f64(tmp_path, preci
 def test_save_is_deterministic(tmp_path):
     _, _, res, path = small_run(tmp_path)
     twice = tmp_path / "again.bin"
-    save_checkpoint(twice, res.state)
+    save_checkpoint(twice, res)
     assert path.read_bytes() == twice.read_bytes()
     assert Path(frozen_path(path)).read_bytes() == Path(frozen_path(twice)).read_bytes()
 
 
 def test_save_refuses_arrays_its_config_does_not_imply(tmp_path):
     _, _, res, _ = small_run(tmp_path)
-    res.state.config = dataclasses.replace(res.state.config, heads=2)
+    res.config = dataclasses.replace(res.config, heads=2)
     target = tmp_path / "never.bin"
     with pytest.raises(ContractError, match="shapes"):
-        save_checkpoint(target, res.state)
+        save_checkpoint(target, res)
     assert not target.exists() and not Path(frozen_path(target)).exists()
 
 
 def test_f32_round_trip_exact(tmp_path):
     cfg, stream, res, path = small_run(tmp_path, precision="f32")
-    assert res.state.net.w1.dtype == np.float32
+    assert res.net.w1.dtype == np.float32
     state = load_checkpoint(path)
     assert state.net.w1.dtype == np.float32
-    assert np.array_equal(state.net.w1, res.state.net.w1)
+    assert np.array_equal(state.net.w1, res.net.w1)
     assert state.head.weight.dtype == np.float32
     mod = state.bank.modulator(1)
     assert all(p.dtype == np.float32 for site in mod.sites for p in site)
@@ -152,7 +152,7 @@ def test_loaded_bases_equal_the_bases_in_memory(tmp_path, precision):
     _, _, res, path = small_run(tmp_path, precision=precision)
     state = load_checkpoint(path)
     for t in (1, 2):
-        kept, loaded = res.state.bank.modulator(t).sites, state.bank.modulator(t).sites
+        kept, loaded = res.bank.modulator(t).sites, state.bank.modulator(t).sites
         assert len(kept) == len(loaded) == 2
         for (basis, _, _), (again, _, _) in zip(kept, loaded):
             assert same_bits(basis.data, again.data)
@@ -162,12 +162,12 @@ def test_loader_builds_the_net_by_method(tmp_path):
     _, _, res, path = small_run(tmp_path)
     net = load_checkpoint(path).net
     assert isinstance(net, Backbone)
-    assert np.array_equal(net.w1, res.state.net.w1) and np.array_equal(net.w2, res.state.net.w2)
+    assert np.array_equal(net.w1, res.net.w1) and np.array_equal(net.w2, res.net.w2)
 
     _, _, res_ft, path_ft = small_run(tmp_path, method="finetune")
     net = load_checkpoint(path_ft).net
     assert isinstance(net, FinetuneModel)
-    assert np.array_equal(net.w1, res_ft.state.net.w1) and np.array_equal(net.w2, res_ft.state.net.w2)
+    assert np.array_equal(net.w1, res_ft.net.w1) and np.array_equal(net.w2, res_ft.net.w2)
 
 
 def test_bad_magic(tmp_path):
@@ -205,10 +205,14 @@ def test_format_1_file_is_a_version_error(tmp_path):
 def test_truncation_detected(tmp_path):
     _, _, _, path = small_run(tmp_path)
     raw = path.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", raw, 12)
     cut = tmp_path / "cut.bin"
-    cut.write_bytes(raw[: len(raw) // 2])
-    with pytest.raises(IntegrityError, match="truncated"):
-        load_checkpoint(cut)
+    # a cut inside the payload, then one inside the header
+    for size, message in [(len(raw) // 2, "truncated"), (20 + hlen // 2, r"truncated \(header\)")]:
+        cut.write_bytes(raw[:size])
+        with pytest.raises(IntegrityError, match=message):
+            load_checkpoint(cut)
+        assert main(["eval", "--checkpoint", str(cut)]) == 1
 
 
 def test_bit_flip_fails_checksum(tmp_path):
@@ -326,7 +330,7 @@ def test_sidecar_bytes_past_the_listed_segments_are_ignored(tmp_path):
     with open(frozen_path(path), "ab") as fh:
         fh.write(b"torn append")
     state = load_checkpoint(path)
-    assert np.array_equal(state.bank.prototype(2), res.state.bank.prototype(2))
+    assert np.array_equal(state.bank.prototype(2), res.bank.prototype(2))
 
 
 def snapshot_each_save(monkeypatch):
@@ -373,7 +377,7 @@ def test_a_run_writes_at_most_twice_its_final_checkpoint(tmp_path, monkeypatch):
 
     monkeypatch.setattr(fileio, "open", lambda *a, **k: Counted(open(*a, **k)), raising=False)
     _, _, res, path = small_run(tmp_path, classes=8)
-    assert res.state.stage == 4
+    assert res.completed == 4
     final = os.path.getsize(path) + os.path.getsize(frozen_path(path))
     assert final < written[0] <= 2 * final
 
@@ -451,7 +455,7 @@ def test_run_killed_in_a_save_resumes_bitwise(tmp_path, where):
         env=env, capture_output=True, timeout=300,
     )
     assert child.returncode == -signal.SIGKILL, child.stderr.decode()
-    assert load_checkpoint(ckpt).stage == 1
+    assert load_checkpoint(ckpt).completed == 1
 
     assert main([*run, "--resume", str(ckpt)]) == 0
     resumed = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -762,7 +766,7 @@ def stage_one(tmp_path_factory):
     return conf, root / "checkpoint.bin"
 
 
-# The RunState resume fields, and the key of the stage record that stores each.
+# Each resumed fact, and the key of the stage record that stores it.
 RECORD_KEY = {"matrix_rows": "accuracy", "retrieval_log": "inferred", "donors": "donor"}
 
 

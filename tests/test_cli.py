@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import taam
 from taam.checkpoint import frozen_path, load_checkpoint
-from taam.cli import main
+from taam.cli import _epoch_lines, main
 from taam.config import RunConfig
 from taam.datasets import load_planetoid
 
@@ -39,6 +39,14 @@ def write_tiny_config(tmp_path, **extra):
     return path
 
 
+def test_epoch_log_line_format():
+    lines = _epoch_lines(np.array([[0.125, 87.5, 75.0], [0.0625, 100.0, np.nan]]))
+    assert lines == [
+        b"epoch=1 loss=0.125 train_acc=87.5000 val_acc=75.0000\n",
+        b"epoch=2 loss=0.0625 train_acc=100.0000 val_acc=nan\n",
+    ]
+
+
 def test_run_writes_all_artifacts(tmp_path):
     conf = write_tiny_config(tmp_path)
     out = tmp_path / "out"
@@ -51,7 +59,7 @@ def test_run_writes_all_artifacts(tmp_path):
     assert not np.isnan(matrix[np.tril_indices(2)]).any()
     assert summary["AA"] == pytest.approx(matrix[1, :2].mean())
     state = load_checkpoint(out / "checkpoint.bin")
-    assert state.stage == 2
+    assert state.completed == 2
     for t in (1, 2):
         log_lines = (out / f"task_{t:02d}_train.log").read_text().splitlines()
         assert len(log_lines) == 15

@@ -241,6 +241,16 @@ def test_induced_subgraph_contracts():
         induced_subgraph(g, [0, 5])
 
 
+def test_bernoulli_positions_follows_a_short_chunk_with_another():
+    # gaps of 1 cover only a chunk's own length of the range each draw
+    class OnesRng:
+        def geometric(self, p, size):
+            return np.ones(size, dtype=np.int64)
+
+    got = graph._bernoulli_positions(OnesRng(), 1000, 0.01)
+    assert got.dtype == np.int64 and np.array_equal(got, np.arange(1000))
+
+
 def test_sbm_deterministic_per_seed():
     a = generate_sbm(3, 10, 0.5, 0.1, 4, 6.0, seed=42)
     b = generate_sbm(3, 10, 0.5, 0.1, 4, 6.0, seed=42)

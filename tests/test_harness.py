@@ -11,17 +11,16 @@ from hypothesis import strategies as st
 
 from taam import harness
 from taam.backbone import Backbone
-from taam.checkpoint import frozen_path, load_checkpoint
+from taam.checkpoint import average_accuracy, average_forgetting, frozen_path, load_checkpoint
 from taam.config import make_config
 from taam.errors import ContractError
 from taam.graph import SparseGraph, generate_sbm, normalize_adjacency, propagate
 from taam.harness import (
-    average_accuracy,
-    average_forgetting,
     build_stream,
     evaluate_final_row,
     run_continual,
     stream_from_config,
+    summary,
     write_matrix_csv,
 )
 
@@ -298,7 +297,6 @@ def test_run_taam_full_fills_lower_triangle():
     assert len(res.retrieval_log) == 3
     assert {e["stage"] for e in res.retrieval_log} == {1, 2}
     assert res.per_stage_retrieval is not None and len(res.per_stage_retrieval) == 2
-    assert res.state.stage == 2
 
 
 def test_oracle_marks_every_decision_correct():
@@ -328,7 +326,7 @@ def test_nsm_only_uses_latest_modulator():
 def test_summary_fields():
     cfg = cfg_for()
     res = run_continual(stream_for(cfg), cfg)
-    s = res.summary(cfg)
+    s = summary(res, 0.0)
     assert set(s) == {
         "dataset", "method", "ablation", "seed", "tasks_total", "stages_completed",
         "AA", "AF", "per_stage_retrieval_accuracy", "warm_start_donors",
@@ -354,7 +352,7 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     full = run_continual(stream, cfg, checkpoint_path=tmp_path / "full.bin")
 
     partial = run_continual(stream, cfg, checkpoint_path=tmp_path / "part.bin", stop_after=2)
-    resumed = run_continual(stream, cfg, resume=partial.state, checkpoint_path=tmp_path / "res.bin")
+    resumed = run_continual(stream, cfg, resume=partial, checkpoint_path=tmp_path / "res.bin")
 
     tri = np.tril_indices(3)
     assert np.array_equal(full.matrix[tri], resumed.matrix[tri])
@@ -368,18 +366,18 @@ def test_resume_contracts():
     stream = stream_for(cfg)
     done = run_continual(stream, cfg)
     with pytest.raises(ContractError, match="stop_after=1"):
-        run_continual(stream, cfg, resume=done.state, stop_after=1)
+        run_continual(stream, cfg, resume=done, stop_after=1)
     part = run_continual(stream, cfg, stop_after=1)
     other = cfg_for(seed=1)
     with pytest.raises(ContractError, match="seed"):
-        run_continual(stream, other, resume=part.state)
-    longer = dataclasses.replace(part.state, tasks_total=len(stream.tasks) + 1)
+        run_continual(stream, other, resume=part)
+    longer = dataclasses.replace(part, tasks_total=len(stream.tasks) + 1)
     with pytest.raises(ContractError, match="the stream has"):
         run_continual(stream, cfg, resume=longer)
     with pytest.raises(ContractError):
-        run_continual(stream, cfg, resume=part.state, stop_after=1)
+        run_continual(stream, cfg, resume=part, stop_after=1)
     # every check runs before the state is advanced
-    assert part.state.stage == 1 and len(part.state.matrix_rows) == 1
+    assert part.completed == 1
 
 
 def test_resume_of_every_stage_trains_nothing(tmp_path, monkeypatch):
@@ -389,10 +387,10 @@ def test_resume_of_every_stage_trains_nothing(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "train_task", None)  # any training would fail
     again = run_continual(stream, cfg, resume=load_checkpoint(tmp_path / "done.bin"),
                           checkpoint_path=tmp_path / "again.bin")
-    assert again.completed == 2 and again.state.stage == 2
+    assert again.completed == 2
     assert np.array_equal(again.matrix, done.matrix, equal_nan=True)
     assert (again.aa, again.af, again.donors) == (done.aa, done.af, done.donors)
-    assert again.state.task_logs == done.state.task_logs
+    assert all(np.array_equal(a.epochs, d.epochs) for a, d in zip(again.stages, done.stages))
     # the run's checkpoint is written all the same
     assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "done.bin").read_bytes()
     assert Path(frozen_path(tmp_path / "again.bin")).read_bytes() == Path(frozen_path(tmp_path / "done.bin")).read_bytes()
@@ -404,11 +402,11 @@ def test_resume_rejects_another_class_grouping():
     g = generate_sbm(6, 25, 0.1, 0.02, 8, 10.0, seed=0)
     part = run_continual(default_stream(g, classes_per_task=2, seed=0), cfg, stop_after=1)
     regrouped = default_stream(g, classes_per_task=2, seed=1, shuffle_classes=True)
-    assert len(regrouped.tasks) == part.state.tasks_total
-    assert regrouped.tasks[0].classes != part.state.head.tasks[0]
+    assert len(regrouped.tasks) == part.tasks_total
+    assert regrouped.tasks[0].classes != part.head.tasks[0]
     with pytest.raises(ContractError, match="class groups"):
-        run_continual(regrouped, cfg, resume=part.state)
-    assert part.state.stage == 1
+        run_continual(regrouped, cfg, resume=part)
+    assert part.completed == 1
 
 
 def test_bad_method_rejected():
@@ -432,7 +430,7 @@ def test_evaluate_final_row_matches_run():
     cfg = cfg_for()
     stream = stream_for(cfg)
     res = run_continual(stream, cfg)
-    row, decisions = evaluate_final_row(stream, cfg, res.state)
+    row, decisions = evaluate_final_row(stream, cfg, res)
     assert np.array_equal(row, res.matrix[1, :2])
     assert len(decisions) == 2
 
@@ -457,7 +455,7 @@ def test_evaluate_final_row_propagates_only_test_rows_of_a_fresh_stream(monkeypa
         return out
 
     monkeypatch.setattr(harness, "propagate", counted)
-    row, decisions = evaluate_final_row(fresh, cfg, res.state)
+    row, decisions = evaluate_final_row(fresh, cfg, res)
     assert heights == [sum(task.test_idx.size for task in fresh.tasks)]
     assert heights[0] < fresh.graph.num_nodes
     assert np.array_equal(row, res.matrix[2])
@@ -469,11 +467,11 @@ def test_evaluate_final_row_rejects_another_stream():
     g = generate_sbm(6, 25, 0.1, 0.02, 8, 10.0, seed=0)
     res = run_continual(default_stream(g, classes_per_task=2, seed=0), cfg)
     shuffled = default_stream(g, classes_per_task=2, seed=0, shuffle_classes=True)
-    assert [t.classes for t in shuffled.tasks] != res.state.head.tasks
+    assert [t.classes for t in shuffled.tasks] != res.head.tasks
     with pytest.raises(ContractError, match="class groups"):
-        evaluate_final_row(shuffled, cfg, res.state)
+        evaluate_final_row(shuffled, cfg, res)
     with pytest.raises(ContractError, match="3 tasks, the stream has 2"):
-        evaluate_final_row(default_stream(g, classes_per_task=3, seed=0), cfg, res.state)
+        evaluate_final_row(default_stream(g, classes_per_task=3, seed=0), cfg, res)
 
 
 def test_predict_over_all_widens_the_label_space():
@@ -511,7 +509,7 @@ def keep_each_stage(monkeypatch, root):
 
     def saving(path, state, segments=None):
         table = save(path, state, segments)
-        dst = root / f"stage{state.stage}.bin"
+        dst = root / f"stage{state.completed}.bin"
         shutil.copyfile(path, dst)
         shutil.copyfile(frozen_path(path), frozen_path(dst))
         return table

@@ -23,7 +23,6 @@ from taam.rng import rng_for
 from taam.tensor import Tape, Tensor, weighted_cross_entropy
 from taam.training import (
     Adam,
-    EpochLog,
     FinetuneModel,
     class_weights,
     end_to_end_grad_check,
@@ -134,11 +133,6 @@ def test_reduction_mean_is_sum_over_n():
     assert m == pytest.approx(s / 8, rel=1e-15)
 
 
-def test_epoch_log_line_format():
-    line = EpochLog(epoch=3, loss=0.125, train_acc=87.5, val_acc=75.0).line()
-    assert line == "epoch=3 loss=0.125 train_acc=87.5000 val_acc=75.0000"
-
-
 # ------------------------------------------------------------- full loops
 
 def tiny_cfg(**overrides):
@@ -203,13 +197,14 @@ def test_train_task_learns_separable_classes():
 
     backbone = init_backbone(g.feature_dim, cfg.hidden_dim, rng_for(cfg.seed, "backbone"))
     bank, head = PrototypeBank(), ClassifierHead(cfg.hidden_dim)
-    log = train(stream, 0, backbone, bank, head, cfg)
+    donor, epochs = train(stream, 0, backbone, bank, head, cfg)
 
-    assert log.task_id == 1 and log.donor is None
-    assert len(log.epochs) == cfg.epochs
-    assert log.epochs[-1].train_acc >= 99.0
-    assert log.epochs[-1].loss < log.epochs[0].loss
-    assert not np.isnan(log.epochs[-1].val_acc)
+    assert donor is None
+    assert epochs.shape == (cfg.epochs, 3) and epochs.dtype == np.float64
+    loss, train_acc, val_acc = epochs.T
+    assert train_acc[-1] >= 99.0
+    assert loss[-1] < loss[0]
+    assert not np.isnan(val_acc[-1])
     # side effects: columns written and locked, pair committed
     assert head.frozen.all() and head.tasks == [[0, 1]]
     assert len(bank) == 1 and bank.modulator(1).frozen
@@ -241,16 +236,16 @@ def test_train_task_second_task_warm_starts_from_first():
     stream = default_stream(g, classes_per_task=2, seed=cfg.seed)
     backbone = init_backbone(g.feature_dim, cfg.hidden_dim, rng_for(cfg.seed, "backbone"))
     bank, head = PrototypeBank(), ClassifierHead(cfg.hidden_dim)
-    first = train(stream, 0, backbone, bank, head, cfg)
-    second = train(stream, 1, backbone, bank, head, cfg)
-    assert (first.donor, second.donor) == (None, 1)
+    first, _ = train(stream, 0, backbone, bank, head, cfg)
+    second, _ = train(stream, 1, backbone, bank, head, cfg)
+    assert (first, second) == (None, 1)
 
     # with warm start ablated away the donor disappears
     cfg_abl = tiny_cfg(dataset=cfg.dataset, epochs=15, ablation="retrieval_only")
     bank2, head2 = PrototypeBank(), ClassifierHead(cfg.hidden_dim)
     train(stream, 0, backbone, bank2, head2, cfg_abl)
-    second_abl = train(stream, 1, backbone, bank2, head2, cfg_abl)
-    assert second_abl.donor is None
+    second_abl, _ = train(stream, 1, backbone, bank2, head2, cfg_abl)
+    assert second_abl is None
 
 
 def test_train_task_without_validation_split():
@@ -258,8 +253,8 @@ def test_train_task_without_validation_split():
     g = generate_sbm(2, 20, 0.3, 0.05, 8, 10.0, seed=1)
     stream = default_stream(g, classes_per_task=2, seed=1, val_frac=0.0)
     backbone = init_backbone(g.feature_dim, cfg.hidden_dim, rng_for(1, "backbone"))
-    log = train(stream, 0, backbone, PrototypeBank(), ClassifierHead(cfg.hidden_dim), cfg)
-    assert all(np.isnan(e.val_acc) for e in log.epochs)
+    _, epochs = train(stream, 0, backbone, PrototypeBank(), ClassifierHead(cfg.hidden_dim), cfg)
+    assert np.isnan(epochs[:, 2]).all()
 
 
 def test_finetune_trains_shared_weights_over_all_columns():
