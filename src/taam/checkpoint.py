@@ -33,18 +33,21 @@ modulators, so its sidecar is empty.  "crcs" holds one CRC-32 per segment,
 so the CRC of `path` pins the sidecar's content too.  Move a run by copying
 both files.
 
-A run's first save writes a fresh sidecar; each later save appends only the
-newly frozen segments, in one write.  The sidecar is written and fsynced
-before `path` is replaced (temp file, fsync, rename; see `fileio`), and the
-loader reads only the segments that `path` has CRCs for.  A crash at any
-point thus leaves the last completed stage loadable, whatever torn tail the
-sidecar has.
+A run's first save writes a fresh sidecar; each later save builds, checks
+and appends only the newly frozen segments, in one write.  The sidecar is
+written and fsynced before `path` is replaced (temp file, fsync, rename; see
+`fileio`), and the loader reads only the segments that `path` has CRCs for.
+A crash at any point thus leaves the last completed stage loadable, whatever
+torn tail the sidecar has.
 
 A load reads and checks segment 0 and the inference segments alone, which is
 all that evaluating a checkpoint (`taam eval`) needs: at the default widths
-about 2% of a task's floats.  A generator segment is read and checked when
-it is first needed, each read opening the sidecar anew; a resumed run reads
-them all before it trains or saves, so a damaged one stops it there.
+about 2% of a task's floats.  A generator segment is read and checked each
+time a warm start needs it, each read opening the sidecar anew, and is not
+kept.  A save leaves the run it saved in that same form: each generator it
+writes is dropped from memory (`Modulator.spill`) and read back, by the
+loader's reader, when needed.  A resumed run reads them all before it trains
+or saves, so a damaged one stops it there.
 
 Each fact is stored once.  `payload_layout` derives every block shape, and
 so every segment length, from the config (the epoch count among it), the
@@ -239,37 +242,44 @@ def _crc(chunks, crc: int = 0) -> int:
     return crc
 
 
+def _segment(state: RunState, k: int) -> list[np.ndarray]:
+    """The arrays of sidecar segment k (see `_segment_name`) in `state`."""
+    if k == 0:
+        return [state.net.w1, state.net.w2]
+    t = (k + 1) // 2
+    mod = state.bank.modulator(t)
+    if k % 2:
+        return [p.data for site in mod.sites for p in site] + [state.bank.prototype(t)]
+    return mod.generator()
+
+
 def save_checkpoint(path, state: RunState, crcs: list[int] | None = None) -> list[int]:
     """Write `state` to `path` and its sidecar; return the segment CRCs.
 
     `crcs` is what this run's previous save to `path` returned.  Its segments
-    are in the sidecar already, so only newer ones are appended.  None, for a
-    run's first save, writes a fresh sidecar.
+    are in the sidecar already, so only newer ones are built, checked and
+    appended.  None, for a run's first save, writes a fresh sidecar.  Each
+    generator written is then spilled: its modulator reads it from the
+    sidecar when needed, as a loaded one does.
     """
     bank, head, net, cfg = state.bank, state.head, state.net, state.config
-    tasks = range(1, len(bank) + 1)
-    mutable = [head.weight]
-    frozen = []
-    for t in tasks:
-        mod = bank.modulator(t)
-        frozen += [[p.data for site in mod.sites for p in site] + [bank.prototype(t)], mod.generator()]
-    if cfg.method == "finetune":
-        mutable += [net.w1, net.w2]
-    else:
-        frozen.insert(0, [net.w1, net.w2])
+    mutable = [head.weight] + ([net.w1, net.w2] if cfg.method == "finetune" else [])
     mutable.append(np.array([s.epochs for s in state.stages], dtype=np.float64))
-    shapes = ([a.shape for a in mutable], [[a.shape for a in seg] for seg in frozen])
-    wanted = payload_layout(cfg, int(net.w1.shape[0]), len(state.stages), head.num_classes)
+    blocks, segments = payload_layout(cfg, int(net.w1.shape[0]), len(state.stages), head.num_classes)
+    done = crcs or []
+    stored = 0 if cfg.method == "finetune" else 1 + 2 * len(bank)
+    fresh = [_segment(state, k) for k in range(len(done), stored)]
+    shapes = ([a.shape for a in mutable], [[a.shape for a in seg] for seg in fresh])
+    wanted = (blocks, segments[len(done) :])
     if shapes != wanted:
         raise ContractError(f"run state arrays have shapes {shapes}; its config implies {wanted}")
 
-    done = crcs or []
-    fresh = [_f8(seg) for seg in frozen[len(done) :]]
+    fresh = [_f8(seg) for seg in fresh]
     chunks = [a for seg in fresh for a in seg]
     if crcs is None:
         write_atomic(frozen_path(path), chunks)
     else:
-        write_at(frozen_path(path), sum(map(_nbytes, wanted[1][: len(done)])), chunks)
+        write_at(frozen_path(path), sum(map(_nbytes, segments[: len(done)])), chunks)
 
     header = {
         "config": cfg.echo(),
@@ -286,7 +296,11 @@ def save_checkpoint(path, state: RunState, crcs: list[int] | None = None) -> lis
     crc = _crc(payload, zlib.crc32(header_bytes))
     prefix = MAGIC + struct.pack("<IQ", VERSION, len(header_bytes))
     write_atomic(path, [prefix, header_bytes, *payload, struct.pack("<I", crc)])
-    return header["crcs"]
+    crcs = header["crcs"]
+    for k in range(len(done), len(segments)):
+        if k and not k % 2:
+            bank.modulator(k // 2).spill(_generator_reader(path, cfg, crcs, segments, k))
+    return crcs
 
 
 # Every header key, with the JSON type it must have.
@@ -380,6 +394,23 @@ def _read_segments(path, crcs, segments, picks) -> list[list[np.ndarray]]:
         raise IntegrityError(f"{sidecar} is missing; copy it along with {path}") from None
 
 
+def _cast(view, cfg: RunConfig, path, copy=True) -> np.ndarray:
+    """The stored values in the run's dtype, which must hold them exactly
+    (compared bit for bit, so that a NaN equals itself)."""
+    out = view.astype(cfg.np_dtype, copy=copy)
+    bits = lambda a: a.astype(view.dtype, copy=False).view(np.uint64)
+    if out.dtype != view.dtype and not np.array_equal(bits(out), bits(view)):
+        raise IntegrityError(f"{path} header is malformed: {cfg.precision} cannot hold the stored values")
+    return out
+
+
+def _generator_reader(path, cfg: RunConfig, crcs, segments, k):
+    """A function that reads segment k, task k // 2's generator, from the
+    sidecar of `path`, checks it and casts it to the run's dtype, anew at
+    each call."""
+    return lambda: [_cast(v, cfg, path, copy=False) for v in _read_segments(path, crcs, segments, [k])[0]]
+
+
 def load_checkpoint(path) -> RunState:
     with open(path, "rb") as fh:
         raw = memoryview(fh.read())
@@ -411,17 +442,9 @@ def load_checkpoint(path) -> RunState:
     if not (np.isnan(accuracy) | (0 <= accuracy) & (accuracy <= 100)).all():
         raise IntegrityError(f"{path} is malformed: an epoch log holds an accuracy outside [0, 100]")
     crcs = header["crcs"]
-    # segment 0 and each task's inference form; the generators wait until needed
+    # segment 0 and each task's inference form; a generator is read when needed
     frozen = _read_segments(path, crcs, segments, [k for k in range(len(segments)) if k == 0 or k % 2])
-
-    def cast(view, copy=True):
-        """The stored values in the run's dtype, which must hold them exactly
-        (compared bit for bit, so that a NaN equals itself)."""
-        out = view.astype(cfg.np_dtype, copy=copy)
-        bits = lambda a: a.astype(view.dtype, copy=False).view(np.uint64)
-        if out.dtype != view.dtype and not np.array_equal(bits(out), bits(view)):
-            raise IntegrityError(f"{path} header is malformed: {cfg.precision} cannot hold the stored values")
-        return out
+    cast = lambda view, copy=True: _cast(view, cfg, path, copy)
 
     bank = PrototypeBank()
     if cfg.method == "finetune":
@@ -433,15 +456,12 @@ def load_checkpoint(path) -> RunState:
         (w1, w2), *tasks = frozen
         views = cfg.np_dtype == np.float64
         net = Backbone(cast(w1, copy=False), cast(w2, copy=False))
-
-        def generator(k):
-            """Segment k, task k // 2's generator, read when first needed."""
-            return lambda: [cast(v, copy=False) for v in _read_segments(path, crcs, segments, [k])[0]]
-
         bank = PrototypeBank.restore(
             (
                 vector if views else vector.copy(),
-                Modulator.from_frozen([cast(a, copy=False) for a in arrays], generator(2 * t)),
+                Modulator.from_frozen(
+                    [cast(a, copy=False) for a in arrays], _generator_reader(path, cfg, crcs, segments, 2 * t)
+                ),
             )
             for t, (*arrays, vector) in enumerate(tasks, 1)
         )

@@ -326,7 +326,11 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
     trains nothing.
     After each completed stage the checkpoint at `checkpoint_path` is saved:
     its first save writes it whole, each later one appends only the newly
-    frozen blocks.  A run that trains nothing saves it once.
+    frozen blocks.  A run that trains nothing saves it once.  A checkpointed
+    run then holds each past task as a loaded checkpoint does: the inference
+    form and prototype in memory, the generator in the sidecar, read each
+    time a warm start needs it.  Without a checkpoint every generator stays
+    in memory.
     """
     cfg.validate()
     t_total = len(stream.tasks)
@@ -334,8 +338,8 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
         resume.check_config(cfg)
         _check_stream(stream, resume)
         # Any stored task may be a donor and the first save rewrites the
-        # sidecar, so every generator is read now: a damaged one stops the
-        # run before it trains or writes.
+        # sidecar, so every generator is read and checked now, and dropped:
+        # a damaged one stops the run before it trains or writes.
         for t in range(1, len(resume.bank) + 1):
             resume.bank.modulator(t).generator()
     first_stage = 1 if resume is None else resume.completed + 1

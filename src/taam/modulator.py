@@ -18,7 +18,9 @@ basis-row layout above is known to this module alone.
 A finished task's modulator is frozen into its inference form: each site's
 basis, computed once, and its attention weights.  The basis generators
 (W_base, b_base), most of a modulator's floats, only seed a later task's
-warm start, and the embedding is dropped.
+warm start, and the embedding is dropped.  A checkpointed run keeps a
+generator in its checkpoint's sidecar, not in memory, and reads it from
+there whenever a warm start needs it (`Modulator.spill`).
 """
 
 from __future__ import annotations
@@ -71,8 +73,9 @@ class Modulator:
     s's (w_base, b_base, w_attn, b_attn), and `embedding` the task embedding.
     Frozen, it holds its inference form: `sites[s]` is site s's (basis,
     w_attn, b_attn), and the embedding is None.  A frozen modulator's
-    generator is kept apart, for warm starts (`generator`); every array of
-    it is read-only.
+    generator is kept apart, for warm starts (`generator`): in memory, or as
+    a function that reads it anew at each call.  Every array of it is
+    read-only.
     """
 
     def __init__(self, sites: list[tuple[Tensor, ...]], embedding: Tensor | None, generator=None):
@@ -105,7 +108,7 @@ class Modulator:
     def from_frozen(cls, inference, read_generator) -> "Modulator":
         """Frozen modulator from its inference arrays, in `frozen_layout`
         order; `read_generator()` returns its generator arrays, and is called
-        when they are first needed."""
+        at each `generator()` call, never at construction."""
         return cls(_frozen_sites(inference), None, read_generator)
 
     def parameters(self) -> list[Tensor]:
@@ -116,10 +119,17 @@ class Modulator:
 
     def generator(self) -> list[np.ndarray]:
         """A frozen modulator's w_base and b_base of each site, in
-        `frozen_layout` order."""
+        `frozen_layout` order.  A modulator built by `from_frozen` or spilled
+        reads them at every call and keeps nothing."""
         if callable(self._generator):
-            self._generator = _read_only(self._generator())
+            return _read_only(self._generator())
         return self._generator
+
+    def spill(self, read_generator) -> None:
+        """Drop a frozen modulator's generator from memory: from now on
+        `generator()` calls `read_generator()`, which must return the same
+        values (as the checkpoint that stores them does)."""
+        self._generator = read_generator
 
     def freeze(self) -> None:
         """Turn the modulator into its inference form.  Each site's basis is

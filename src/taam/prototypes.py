@@ -33,10 +33,16 @@ def _prototype_of_rows(x_rows: np.ndarray) -> np.ndarray:
 
 
 class PrototypeBank:
-    """Stored (prototype, frozen modulator) pairs, task ids 1-based."""
+    """Stored (prototype, frozen modulator) pairs, task ids 1-based.
+
+    The prototypes are also kept as the rows of one (T, d) float64 matrix,
+    task 1 first, stacked again when a task is added, which `nearest_task`
+    compares each query with.
+    """
 
     def __init__(self):
         self._entries: list[tuple[np.ndarray, Modulator]] = []
+        self._matrix = np.empty((0, 0))
 
     @classmethod
     def restore(cls, entries) -> "PrototypeBank":
@@ -47,6 +53,8 @@ class PrototypeBank:
                 raise ContractError("a restored modulator must be frozen")
             proto.setflags(write=False)
             bank._entries.append((proto, mod))
+        if bank._entries:
+            bank._matrix = np.stack([p for p, _ in bank._entries])
         return bank
 
     def __len__(self) -> int:
@@ -73,11 +81,10 @@ class PrototypeBank:
         """Task id of the closest stored prototype in L2; ties to the lowest id."""
         if not self._entries:
             raise ContractError("prototype bank is empty")
-        dim = self._entries[0][0].shape[0]
+        dim = self._matrix.shape[1]
         if query.shape != (dim,):
             raise ShapeError(f"query shape {query.shape} != stored prototype shape ({dim},)")
-        stacked = np.stack([p for p, _ in self._entries])
-        d2 = ((stacked - query[None, :]) ** 2).sum(axis=1)
+        d2 = ((self._matrix - query[None, :]) ** 2).sum(axis=1)
         return int(np.argmin(d2)) + 1
 
     def commit(self, proto: np.ndarray, mod: Modulator) -> int:
@@ -90,6 +97,7 @@ class PrototypeBank:
         mod.freeze()
         proto.setflags(write=False)
         self._entries.append((proto, mod))
+        self._matrix = np.stack([p for p, _ in self._entries])
         return len(self._entries)
 
     def retrieve(self, x_rows: np.ndarray) -> int:

@@ -355,6 +355,25 @@ def test_sidecar_only_grows(tmp_path, monkeypatch):
         assert len(after) > len(before) and after.startswith(before)
 
 
+def test_a_generator_damaged_after_its_save_stops_the_next_warm_start(tmp_path, monkeypatch):
+    # once saved, task 1's generator is not in memory: stage 2's warm start
+    # reads it from the sidecar and finds the damage
+    save, saved = harness.save_checkpoint, []
+
+    def saving_then_damaging(path, state, crcs=None):
+        crcs = save(path, state, crcs)
+        saved.append(state.completed)
+        if state.completed == 1:
+            flip_byte_of_segment(path, 2)
+        return crcs
+
+    monkeypatch.setattr(harness, "save_checkpoint", saving_then_damaging)
+    with pytest.raises(IntegrityError, match="segment 2, task 1's generator"):
+        small_run(tmp_path)
+    assert saved == [1]
+    assert load_checkpoint(tmp_path / "run.bin").completed == 1
+
+
 def test_a_run_writes_at_most_twice_its_final_checkpoint(tmp_path, monkeypatch):
     written = [0]
 

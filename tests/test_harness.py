@@ -2,6 +2,7 @@
 
 import dataclasses
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -540,3 +541,37 @@ def test_finetune_evaluation_embeds_every_stage_task(tmp_path, monkeypatch):
     for t in (1, 2, 3):
         row, _ = evaluate_final_row(stream, cfg, load_checkpoint(tmp_path / f"stage{t}.bin"))
         assert np.array_equal(row, res.matrix[t - 1, :t])
+
+
+def traced_run(stream, cfg, **kwargs):
+    """run_continual's state and the peak of the memory tracemalloc traced in it."""
+    tracemalloc.start()
+    try:
+        state = run_continual(stream, cfg, **kwargs)
+        return state, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_a_checkpointed_run_is_the_same_run_without_its_generators_in_memory(tmp_path, precision):
+    cfg = cfg_for(dataset="sbm:classes=12,npc=25,dim=12,sep=10", epochs=5, precision=precision)
+    g = generate_sbm(12, 25, 0.1, 0.02, 12, 10.0, seed=cfg.seed)
+    stream = build_stream(g, classes_per_task=2, seed=cfg.seed, train_frac=cfg.train_frac, val_frac=cfg.val_frac)
+    stream.propagated(cfg.hops)  # shared by both runs, so traced by neither
+    kept, kept_peak = traced_run(stream, cfg)
+    spilled, spilled_peak = traced_run(stream, cfg, checkpoint_path=tmp_path / "run.bin")
+
+    assert spilled.completed == kept.completed == 6
+    for a, b in zip(spilled.stages, kept.stages, strict=True):
+        assert (a.accuracy, a.inferred, a.donor) == (b.accuracy, b.inferred, b.donor)
+        assert a.epochs.tobytes() == b.epochs.tobytes()
+    assert None not in spilled.donors[1:]  # every later task warm-starts from a spilled generator
+    assert spilled.head.weight.dtype == kept.head.weight.dtype == cfg.np_dtype
+    assert spilled.head.weight.tobytes() == kept.head.weight.tobytes()
+    for t in range(1, 7):
+        read, held = spilled.bank.modulator(t).generator(), kept.bank.modulator(t).generator()
+        assert [a.dtype for a in read] == [a.dtype for a in held]
+        assert [a.tobytes() for a in read] == [a.tobytes() for a in held]
+    generator_bytes = sum(a.nbytes for a in kept.bank.modulator(1).generator())
+    assert spilled_peak <= kept_peak - 4 * generator_bytes

@@ -217,7 +217,7 @@ def test_frozen_layout_is_the_frozen_modulator():
     assert [a.shape for a in mod.generator()] == generator
 
 
-def test_from_frozen_reads_the_generator_once_when_first_needed():
+def test_from_frozen_reads_the_generator_at_every_call_and_keeps_none():
     src = fresh(seed=4)
     src.freeze()
     reads = []
@@ -226,11 +226,24 @@ def test_from_frozen_reads_the_generator_once_when_first_needed():
     assert loaded.frozen and reads == []
     assert all(not a.flags.writeable for a in arrays)
     clone = clone_structural(loaded, rng_for(1, "c"))
-    assert loaded.generator() is loaded.generator() and reads == [1]
-    assert all(not a.flags.writeable for a in loaded.generator())
+    assert reads == [1]
+    first, second = loaded.generator(), loaded.generator()
+    assert reads == [1, 1, 1] and all(a is not b for a, b in zip(first, second))
+    assert all(not a.flags.writeable for a in first)
     want = clone_structural(src, rng_for(1, "c"))
     for a, b in zip(clone.parameters(), want.parameters()):
         assert a.data.tobytes() == b.data.tobytes()
+
+
+def test_spill_swaps_the_generator_for_its_reader():
+    mod = fresh(seed=5)
+    mod.freeze()
+    kept = mod.generator()
+    copies = [a.copy() for a in kept]
+    mod.spill(lambda: [a.copy() for a in copies])
+    read = mod.generator()
+    assert all(a is not b and a.tobytes() == b.tobytes() for a, b in zip(read, kept))
+    assert all(not a.flags.writeable for a in read)
 
 
 def test_gradients_reach_every_parameter():

@@ -167,3 +167,19 @@ def test_retrieve_uses_the_given_node_set():
     bank = bank_with([p_a, p_b], widths=(3,))
     assert bank.retrieve(x_prop[g.labels == 1]) == 2
     assert bank.retrieve(x_prop[g.labels == 0]) == 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_restored_bank_grown_by_commits_matches_the_oracle(seed):
+    rng = np.random.default_rng(seed)
+    vectors = rng.normal(size=(5, 6))
+    restored = [mod_for((3,), seed=i) for i in range(3)]
+    for mod in restored:
+        mod.freeze()
+    bank = PrototypeBank.restore(zip(vectors[:3].copy(), restored))
+    for i, v in enumerate(vectors[3:], 3):
+        bank.commit(v.copy(), mod_for((3,), seed=i))
+    for t, v in enumerate(vectors, 1):
+        assert bank.nearest_task(v) == t
+    for q in rng.normal(size=(8, 6)):
+        assert bank.nearest_task(q) == nearest_oracle(vectors, q)
