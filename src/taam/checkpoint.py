@@ -33,8 +33,9 @@ modulators, so its sidecar is empty.  "crcs" holds one CRC-32 per segment,
 so the CRC of `path` pins the sidecar's content too.  Move a run by copying
 both files.
 
-A run's first save writes a fresh sidecar; each later save builds, checks
-and appends only the newly frozen segments, in one write.  The sidecar is
+A run's first save writes a fresh sidecar; each later save appends only the
+newly frozen segments, in one write.  A save builds, checks and writes the
+segments one at a time, so it holds at most one generator.  The sidecar is
 written and fsynced before `path` is replaced (temp file, fsync, rename; see
 `fileio`), and the loader reads only the segments that `path` has CRCs for.
 A crash at any point thus leaves the last completed stage loadable, whatever
@@ -53,14 +54,13 @@ Each fact is stored once.  `payload_layout` derives every block shape, and
 so every segment length, from the config (the epoch count among it), the
 input width, the stage count (the number of records) and the class count.
 A finished task's classifier columns are frozen, except under method
-finetune, which freezes none.  The loader requires exactly
-the five keys, each well typed; the stored config to validate and to equal
-its own `RunConfig.echo()`; 1..tasks_total stages with disjoint class
-groups, inferred task ids in 1..t and donors before t; epoch-log
-accuracies in [0, 100] or NaN; a sidecar that holds every listed segment;
-and one CRC per segment, each matching when the segment is read.  Every
-violation is an IntegrityError, and a file of another format version is a
-VersionError.
+finetune, which freezes none.  The loader requires exactly the five keys,
+each well typed; the stored config to validate and to equal its own
+`RunConfig.echo()`; 1..tasks_total stages with disjoint class groups,
+inferred task ids in 1..t and donors before t; epoch-log accuracies in
+[0, 100] or NaN; a sidecar that holds every listed segment; and one CRC per
+segment, each matching when the segment is read.  Every violation is an
+IntegrityError, and a file of another format version is a VersionError.
 
 Float32 runs upcast to float64 on save and cast back on load (exact).  A
 float64 run's frozen blocks load as read-only views of the sidecar bytes
@@ -198,12 +198,9 @@ class RunState:
         return [s.donor for s in self.stages]
 
     def check_config(self, cfg) -> None:
-        stored = {k: v for k, v in self.config.echo().items() if k not in _CONFIG_KEYS_IGNORED_ON_RESUME}
-        current = {k: v for k, v in cfg.echo().items() if k not in _CONFIG_KEYS_IGNORED_ON_RESUME}
-        if stored != current:
-            diff = sorted(
-                k for k in set(stored) | set(current) if stored.get(k) != current.get(k)
-            )
+        stored, current = self.config.echo(), cfg.echo()  # both have every RunConfig field
+        diff = sorted(k for k in stored if stored[k] != current[k] and k not in _CONFIG_KEYS_IGNORED_ON_RESUME)
+        if diff:
             raise ContractError(f"checkpoint config does not match current config; differs in {diff}")
 
 
@@ -253,33 +250,43 @@ def _segment(state: RunState, k: int) -> list[np.ndarray]:
     return mod.generator()
 
 
+def _check_shapes(arrays, wanted) -> None:
+    shapes = [a.shape for a in arrays]
+    if shapes != wanted:
+        raise ContractError(f"run state arrays have shapes {shapes}; its config implies {wanted}")
+
+
 def save_checkpoint(path, state: RunState, crcs: list[int] | None = None) -> list[int]:
     """Write `state` to `path` and its sidecar; return the segment CRCs.
 
     `crcs` is what this run's previous save to `path` returned.  Its segments
     are in the sidecar already, so only newer ones are built, checked and
-    appended.  None, for a run's first save, writes a fresh sidecar.  Each
-    generator written is then spilled: its modulator reads it from the
-    sidecar when needed, as a loaded one does.
+    appended, one at a time.  None, for a run's first save, writes a fresh
+    sidecar.  Each generator written is then spilled: its modulator reads it
+    from the sidecar when needed, as a loaded one does.
     """
     bank, head, net, cfg = state.bank, state.head, state.net, state.config
     mutable = [head.weight] + ([net.w1, net.w2] if cfg.method == "finetune" else [])
     mutable.append(np.array([s.epochs for s in state.stages], dtype=np.float64))
     blocks, segments = payload_layout(cfg, int(net.w1.shape[0]), len(state.stages), head.num_classes)
-    done = crcs or []
+    _check_shapes(mutable, blocks)
     stored = 0 if cfg.method == "finetune" else 1 + 2 * len(bank)
-    fresh = [_segment(state, k) for k in range(len(done), stored)]
-    shapes = ([a.shape for a in mutable], [[a.shape for a in seg] for seg in fresh])
-    wanted = (blocks, segments[len(done) :])
-    if shapes != wanted:
-        raise ContractError(f"run state arrays have shapes {shapes}; its config implies {wanted}")
+    if stored != len(segments):
+        raise ContractError(f"run state has {stored} frozen segments; its config implies {len(segments)}")
+    done, fresh = crcs or [], []
 
-    fresh = [_f8(seg) for seg in fresh]
-    chunks = [a for seg in fresh for a in seg]
+    def chunks():
+        for k in range(len(done), stored):
+            segment = _f8(_segment(state, k))
+            _check_shapes(segment, segments[k])
+            fresh.append(_crc(segment))
+            yield from segment
+
     if crcs is None:
-        write_atomic(frozen_path(path), chunks)
+        write_atomic(frozen_path(path), chunks())
     else:
-        write_at(frozen_path(path), sum(map(_nbytes, segments[: len(done)])), chunks)
+        write_at(frozen_path(path), sum(map(_nbytes, segments[: len(done)])), chunks())
+    crcs = done + fresh
 
     header = {
         "config": cfg.echo(),
@@ -289,14 +296,13 @@ def save_checkpoint(path, state: RunState, crcs: list[int] | None = None) -> lis
             {"classes": classes, "accuracy": s.accuracy, "inferred": s.inferred, "donor": s.donor}
             for classes, s in zip(head.tasks, state.stages)
         ],
-        "crcs": done + [_crc(seg) for seg in fresh],
+        "crcs": crcs,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     payload = _f8(mutable)
     crc = _crc(payload, zlib.crc32(header_bytes))
     prefix = MAGIC + struct.pack("<IQ", VERSION, len(header_bytes))
     write_atomic(path, [prefix, header_bytes, *payload, struct.pack("<I", crc)])
-    crcs = header["crcs"]
     for k in range(len(done), len(segments)):
         if k and not k % 2:
             bank.modulator(k // 2).spill(_generator_reader(path, cfg, crcs, segments, k))

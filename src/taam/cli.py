@@ -26,7 +26,7 @@ import numpy as np
 
 from .checkpoint import average_accuracy, load_checkpoint
 from .config import ABLATIONS, METHODS, PRECISIONS, RunConfig, make_config, read_config_file
-from .datasets import SBM_DEFAULTS, write_planetoid
+from .datasets import SBM_PARAMS, write_planetoid
 from .errors import ContractError, IntegrityError, NumericError, ParseError
 from .fileio import write_atomic
 from .graph import generate_sbm
@@ -36,20 +36,33 @@ from .training import end_to_end_grad_check
 log = logging.getLogger(__name__)
 
 
+# The config flags of `run`, in help order: each one's add_argument keywords,
+# and whether `ablate`, which picks the method and ablation itself, takes it.
+_CONFIG_FLAGS = {
+    "dataset": ({"help": "file prefix or sbm:spec"}, True),
+    "method": ({"choices": METHODS}, False),
+    "protocol": ({"help": "equal:K or unequal:a,b,..."}, True),
+    "seed": ({"type": int}, True),
+    "ablation": ({"choices": ABLATIONS}, False),
+    "epochs": ({"type": int}, True),
+    "precision": ({"choices": PRECISIONS}, False),
+}
+
+
+def _add_config_flags(parser, ablate: bool, out_help: str) -> None:
+    parser.add_argument("--config", help="key = value config file")
+    for key, (kwargs, in_ablate) in _CONFIG_FLAGS.items():
+        if in_ablate or not ablate:
+            parser.add_argument(f"--{key}", **kwargs)
+    parser.add_argument("--out", help=out_help)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="taam", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="train a continual stream and write artifacts")
-    run.add_argument("--config", help="key = value config file")
-    run.add_argument("--dataset", help="file prefix or sbm:spec")
-    run.add_argument("--method", choices=METHODS)
-    run.add_argument("--protocol", help="equal:K or unequal:a,b,...")
-    run.add_argument("--seed", type=int)
-    run.add_argument("--ablation", choices=ABLATIONS)
-    run.add_argument("--epochs", type=int)
-    run.add_argument("--precision", choices=PRECISIONS)
-    run.add_argument("--out", help="output directory")
+    _add_config_flags(run, ablate=False, out_help="output directory")
     run.add_argument("--resume", help="checkpoint to continue from")
     run.add_argument("--stop-after", type=int, default=None,
                      help="stop after this stage (for scripted interruption)")
@@ -60,12 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", help="where to write eval_summary.json")
 
     ab = sub.add_parser("ablate", help="run nsm_only, retrieval_only, and full variants")
-    ab.add_argument("--config", help="key = value config file")
-    ab.add_argument("--dataset", help="file prefix or sbm:spec")
-    ab.add_argument("--protocol", help="equal:K or unequal:a,b,...")
-    ab.add_argument("--seed", type=int)
-    ab.add_argument("--epochs", type=int)
-    ab.add_argument("--out", help="output directory (one subdir per variant)")
+    _add_config_flags(ab, ablate=True, out_help="output directory (one subdir per variant)")
 
     gc = sub.add_parser("gradcheck", help="finite-difference check of training gradients")
     gc.add_argument("--seeds", type=int, default=20)
@@ -74,24 +82,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-sbm", help="write a synthetic graph as .content/.cites")
     gen.add_argument("--out", required=True, help="output file prefix")
-    flags = {"classes": "--classes", "npc": "--nodes-per-class", "p_in": "--p-in", "p_out": "--p-out",
-             "dim": "--dim", "sep": "--separation", "noise": "--noise"}
-    for key, flag in flags.items():
-        gen.add_argument(flag, type=type(SBM_DEFAULTS[key]), default=SBM_DEFAULTS[key])
+    for _, _, default, flag in SBM_PARAMS:
+        gen.add_argument(flag, type=type(default), default=default)
     gen.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def _resolve_config(args, forced: dict | None = None) -> RunConfig:
-    file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
-    overrides = {
-        key: getattr(args, key, None)
-        for key in ("dataset", "method", "protocol", "seed", "ablation", "epochs", "precision")
-    }
+    file_values = read_config_file(args.config) if args.config else {}
+    overrides = {key: getattr(args, key, None) for key in _CONFIG_FLAGS}
     if forced:
         overrides.update(forced)
     cfg = make_config(file_values, overrides)
-    out = getattr(args, "out", None) or os.environ.get("TAAM_OUT_DIR")
+    out = args.out or os.environ.get("TAAM_OUT_DIR")
     if out:
         cfg.out_dir = out
     return cfg
@@ -190,16 +193,8 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_gen_sbm(args) -> int:
-    graph = generate_sbm(
-        args.classes,
-        args.nodes_per_class,
-        args.p_in,
-        args.p_out,
-        args.dim,
-        args.separation,
-        args.seed,
-        feature_noise=args.noise,
-    )
+    params = {name: getattr(args, flag[2:].replace("-", "_")) for _, name, _, flag in SBM_PARAMS}
+    graph = generate_sbm(**params, seed=args.seed)
     parent = os.path.dirname(args.out)
     if parent:
         os.makedirs(parent, exist_ok=True)

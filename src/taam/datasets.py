@@ -10,8 +10,8 @@ integers in lexicographic order, citations are symmetrized, and citations
 mentioning unknown node ids are skipped with one counted warning.
 
 A dataset argument of the form "sbm:key=value,..." generates a block-model
-graph instead of reading files (keys: classes, npc, p_in, p_out, dim, sep,
-noise, seed; seed defaults to the run seed).
+graph instead of reading files (keys: those of `SBM_PARAMS`, and seed,
+which defaults to the run seed).
 """
 
 from __future__ import annotations
@@ -27,15 +27,17 @@ from .graph import SparseGraph, generate_sbm
 
 log = logging.getLogger(__name__)
 
-SBM_DEFAULTS = {
-    "classes": 6,
-    "npc": 60,
-    "p_in": 0.1,
-    "p_out": 0.02,
-    "dim": 32,
-    "sep": 8.0,
-    "noise": 1.0,
-}
+# Each parameter of an "sbm:" spec: its key, its generate_sbm keyword, its
+# default (whose type parses the value) and its `taam gen-sbm` flag.
+SBM_PARAMS = (
+    ("classes", "num_classes", 6, "--classes"),
+    ("npc", "nodes_per_class", 60, "--nodes-per-class"),
+    ("p_in", "p_in", 0.1, "--p-in"),
+    ("p_out", "p_out", 0.02, "--p-out"),
+    ("dim", "feature_dim", 32, "--dim"),
+    ("sep", "separation", 8.0, "--separation"),
+    ("noise", "feature_noise", 1.0, "--noise"),
+)
 
 
 def load_planetoid(content_path, cites_path, row_normalize: bool = False) -> SparseGraph:
@@ -118,28 +120,17 @@ def write_planetoid(graph: SparseGraph, prefix) -> tuple[str, str]:
 def parse_sbm_spec(spec: str, default_seed: int) -> dict:
     """Turn "sbm:classes=6,npc=60,..." into generate_sbm keyword arguments."""
     body = spec[len("sbm:"):] if spec.startswith("sbm:") else spec
-    values = dict(SBM_DEFAULTS)
-    values["seed"] = default_seed
+    values = {**{key: default for key, _, default, _ in SBM_PARAMS}, "seed": default_seed}
     if body.strip():
         for item in body.split(","):
             key, sep, val = item.partition("=")
             key = key.strip()
             if not sep or key not in values:
-                raise ContractError(
-                    f"bad sbm spec item {item!r}; keys: {', '.join(sorted(values))}"
-                )
+                raise ContractError(f"bad sbm spec item {item!r}; keys: {', '.join(sorted(values))}")
             values[key] = val.strip()
     try:
-        return {
-            "num_classes": int(values["classes"]),
-            "nodes_per_class": int(values["npc"]),
-            "p_in": float(values["p_in"]),
-            "p_out": float(values["p_out"]),
-            "feature_dim": int(values["dim"]),
-            "separation": float(values["sep"]),
-            "feature_noise": float(values["noise"]),
-            "seed": int(values["seed"]),
-        }
+        kwargs = {name: type(default)(values[key]) for key, name, default, _ in SBM_PARAMS}
+        return {**kwargs, "seed": int(values["seed"])}
     except ValueError as e:
         raise ContractError(f"bad sbm spec value in {spec!r}") from e
 

@@ -13,14 +13,21 @@ import os
 
 
 def write_atomic(path, chunks) -> None:
-    """Replace `path` by the concatenation of `chunks` (bytes-like objects)."""
+    """Replace `path` by the concatenation of `chunks` (bytes-like objects).
+    If that raises (a full disk, a chunk that cannot be built), the temp file
+    is removed and `path` stays as it was."""
     tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "wb") as fh:
-        for chunk in chunks:
-            fh.write(chunk)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
     fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
     try:
         os.fsync(fd)

@@ -321,9 +321,10 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
 
     `resume` is a RunState from a saved checkpoint: training continues after
     its last completed stage and, because every random draw is keyed by
-    (seed, purpose, task), reproduces the uninterrupted run exactly.  The run
-    advances that state in place and returns it; a checkpoint of every stage
-    trains nothing.
+    (seed, purpose, task), reproduces the uninterrupted run exactly.  A fresh
+    run is a resume from stage 0, of the initial net with an empty bank and
+    head.  The run advances its state in place and returns it; a checkpoint
+    of every stage trains nothing.
     After each completed stage the checkpoint at `checkpoint_path` is saved:
     its first save writes it whole, each later one appends only the newly
     frozen blocks.  A run that trains nothing saves it once.  A checkpointed
@@ -334,35 +335,24 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
     """
     cfg.validate()
     t_total = len(stream.tasks)
-    if resume is not None:
-        resume.check_config(cfg)
-        _check_stream(stream, resume)
-        # Any stored task may be a donor and the first save rewrites the
-        # sidecar, so every generator is read and checked now, and dropped:
-        # a damaged one stops the run before it trains or writes.
-        for t in range(1, len(resume.bank) + 1):
-            resume.bank.modulator(t).generator()
-    first_stage = 1 if resume is None else resume.completed + 1
+    state = resume
+    if state is None:  # stage 0
+        net = init_backbone(stream.graph.feature_dim, cfg.hidden_dim, rng_for(cfg.seed, "backbone"), dtype=cfg.np_dtype)
+        if cfg.method == "finetune":
+            net = FinetuneModel(net.w1, net.w2)
+        state = RunState(cfg, t_total, net, PrototypeBank(), ClassifierHead(cfg.hidden_dim, dtype=cfg.np_dtype), [])
+    state.check_config(cfg)
+    _check_stream(stream, state)
+    # Any stored task may be a donor and the first save rewrites the sidecar,
+    # so every generator is read and checked now, and dropped: a damaged one
+    # stops the run before it trains or writes.
+    for t in range(1, len(state.bank) + 1):
+        state.bank.modulator(t).generator()
+    first_stage = state.completed + 1
     last = t_total if stop_after is None else min(int(stop_after), t_total)
     if last < min(first_stage, t_total):
         raise ContractError(f"stop_after={stop_after} is before stage {min(first_stage, t_total)}")
-
-    if resume is None:
-        in_dim = stream.graph.feature_dim
-        net = init_backbone(in_dim, cfg.hidden_dim, rng_for(cfg.seed, "backbone"), dtype=cfg.np_dtype)
-        if cfg.method == "finetune":
-            net = FinetuneModel(net.w1, net.w2)
-        state = RunState(
-            config=cfg,
-            tasks_total=t_total,
-            net=net,
-            bank=PrototypeBank(),
-            head=ClassifierHead(cfg.hidden_dim, dtype=cfg.np_dtype),
-            stages=[],
-        )
-    else:
-        state = resume
-        state.config = cfg
+    state.config = cfg
 
     embeddings: dict = {}
     crcs = None

@@ -73,8 +73,9 @@ class Modulator:
     s's (w_base, b_base, w_attn, b_attn), and `embedding` the task embedding.
     Frozen, it holds its inference form: `sites[s]` is site s's (basis,
     w_attn, b_attn), and the embedding is None.  A frozen modulator's
-    generator is kept apart, for warm starts (`generator`): in memory, or as
-    a function that reads it anew at each call.  Every array of it is
+    generator is kept apart, for warm starts, as a function that returns it
+    (`generator`): a closure over its arrays once frozen, and a reader of
+    the checkpoint's sidecar once loaded or spilled.  Every array of it is
     read-only.
     """
 
@@ -121,9 +122,7 @@ class Modulator:
         """A frozen modulator's w_base and b_base of each site, in
         `frozen_layout` order.  A modulator built by `from_frozen` or spilled
         reads them at every call and keeps nothing."""
-        if callable(self._generator):
-            return _read_only(self._generator())
-        return self._generator
+        return _read_only(self._generator())
 
     def spill(self, read_generator) -> None:
         """Drop a frozen modulator's generator from memory: from now on
@@ -134,13 +133,13 @@ class Modulator:
     def freeze(self) -> None:
         """Turn the modulator into its inference form.  Each site's basis is
         computed once, as `modulate` computes it for a trainable modulator;
-        the generator is kept and the embedding dropped."""
+        the generator is kept, in a closure, and the embedding dropped."""
         e = self.embedding.data
         inference, generator = [], []
         for w_base, b_base, w_attn, b_attn in self.sites:
             inference += [_basis(w_base.data, b_base.data, e, *w_attn.shape), w_attn.data, b_attn.data]
-            generator += [w_base.data, b_base.data]
-        self.sites, self.embedding, self._generator = _frozen_sites(inference), None, _read_only(generator)
+            generator += _read_only([w_base.data, b_base.data])
+        self.sites, self.embedding, self._generator = _frozen_sites(inference), None, lambda: generator
 
 
 def _read_only(arrays: list[np.ndarray]) -> list[np.ndarray]:

@@ -2,6 +2,7 @@
 crash safety."""
 
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import stat
 import struct
 import subprocess
 import sys
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -133,6 +135,7 @@ def test_save_refuses_arrays_its_config_does_not_imply(tmp_path):
     with pytest.raises(ContractError, match="shapes"):
         save_checkpoint(target, res)
     assert not target.exists() and not Path(frozen_path(target)).exists()
+    assert list(tmp_path.glob("never.bin*")) == []  # nor a temp file
 
 
 def test_f32_round_trip_exact(tmp_path):
@@ -323,6 +326,47 @@ def test_a_resume_reads_every_generator_before_it_trains(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "train_task", lambda *args: trained.append(args))
     assert main([*run, "--out", str(tmp_path / "resumed"), "--resume", str(ckpt)]) == 1
     assert trained == [] and list((tmp_path / "resumed").iterdir()) == []
+
+
+def test_a_first_save_holds_at_most_one_generator(tmp_path):
+    # A resumed run's first save rewrites the whole sidecar, every stored
+    # generator included, reading each back from the old sidecar.  It builds,
+    # checks and writes one segment at a time, so it never holds two: at the
+    # default widths with 32 input features, one generator is 898,560 bytes.
+    cfg = make_config(None, {"dataset": "sbm:classes=12,npc=10,dim=32,sep=10", "epochs": 1})
+    run_continual(harness.stream_from_config(cfg), cfg, checkpoint_path=tmp_path / "part.bin", stop_after=5)
+    state = load_checkpoint(tmp_path / "part.bin")
+    assert (state.completed, state.tasks_total, state.net.w1.shape) == (5, 6, (32, 256))
+    generator_bytes = sum(a.nbytes for a in state.bank.modulator(1).generator())
+    assert generator_bytes == 898_560
+    tracemalloc.start()
+    try:
+        save_checkpoint(tmp_path / "resumed.bin", state)
+        growth = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert growth <= generator_bytes + 128 * 1024
+    sidecar = lambda name: Path(frozen_path(tmp_path / name)).read_bytes()
+    assert sidecar("resumed.bin") == sidecar("part.bin")
+
+
+@pytest.mark.parametrize(
+    "error",
+    [OSError(errno.ENOSPC, "No space left on device"), ContractError("no such segment")],
+    ids=["disk_full", "chunk_not_built"],
+)
+def test_an_atomic_write_that_raises_leaves_the_target_and_no_temp_file(tmp_path, error):
+    target = tmp_path / "x.bin"
+    target.write_bytes(b"intact")
+
+    def chunks():
+        yield b"12345678"
+        raise error
+
+    with pytest.raises(type(error)):
+        fileio.write_atomic(target, chunks())
+    assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]
+    assert target.read_bytes() == b"intact"
 
 
 def test_sidecar_bytes_past_the_listed_segments_are_ignored(tmp_path):

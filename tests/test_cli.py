@@ -20,7 +20,7 @@ import taam
 from taam.checkpoint import frozen_path, load_checkpoint
 from taam.cli import _epoch_lines, main
 from taam.config import RunConfig
-from taam.datasets import load_planetoid
+from taam.datasets import load_planetoid, resolve_dataset
 
 from matrix_csv import read_matrix_csv
 
@@ -201,6 +201,19 @@ def test_gen_sbm_round_trips_through_parser(tmp_path, capsys):
     assert run_cli("run", "--config", str(conf), "--out", str(out)) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["tasks_total"] == 3
+
+
+def test_gen_sbm_writes_the_graph_of_the_same_sbm_spec(tmp_path):
+    # every parameter off its default, each flag spelled out by hand
+    prefix = tmp_path / "g"
+    assert run_cli("gen-sbm", "--out", str(prefix), "--classes", "3", "--nodes-per-class", "12",
+                   "--p-in", "0.3", "--p-out", "0.05", "--dim", "5", "--separation", "3.5",
+                   "--noise", "0.5", "--seed", "9") == 0
+    written = load_planetoid(f"{prefix}.content", f"{prefix}.cites")
+    spec = resolve_dataset("sbm:classes=3,npc=12,p_in=0.3,p_out=0.05,dim=5,sep=3.5,noise=0.5,seed=9", seed=0)
+    assert written.features.tobytes() == spec.features.tobytes()
+    assert np.array_equal(written.labels, spec.labels)
+    assert written.num_edges > 0 and (written.adj != spec.adj).nnz == 0
 
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch):

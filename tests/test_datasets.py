@@ -7,7 +7,6 @@ import pytest
 
 from taam import datasets, fileio
 from taam.datasets import (
-    SBM_DEFAULTS,
     load_planetoid,
     parse_sbm_spec,
     resolve_dataset,
@@ -130,8 +129,8 @@ def test_write_then_parse_round_trips_bitwise(tmp_path, caplog, monkeypatch):
 
 def test_parse_sbm_spec_defaults_and_overrides():
     kw = parse_sbm_spec("sbm:", default_seed=7)
-    assert kw["num_classes"] == SBM_DEFAULTS["classes"]
-    assert kw["seed"] == 7
+    assert kw == {"num_classes": 6, "nodes_per_class": 60, "p_in": 0.1, "p_out": 0.02,
+                  "feature_dim": 32, "separation": 8.0, "feature_noise": 1.0, "seed": 7}
     kw = parse_sbm_spec("sbm:classes=3,npc=10,sep=4.5,seed=2", default_seed=7)
     assert (kw["num_classes"], kw["nodes_per_class"], kw["separation"], kw["seed"]) == (3, 10, 4.5, 2)
     with pytest.raises(ContractError, match="keys:"):
