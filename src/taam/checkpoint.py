@@ -1,16 +1,16 @@
-"""Binary run checkpoints, format 5: a small file rewritten at every stage
+"""Binary run checkpoints, format 6: a small file rewritten at every stage
 plus an append-only sidecar of frozen blocks.
 
 `path` holds what changes from stage to stage (integers little-endian):
 
     bytes 0..7    magic "TAAMCKPT"
-    bytes 8..11   u32 format version (currently 5)
+    bytes 8..11   u32 format version (currently 6)
     bytes 12..19  u64 header length H
     next H bytes  header, UTF-8 JSON (sorted keys)
     payload       the classifier weight matrix, then for method finetune its
                   trained w1 and w2, then the epoch logs: for each completed
                   stage, one (loss, train_acc, val_acc) row per epoch; raw
-                  float64 little-endian, C order
+                  little-endian, C order, each in its `payload_layout` dtype
     last 4 bytes  u32 CRC-32 of header bytes + payload bytes
 
 The header has five keys: "config" (the run's `RunConfig.echo()`),
@@ -23,7 +23,7 @@ the accuracy matrix, AA and AF (defined here, next to it), the retrieval log
 and the donors from its stages.
 
 `frozen_path(path)` (`path` + ".frozen") holds the blocks that never change
-once written, as consecutive segments of raw float64 little-endian, C order.
+once written, as consecutive segments of arrays stored the same way.
 Segment 0 is the backbone's w1 and w2.  Each task then adds two segments,
 in the two parts of `modulator.frozen_layout`: segment 2t - 1 is task t's
 inference form (per site its basis, w_attn and b_attn), then its prototype;
@@ -50,8 +50,8 @@ writes is dropped from memory (`Modulator.spill`) and read back, by the
 loader's reader, when needed.  A resumed run reads them all before it trains
 or saves, so a damaged one stops it there.
 
-Each fact is stored once.  `payload_layout` derives every block shape, and
-so every segment length, from the config (the epoch count among it), the
+Each fact is stored once.  `payload_layout` derives every block's shape and
+dtype, so every segment length, from the config (epochs and precision), the
 input width, the stage count (the number of records) and the class count.
 A finished task's classifier columns are frozen, except under method
 finetune, which freezes none.  The loader requires exactly the five keys,
@@ -62,10 +62,11 @@ inferred task ids in 1..t and donors before t; epoch-log accuracies in
 segment, each matching when the segment is read.  Every violation is an
 IntegrityError, and a file of another format version is a VersionError.
 
-Float32 runs upcast to float64 on save and cast back on load (exact).  A
-float64 run's frozen blocks load as read-only views of the sidecar bytes
-read, without a copy; the classifier weight, which a resumed run writes,
-is always copied.
+Each array is stored in the dtype the run holds it in: the run's precision,
+except the epoch logs and the prototypes, which are float64.  So a load casts
+nothing, and in either precision the frozen blocks load as read-only views of
+the sidecar bytes read; the classifier weight, which a resumed run writes, is
+copied.
 Checkpoints are written at stage boundaries, so no optimizer state is
 stored; resuming re-derives all randomness from the seed and purpose tags.
 """
@@ -92,7 +93,7 @@ from .prototypes import PrototypeBank
 from .training import FinetuneModel, accuracy_percent
 
 MAGIC = b"TAAMCKPT"
-VERSION = 5
+VERSION = 6
 
 # Resuming in a different place is fine; resuming different run semantics is not.
 _CONFIG_KEYS_IGNORED_ON_RESUME = ("out_dir",)
@@ -210,14 +211,17 @@ def frozen_path(path) -> str:
 
 
 def payload_layout(cfg: RunConfig, in_dim: int, stage: int, classes: int):
-    """Shapes of every stored array, in storage order: those of the payload
-    of `path`, and those of each frozen segment of the sidecar."""
-    d_h = cfg.hidden_dim
-    head, backbone, logs = [(d_h, classes)], [(in_dim, d_h), (d_h, d_h)], [(stage, cfg.epochs, 3)]
+    """The (shape, dtype) of every stored array, in storage order: those of
+    the payload of `path`, and those of each frozen segment of the sidecar.
+    Each is in the run's dtype, except the epoch logs and the prototypes,
+    which are float64."""
+    d_h, run, f8 = cfg.hidden_dim, np.dtype(cfg.np_dtype), np.dtype(np.float64)
+    head, logs = [((d_h, classes), run)], [((stage, cfg.epochs, 3), f8)]
+    backbone = [((in_dim, d_h), run), ((d_h, d_h), run)]
     if cfg.method == "finetune":
         return head + backbone + logs, []
-    inference, generator = frozen_layout([in_dim, d_h], cfg.heads, cfg.embed_dim)
-    return head + logs, [backbone] + [inference + [(in_dim,)], generator] * stage
+    inference, generator = ([(s, run) for s in part] for part in frozen_layout([in_dim, d_h], cfg.heads, cfg.embed_dim))
+    return head + logs, [backbone] + [inference + [((in_dim,), f8)], generator] * stage
 
 
 def _segment_name(k: int) -> str:
@@ -225,12 +229,12 @@ def _segment_name(k: int) -> str:
     return "the backbone" if k == 0 else f"task {(k + 1) // 2}'s {('generator', 'inference form')[k % 2]}"
 
 
-def _nbytes(shapes) -> int:
-    return 8 * sum(math.prod(s) for s in shapes)
+def _nbytes(blocks) -> int:
+    return sum(math.prod(shape) * dtype.itemsize for shape, dtype in blocks)
 
 
-def _f8(arrays) -> list[np.ndarray]:
-    return [np.ascontiguousarray(a, dtype="<f8") for a in arrays]
+def _le(arrays) -> list[np.ndarray]:
+    return [np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")) for a in arrays]
 
 
 def _crc(chunks, crc: int = 0) -> int:
@@ -250,10 +254,10 @@ def _segment(state: RunState, k: int) -> list[np.ndarray]:
     return mod.generator()
 
 
-def _check_shapes(arrays, wanted) -> None:
-    shapes = [a.shape for a in arrays]
-    if shapes != wanted:
-        raise ContractError(f"run state arrays have shapes {shapes}; its config implies {wanted}")
+def _check_layout(arrays, wanted) -> None:
+    got = [(a.shape, a.dtype) for a in arrays]
+    if got != wanted:
+        raise ContractError(f"run state arrays have shapes and dtypes {got}; its config implies {wanted}")
 
 
 def save_checkpoint(path, state: RunState, crcs: list[int] | None = None) -> list[int]:
@@ -263,13 +267,15 @@ def save_checkpoint(path, state: RunState, crcs: list[int] | None = None) -> lis
     are in the sidecar already, so only newer ones are built, checked and
     appended, one at a time.  None, for a run's first save, writes a fresh
     sidecar.  Each generator written is then spilled: its modulator reads it
-    from the sidecar when needed, as a loaded one does.
+    from the sidecar when needed, as a loaded one does.  Each array is stored
+    as it is held, and one whose shape or dtype differs from its
+    `payload_layout` entry is a ContractError, raised before `path` is written.
     """
     bank, head, net, cfg = state.bank, state.head, state.net, state.config
     mutable = [head.weight] + ([net.w1, net.w2] if cfg.method == "finetune" else [])
     mutable.append(np.array([s.epochs for s in state.stages], dtype=np.float64))
     blocks, segments = payload_layout(cfg, int(net.w1.shape[0]), len(state.stages), head.num_classes)
-    _check_shapes(mutable, blocks)
+    _check_layout(mutable, blocks)
     stored = 0 if cfg.method == "finetune" else 1 + 2 * len(bank)
     if stored != len(segments):
         raise ContractError(f"run state has {stored} frozen segments; its config implies {len(segments)}")
@@ -277,8 +283,9 @@ def save_checkpoint(path, state: RunState, crcs: list[int] | None = None) -> lis
 
     def chunks():
         for k in range(len(done), stored):
-            segment = _f8(_segment(state, k))
-            _check_shapes(segment, segments[k])
+            segment = _segment(state, k)
+            _check_layout(segment, segments[k])
+            segment = _le(segment)
             fresh.append(_crc(segment))
             yield from segment
 
@@ -299,13 +306,13 @@ def save_checkpoint(path, state: RunState, crcs: list[int] | None = None) -> lis
         "crcs": crcs,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    payload = _f8(mutable)
+    payload = _le(mutable)
     crc = _crc(payload, zlib.crc32(header_bytes))
     prefix = MAGIC + struct.pack("<IQ", VERSION, len(header_bytes))
     write_atomic(path, [prefix, header_bytes, *payload, struct.pack("<I", crc)])
     for k in range(len(done), len(segments)):
         if k and not k % 2:
-            bank.modulator(k // 2).spill(_generator_reader(path, cfg, crcs, segments, k))
+            bank.modulator(k // 2).spill(_generator_reader(path, crcs, segments, k))
     return crcs
 
 
@@ -372,16 +379,15 @@ def _check_header(header, path):
     return cfg, blocks, segments
 
 
-def _views(buf, shapes) -> list[np.ndarray]:
-    """Read-only float64 views of consecutive arrays of these shapes in `buf`."""
-    flat = np.frombuffer(buf, dtype="<f8")
-    counts = [math.prod(s) for s in shapes]
-    return [flat[end - n : end].reshape(s) for s, n, end in zip(shapes, counts, accumulate(counts))]
+def _views(buf, blocks) -> list[np.ndarray]:
+    """Read-only views of consecutive arrays of these (shape, dtype) in `buf`."""
+    starts = accumulate((_nbytes([b]) for b in blocks), initial=0)
+    return [np.frombuffer(buf, d.newbyteorder("<"), math.prod(s), at).reshape(s) for (s, d), at in zip(blocks, starts)]
 
 
 def _read_segments(path, crcs, segments, picks) -> list[list[np.ndarray]]:
     """Segments `picks` of the sidecar of `path`, which must hold all of
-    `segments` (shapes), each read at its offset and checked against its CRC."""
+    `segments` (`payload_layout`), each read at its offset and checked against its CRC."""
     sidecar = frozen_path(path)
     ends = list(accumulate(map(_nbytes, segments), initial=0))
     try:
@@ -400,21 +406,10 @@ def _read_segments(path, crcs, segments, picks) -> list[list[np.ndarray]]:
         raise IntegrityError(f"{sidecar} is missing; copy it along with {path}") from None
 
 
-def _cast(view, cfg: RunConfig, path, copy=True) -> np.ndarray:
-    """The stored values in the run's dtype, which must hold them exactly
-    (compared bit for bit, so that a NaN equals itself)."""
-    out = view.astype(cfg.np_dtype, copy=copy)
-    bits = lambda a: a.astype(view.dtype, copy=False).view(np.uint64)
-    if out.dtype != view.dtype and not np.array_equal(bits(out), bits(view)):
-        raise IntegrityError(f"{path} header is malformed: {cfg.precision} cannot hold the stored values")
-    return out
-
-
-def _generator_reader(path, cfg: RunConfig, crcs, segments, k):
+def _generator_reader(path, crcs, segments, k):
     """A function that reads segment k, task k // 2's generator, from the
-    sidecar of `path`, checks it and casts it to the run's dtype, anew at
-    each call."""
-    return lambda: [_cast(v, cfg, path, copy=False) for v in _read_segments(path, crcs, segments, [k])[0]]
+    sidecar of `path` and checks it, anew at each call."""
+    return lambda: _read_segments(path, crcs, segments, [k])[0]
 
 
 def load_checkpoint(path) -> RunState:
@@ -450,31 +445,22 @@ def load_checkpoint(path) -> RunState:
     crcs = header["crcs"]
     # segment 0 and each task's inference form; a generator is read when needed
     frozen = _read_segments(path, crcs, segments, [k for k in range(len(segments)) if k == 0 or k % 2])
-    cast = lambda view, copy=True: _cast(view, cfg, path, copy)
 
     bank = PrototypeBank()
     if cfg.method == "finetune":
-        net = FinetuneModel(*map(cast, finetune_net))
+        net = FinetuneModel(*finetune_net)  # which copies them, to train
     else:
-        # Frozen blocks are never written again, so a float64 run keeps them
-        # as views of the sidecar bytes.  A float32 run's casts copy, so it
-        # copies the prototypes too, rather than keep those bytes alive.
+        # Frozen blocks are never written again, so they stay views of the sidecar bytes.
         (w1, w2), *tasks = frozen
-        views = cfg.np_dtype == np.float64
-        net = Backbone(cast(w1, copy=False), cast(w2, copy=False))
+        net = Backbone(w1, w2)
         bank = PrototypeBank.restore(
-            (
-                vector if views else vector.copy(),
-                Modulator.from_frozen(
-                    [cast(a, copy=False) for a in arrays], _generator_reader(path, cfg, crcs, segments, 2 * t)
-                ),
-            )
+            (vector, Modulator.from_frozen(arrays, _generator_reader(path, crcs, segments, 2 * t)))
             for t, (*arrays, vector) in enumerate(tasks, 1)
         )
 
     stages = header["stages"]
     # Every trained task's columns are frozen, except under finetune, which freezes none.
-    head = ClassifierHead.restore(cast(head_weight), [s["classes"] for s in stages], cfg.method != "finetune")
+    head = ClassifierHead.restore(head_weight.copy(), [s["classes"] for s in stages], cfg.method != "finetune")
     return RunState(
         config=cfg,
         tasks_total=header["tasks_total"],

@@ -383,10 +383,12 @@ def _check_stream(stream: TaskStream, state) -> None:
 def evaluate_final_row(stream: TaskStream, cfg, state) -> tuple[np.ndarray, list[dict]]:
     """Re-run the evaluation of the last completed stage from a restored state.
 
-    The stream must pass the resume check (`_check_stream`).  On a fresh
-    stream only the test rows of tasks 1..stage go through the last
-    propagation hop.  Returns the row and the stage's retrieval-log records.
+    The config and the stream must pass the resume checks (`check_config`,
+    `_check_stream`).  On a fresh stream only the test rows of tasks
+    1..stage go through the last propagation hop.  Returns the row and the
+    stage's retrieval-log records.
     """
+    state.check_config(cfg)
     _check_stream(stream, state)
     row, inferred = _evaluate_stage(stream, cfg, state, state.completed, {})
     return np.array(row), decisions(inferred)

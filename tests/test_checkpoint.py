@@ -103,20 +103,18 @@ def read_buffer(a):
 
 
 @pytest.mark.parametrize("precision", ["f64", "f32"])
-def test_loaded_frozen_blocks_are_views_of_the_bytes_read_in_f64(tmp_path, precision):
+def test_loaded_frozen_blocks_are_views_of_the_bytes_read(tmp_path, precision):
+    # every block is stored in the dtype the run holds it in, so a load casts
+    # nothing and copies no frozen block, a generator read included
     _, _, _, path = small_run(tmp_path, precision=precision)
     state = load_checkpoint(path)
     frozen = [state.net.w1, state.net.w2]
     for t in (1, 2):
         frozen += frozen_arrays(state, t)
     for a in frozen:
-        assert not a.flags.writeable
-        if precision == "f64":  # no cast, so no copy: a view of the bytes read
-            assert read_buffer(a) is not None
-            with pytest.raises(ValueError):
-                a.flags.writeable = True
-        else:  # every block is cast, so no view may keep the bytes read alive
-            assert read_buffer(a) is None
+        assert not a.flags.writeable and read_buffer(a) is not None
+        with pytest.raises(ValueError):
+            a.flags.writeable = True
     assert state.head.weight.flags.writeable and read_buffer(state.head.weight) is None
 
 
@@ -136,6 +134,15 @@ def test_save_refuses_arrays_its_config_does_not_imply(tmp_path):
         save_checkpoint(target, res)
     assert not target.exists() and not Path(frozen_path(target)).exists()
     assert list(tmp_path.glob("never.bin*")) == []  # nor a temp file
+
+
+def test_save_refuses_an_array_of_a_dtype_its_config_does_not_imply(tmp_path):
+    _, _, res, _ = small_run(tmp_path, precision="f32")
+    res.head.weight = res.head.weight.astype(np.float64)
+    target = tmp_path / "never.bin"
+    with pytest.raises(ContractError, match="dtypes"):
+        save_checkpoint(target, res)
+    assert list(tmp_path.glob("never.bin*")) == []  # no file, nor a temp file
 
 
 def test_f32_round_trip_exact(tmp_path):
@@ -195,7 +202,7 @@ def test_unsupported_version(tmp_path):
 
 def test_format_1_file_is_a_version_error(tmp_path):
     _, _, _, path = small_run(tmp_path)
-    for version in (1, 2, 3, 4):  # formats 2 to 4 are as unreadable as format 1
+    for version in (1, 2, 3, 4, 5):  # formats 2 to 5 are as unreadable as format 1
         raw = bytearray(path.read_bytes())
         raw[8:12] = struct.pack("<I", version)
         old = tmp_path / f"v{version}.bin"
@@ -239,7 +246,7 @@ def segment_bounds(path):
     stages, in_dim = header["stages"], header["in_dim"]
     classes = sum(len(s["classes"]) for s in stages)
     _, segments = payload_layout(make_config(header["config"]), in_dim, len(stages), classes)
-    ends = np.cumsum([0] + [8 * sum(math.prod(shape) for shape in seg) for seg in segments])
+    ends = np.cumsum([0] + [sum(math.prod(shape) * dtype.itemsize for shape, dtype in seg) for seg in segments])
     return list(zip(ends[:-1], ends[1:]))
 
 
@@ -700,7 +707,7 @@ def extra_segment(h):
         ("stage", 5),
         ("stage", 0),
         # the stored config must be valid, in the form a run stores, and
-        # describe the arrays stored (payload size, f32 exactness)
+        # describe the arrays stored (payload size)
         ("config", config_with(bogus=1)),
         ("config", config_with(method="svm")),
         ("config", config_with(precision="f32")),

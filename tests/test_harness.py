@@ -475,6 +475,19 @@ def test_evaluate_final_row_rejects_another_stream():
         evaluate_final_row(default_stream(g, classes_per_task=3, seed=0), cfg, res)
 
 
+@pytest.mark.parametrize("field, value", [("hops", 0), ("ablation", "nsm_only"), ("precision", "f32")])
+def test_evaluate_final_row_rejects_another_config(field, value):
+    # each of these scores the same trained state differently, as a resume
+    # with them would train it differently
+    cfg = cfg_for(epochs=3)
+    stream = stream_for(cfg)
+    res = run_continual(stream, cfg)
+    moved = make_config(None, {**cfg.echo(), "out_dir": "elsewhere"})
+    assert np.array_equal(evaluate_final_row(stream, moved, res)[0], res.matrix[1])
+    with pytest.raises(ContractError, match=f"differs in \\['{field}'\\]"):
+        evaluate_final_row(stream, make_config(None, {**cfg.echo(), field: value}), res)
+
+
 def test_predict_over_all_widens_the_label_space():
     cfg = cfg_for(predict_over_all=True, epochs=40)
     res = run_continual(stream_for(cfg), cfg)
