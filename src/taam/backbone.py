@@ -2,9 +2,12 @@
 
 Features are propagated over the normalized adjacency ahead of time (see
 graph.propagate); the backbone then applies two weight matrices with a
-modulator inserted before each one.  The weights are drawn once, never
-trained, and kept byte-identical for the whole run: task-specific capacity
-lives entirely in the modulators.
+modulator inserted before each one.  Everything after site 2 is linear, so
+`forward` stops at the site-2 activations h and `readout(w)` folds w2 into
+a head block w: the logits h·(w2·w) cost n·hidden·k multiply-adds, not the
+n·hidden·hidden of h·w2.  The weights are drawn once, never trained, and
+kept byte-identical for the whole run: task-specific capacity lives
+entirely in the modulators.
 """
 
 from __future__ import annotations
@@ -45,11 +48,10 @@ class Backbone:
         return (self.in_dim, self.hidden_dim)
 
     def forward(self, x_prop: Tensor, mod: Modulator, x_norm: Tensor | None = None) -> Tensor:
-        """Embed propagated features through both modulated layers.
+        """Site 1, w1 and site 2: the site-2 activations h, (n, hidden_dim).
 
-        x_prop is the already-propagated feature matrix (n, in_dim).  x_norm,
-        if given, is `layer_norm(x_prop)`, which site 1 then does not
-        recompute.  Returns the (n, hidden_dim) embedding.
+        x_prop is the propagated feature matrix (n, in_dim); x_norm, if given,
+        is `layer_norm(x_prop)`, which site 1 then does not recompute.
         """
         if mod.site_widths != self.site_widths:
             raise ContractError(
@@ -57,7 +59,11 @@ class Backbone:
             )
         site1, site2 = mod.sites
         h = matmul(modulate(site1, mod.embedding, x_prop, x_norm), self._t1)
-        return matmul(modulate(site2, mod.embedding, h), self._t2)
+        return modulate(site2, mod.embedding, h)
+
+    def readout(self, w: Tensor) -> Tensor:
+        """w2·w: the head block `w` (hidden_dim, k) as weights on h."""
+        return matmul(self._t2, w)
 
 
 def init_backbone(

@@ -77,17 +77,17 @@ class ClassifierHead:
     def freeze(self, task: int) -> None:
         self.frozen[self.span(task)] = True
 
-    def predict(self, embeddings: np.ndarray, task: int | None = None) -> np.ndarray:
-        """Argmax over the columns of `span(task)`, as global class ids.
-
-        Exact score ties resolve to the numerically lowest global class id.
+    def predict(self, h: np.ndarray, w2: np.ndarray, task: int | None = None) -> np.ndarray:
+        """Argmax of h·(w2·W) over the columns W of `span(task)`, as global
+        class ids, for site-2 activations h (n, hidden_dim) and the net's w2;
+        exact score ties resolve to the numerically lowest global class id.
         """
-        emb = np.asarray(embeddings)
-        if emb.ndim != 2 or emb.shape[1] != self.hidden_dim:
-            raise ShapeError(f"embeddings shape {emb.shape} does not match hidden dim {self.hidden_dim}")
+        h = np.asarray(h)
+        if h.ndim != 2 or h.shape[1] != self.hidden_dim:
+            raise ShapeError(f"activations shape {h.shape} does not match hidden dim {self.hidden_dim}")
         cols = self.span(task)
         ids = np.concatenate(self.tasks).astype(np.int64)[cols]
-        z = emb @ self.weight[:, cols]
+        z = h @ (w2 @ self.weight[:, cols])
         top = z.max(axis=1, keepdims=True)
         candidates = np.where(z == top, ids[None, :], np.iinfo(np.int64).max)
         return candidates.min(axis=1)

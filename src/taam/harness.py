@@ -279,14 +279,14 @@ def summary(state: RunState, wall_time_seconds: float) -> dict:
     }
 
 
-def _evaluate_stage(stream, cfg, state, stage, embeddings: dict) -> tuple[list[float], list[int | None]]:
+def _evaluate_stage(stream, cfg, state, stage, activations: dict) -> tuple[list[float], list[int | None]]:
     """Matrix row `stage` (accuracy on each task seen so far) and the task id
     picked for each of those tasks (None where the variant picks none).
 
-    `embeddings` maps (task j, modulator id) to task j's test embedding.  The
-    backbone and every stored modulator are frozen, so within a run each
-    entry is a constant; pass the same dict at every stage to compute each
-    one once.  Finetune's net changes every stage and never uses it.
+    `activations` maps (task j, modulator id) to task j's test site-2
+    activations h.  The backbone and every stored modulator are frozen, so
+    within a run each entry is a constant; pass the same dict at every stage
+    to compute each one once (finetune, whose net changes, skips it).
     """
     variant = cfg.variant
     net, bank, head = state.net, state.bank, state.head
@@ -298,7 +298,7 @@ def _evaluate_stage(stream, cfg, state, stage, embeddings: dict) -> tuple[list[f
         truth = task.labels[task.test_idx]
         if variant.task_id is None:
             inferred = None
-            emb = net.embed(x).data
+            h = net.embed(x).data
         else:
             if variant.task_id == "true":
                 inferred = j
@@ -306,11 +306,11 @@ def _evaluate_stage(stream, cfg, state, stage, embeddings: dict) -> tuple[list[f
                 inferred = bank.latest_task()
             else:
                 inferred = bank.retrieve(x64)
-            if (j, inferred) not in embeddings:
-                embeddings[j, inferred] = net.forward(x, bank.modulator(inferred)).data
-            emb = embeddings[j, inferred]
+            if (j, inferred) not in activations:
+                activations[j, inferred] = net.forward(x, bank.modulator(inferred)).data
+            h = activations[j, inferred]
         seen = variant.label_space == "seen" or cfg.predict_over_all
-        pred = head.predict(emb, None if seen else inferred)
+        pred = head.predict(h, net.w2, None if seen else inferred)
         row.append(accuracy_percent(pred, truth))
         picks.append(inferred)
     return row, picks
@@ -354,13 +354,13 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
         raise ContractError(f"stop_after={stop_after} is before stage {min(first_stage, t_total)}")
     state.config = cfg
 
-    embeddings: dict = {}
+    activations: dict = {}
     crcs = None
     for stage in range(first_stage, last + 1):
         task = stream.tasks[stage - 1]
         x_prop64 = stream.propagated(cfg.hops)[task.rows]
         donor, epochs = train_task(task, x_prop64, state.net, state.bank, state.head, cfg)
-        row, inferred = _evaluate_stage(stream, cfg, state, stage, embeddings)
+        row, inferred = _evaluate_stage(stream, cfg, state, stage, activations)
         state.stages.append(Stage(row, inferred, donor, epochs))
         if checkpoint_path is not None:
             crcs = save_checkpoint(checkpoint_path, state, crcs)

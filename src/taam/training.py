@@ -93,15 +93,16 @@ def accuracy_percent(pred: np.ndarray, truth: np.ndarray) -> float:
     return 100.0 * float((pred == truth).sum()) / truth.size
 
 
-def _fit(embed, params, w: Tensor, x_prop, task, labels, node_w, cfg) -> np.ndarray:
+def _fit(embed, readout, params, w: Tensor, x_prop, task, labels, node_w, cfg) -> np.ndarray:
     """Train `params` and the head block `w` on the task's train nodes.
 
     `embed` maps propagated features and their layer norm (both Tensors) to
-    embeddings, `labels` gives every node of the task graph its column of
-    `w`, and `node_w` weights the loss of each train node.  The features are
-    constant within the task, so they are normalized once, here.  Returns
-    the (epochs, 3) float64 log of loss and train/validation accuracy per
-    epoch; the validation pass is not recorded on the tape.
+    activations h, and the logits are `matmul(h, readout(w))`.  `labels`
+    gives every node of the task graph its column of `w`, and `node_w`
+    weights the loss of each train node.  The features are constant within
+    the task, so they are normalized once, here.  Returns the (epochs, 3)
+    float64 log of loss and train/validation accuracy per epoch; the
+    validation pass reuses the epoch's `readout(w)` off the tape.
     """
     y_train = labels[task.train_idx]
     y_val = labels[task.val_idx]
@@ -113,11 +114,11 @@ def _fit(embed, params, w: Tensor, x_prop, task, labels, node_w, cfg) -> np.ndar
     epochs = np.full((cfg.epochs, 3), np.nan)  # without validation nodes, val_acc stays NaN
     for epoch in range(cfg.epochs):
         with Tape() as tape:
-            z = matmul(embed(x_train, n_train), w)
+            z = matmul(embed(x_train, n_train), w_h := readout(w))
             loss = weighted_cross_entropy(z, y_train, node_w, reduction=cfg.reduction)
         epochs[epoch, :2] = loss.item(), accuracy_percent(z.data.argmax(axis=1), y_train)
         if x_val is not None:
-            z_val = embed(x_val, n_val).data @ w.data
+            z_val = embed(x_val, n_val).data @ w_h.data
             epochs[epoch, 2] = accuracy_percent(z_val.argmax(axis=1), y_val)
         opt.zero_grad()
         tape.backward(loss)
@@ -149,7 +150,7 @@ def train_task(task, x_prop64, backbone, bank, head, cfg) -> tuple[int | None, n
         w = Tensor(head.block(), requires_grad=True)
         labels = task.local_labels + head.span(t).start
         embed = lambda x, _norm: backbone.embed(x)  # no norm in the baseline
-        epochs = _fit(embed, backbone.parameters(), w, x_prop, task, labels, node_w, cfg)
+        epochs = _fit(embed, backbone.readout, backbone.parameters(), w, x_prop, task, labels, node_w, cfg)
         head.set_block(w.data)
         return None, epochs
 
@@ -162,7 +163,7 @@ def train_task(task, x_prop64, backbone, bank, head, cfg) -> tuple[int | None, n
         mod, donor = init_modulator(backbone.site_widths, rng_mod, **dims), None
     w = Tensor(head.block(t), requires_grad=True)
     embed = lambda x, x_norm: backbone.forward(x, mod, x_norm)
-    epochs = _fit(embed, mod.parameters(), w, x_prop, task, task.local_labels, node_w, cfg)
+    epochs = _fit(embed, backbone.readout, mod.parameters(), w, x_prop, task, task.local_labels, node_w, cfg)
     head.set_block(w.data, t)
     head.freeze(t)
     bank.commit(proto, mod)
@@ -171,7 +172,8 @@ def train_task(task, x_prop64, backbone, bank, head, cfg) -> tuple[int | None, n
 
 class FinetuneModel:
     """Trainable two-matrix backbone for the naive baseline (no modulators,
-    no normalization, weights shared and overwritten across tasks).
+    no normalization, weights shared and overwritten across tasks).  As a
+    Backbone's, its logits are `embed(x)`·`readout(w)` = x·w1·(w2·w).
 
     `w1` and `w2` are ndarrays, like a Backbone's; the trainable Tensors wrap
     the same buffers, which Adam updates in place.
@@ -183,8 +185,10 @@ class FinetuneModel:
         self._params = [Tensor(self.w1, requires_grad=True), Tensor(self.w2, requires_grad=True)]
 
     def embed(self, x: Tensor) -> Tensor:
-        t1, t2 = self._params
-        return matmul(matmul(x, t1), t2)
+        return matmul(x, self._params[0])
+
+    def readout(self, w: Tensor) -> Tensor:
+        return matmul(self._params[1], w)
 
     def parameters(self) -> list[Tensor]:
         return self._params
@@ -222,7 +226,7 @@ def end_to_end_grad_check(seed: int, num_nodes: int = 10) -> float:
     x = Tensor(x_prop)
 
     def loss_fn():
-        z = matmul(backbone.forward(x, mod), w)
+        z = matmul(backbone.forward(x, mod), backbone.readout(w))
         return weighted_cross_entropy(z, g.labels, node_w, reduction="sum")
 
     return grad_check(loss_fn, mod.parameters() + [w])

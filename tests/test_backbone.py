@@ -1,10 +1,14 @@
-"""Frozen backbone: immutability, wiring of the two insertion sites."""
+"""Frozen backbone: immutability, wiring of the two insertion sites, and
+the head block w2 is folded into: h·(w2·w) against (h·w2)·w."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taam import backbone, modulator
-from taam.backbone import init_backbone
+from taam.backbone import Backbone, init_backbone
+from taam.classifier import ClassifierHead
 from taam.errors import ContractError
 from taam.modulator import Modulator, init_modulator
 from taam.rng import rng_for
@@ -50,54 +54,56 @@ def test_forward_is_pure():
 def test_forward_records_sites_and_shapes(monkeypatch):
     # record each insertion site by wrapping the module-level name the
     # backbone calls; the model itself carries no hook
-    pre, post, norms = [], [], []
+    pre, post, norms, outs = [], [], [], []
 
     def recording_modulate(site, embedding, h, h_norm=None):
         out = modulator.modulate(site, embedding, h, h_norm)
         pre.append(h.shape)
         post.append(out.shape)
         norms.append(h_norm)
+        outs.append(out)
         return out
 
     monkeypatch.setattr(backbone, "modulate", recording_modulate)
     bb = small_backbone()
     mod = init_modulator(bb.site_widths, rng_for(1, "m"), embed_dim=4, heads=2)
     x = Tensor(np.random.default_rng(2).normal(size=(6, 5)))
-    emb = bb.forward(x, mod)
+    h = bb.forward(x, mod)
     assert pre == post == [(6, 5), (6, 4)]
     assert norms == [None, None]
-    assert isinstance(emb, Tensor) and emb.shape == (6, 4)
+    # forward ends at site 2's output; w2 is left to `readout`
+    assert h is outs[1]
     # a precomputed input norm reaches site 1 only and changes no bit
     x_norm = layer_norm(x)
     again = bb.forward(x, mod, x_norm)
     assert norms[2:] == [x_norm, None]
-    assert again.data.tobytes() == emb.data.tobytes()
+    assert again.data.tobytes() == h.data.tobytes()
 
 
 def composed_forward(bb, mod, x):
     # both sites from primitive tape ops, as the backbone ran them before
-    # each site became one fused op
-    h = x
-    for site, w in zip(mod.sites, (bb.w1, bb.w2)):
-        out = composed_modulate(site, mod.embedding, h)
-        h = matmul(out, Tensor(w))
-    return h
+    # each site became one fused op: site 1, w1, site 2
+    h = matmul(composed_modulate(mod.sites[0], mod.embedding, x), Tensor(bb.w1))
+    return composed_modulate(mod.sites[1], mod.embedding, h)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
 def test_forward_and_gradients_match_composed_sites_bitwise(dtype):
     # the shared embedding gets one gradient term per site, summed by the
-    # tape; the fused path must add them in the same order
+    # tape; the fused path must add them in the same order.  Both chains end
+    # in the head block's logits h·(w2·w), so w gets a gradient too.
     bb = init_backbone(32, 256, rng_for(0, "bb"), dtype=dtype)
     mod = init_modulator(bb.site_widths, rng_for(1, "m"), embed_dim=64, heads=3, dtype=dtype)
     x = Tensor(np.random.default_rng(2).normal(size=(72, 32)).astype(dtype))
+    w = Tensor(np.random.default_rng(3).uniform(-0.1, 0.1, size=(256, 2)).astype(dtype), requires_grad=True)
+    params = mod.parameters() + [w]
     results = []
     for forward in (lambda: composed_forward(bb, mod, x), lambda: bb.forward(x, mod, layer_norm(x))):
         with Tape() as tape:
-            loss = sum_all(forward())
+            loss = sum_all(matmul(forward(), bb.readout(w)))
         tape.backward(loss)
-        results.append([loss.data] + [p.grad for p in mod.parameters()])
-        for p in mod.parameters():
+        results.append([loss.data] + [p.grad for p in params])
+        for p in params:
             p.grad = None
     for want, got in zip(*results):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -134,7 +140,7 @@ def test_linear_bypass_recovers_plain_projection():
     bb = small_backbone()
     mod = passthrough_modulator(bb.site_widths)
     x = np.random.default_rng(4).normal(size=(7, 5))
-    got = bb.forward(Tensor(x), mod).data
+    got = bb.forward(Tensor(x), mod).data @ bb.w2
     assert np.allclose(got, layer_norm_np(layer_norm_np(x) @ bb.w1) @ bb.w2, rtol=1e-12)
 
 
@@ -150,3 +156,50 @@ def test_backward_trains_modulator_not_backbone():
         assert p.grad is not None
     assert x.grad is None
     assert np.array_equal(bb.w1, w1_before)
+
+
+# The fold h·(w2·w) rounds otherwise than (h·w2)·w: per dtype, the largest
+# difference allowed, relative to the largest |logit|.
+FOLD_RTOL = {np.float64: 1e-10, np.float32: 1e-4}
+dtypes = st.sampled_from([np.float64, np.float32])
+
+
+def normal(rng, shape, dtype):
+    return rng.normal(size=shape).astype(dtype)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dtype=dtypes, n=st.integers(1, 40), hidden=st.integers(1, 64), k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_readout_logits_equal_the_unfolded_chain(dtype, n, hidden, k, seed):
+    rng = np.random.default_rng(seed)
+    h, w2, w = normal(rng, (n, hidden), dtype), normal(rng, (hidden, hidden), dtype), normal(rng, (hidden, k), dtype)
+    bb = Backbone(w1=normal(rng, (3, hidden), dtype), w2=w2)
+    got = matmul(Tensor(h), bb.readout(Tensor(w))).data
+    want = (h @ w2) @ w
+    assert got.dtype == dtype and got.shape == (n, k)
+    assert np.abs(got - want).max() <= FOLD_RTOL[dtype] * np.abs(want).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dtype=dtypes,
+    n=st.integers(1, 40),
+    hidden=st.integers(1, 64),
+    groups=st.lists(st.integers(2, 4), min_size=1, max_size=3),
+    pick=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_predict_agrees_with_the_unfolded_chain_off_near_ties(dtype, n, hidden, groups, pick, seed):
+    rng = np.random.default_rng(seed)
+    head = ClassifierHead(hidden, dtype=dtype)
+    for i, size in enumerate(groups):  # class ids are column numbers
+        head.extend(range(head.num_classes, head.num_classes + size), rng_for(seed, "head", i))
+    task = pick if 1 <= pick <= len(groups) else None
+    h, w2 = normal(rng, (n, hidden), dtype), normal(rng, (hidden, hidden), dtype)
+    cols = head.span(task)
+    z = (h @ w2) @ head.weight[:, cols]
+    top2 = np.sort(z, axis=1)[:, -2:]
+    clear = top2[:, 1] - top2[:, 0] > FOLD_RTOL[dtype] * np.abs(z).max()
+    want = np.concatenate(head.tasks)[cols][z.argmax(axis=1)]
+    got = head.predict(h, w2, task)
+    assert np.array_equal(got[clear], want[clear])

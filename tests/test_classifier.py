@@ -77,20 +77,21 @@ def test_frozen_columns_survive_later_extensions():
 
 def test_predict_scores_the_task_block_and_checks_shape():
     head = head_with([5, 3], [0, 7])
-    emb = np.random.default_rng(0).normal(size=(6, 4))
-    z = emb @ head.weight[:, 2:]
-    assert np.array_equal(head.predict(emb, 2), np.array([0, 7])[z.argmax(axis=1)])
+    rng = np.random.default_rng(0)
+    h, w2 = rng.normal(size=(6, 4)), rng.normal(size=(4, 4))
+    z = h @ (w2 @ head.weight[:, 2:])  # w2 folded into the block's two columns
+    assert np.array_equal(head.predict(h, w2, 2), np.array([0, 7])[z.argmax(axis=1)])
     with pytest.raises(ShapeError):
-        head.predict(np.zeros((2, 3)), 1)
+        head.predict(np.zeros((2, 3)), w2, 1)
 
 
 def test_predict_returns_global_ids_from_subset():
     head = head_with([5, 3], [0, 7])
     head.set_block(np.eye(4))
-    emb = np.eye(4)
-    assert list(head.predict(emb)) == [5, 3, 0, 7]
+    eye = np.eye(4)
+    assert list(head.predict(eye, eye)) == [5, 3, 0, 7]
     # restricted to one task, only its ids can come back
-    pred = head.predict(np.random.default_rng(1).normal(size=(10, 4)), 2)
+    pred = head.predict(np.random.default_rng(1).normal(size=(10, 4)), eye, 2)
     assert set(pred) <= {0, 7}
 
 
@@ -98,9 +99,10 @@ def test_predict_exact_tie_takes_lowest_class_id():
     head = head_with([9, 2])
     col = np.array([[1.0], [0.0], [0.0], [0.0]])
     head.set_block(np.hstack([col, col]), 1)  # identical scores for both classes
-    emb = np.random.default_rng(2).normal(size=(5, 4))
-    assert list(head.predict(emb, 1)) == [2] * 5
-    assert list(head.predict(emb)) == [2] * 5
+    rng = np.random.default_rng(2)
+    h, w2 = rng.normal(size=(5, 4)), rng.normal(size=(4, 4))
+    assert list(head.predict(h, w2, 1)) == [2] * 5
+    assert list(head.predict(h, w2)) == [2] * 5
 
 
 def test_f32_head_stays_f32():

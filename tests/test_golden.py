@@ -117,130 +117,130 @@ HASWELL = SKYLAKEX.replace("SkylakeX", "Haswell")
 GOLDEN = {
     SKYLAKEX: {
         "finetune-f64": {
-            "checkpoint.bin": "e0209540929ee641abf3370cf51bb2cd48e54e90ab8aced544d1bb5d41f058ed",
+            "checkpoint.bin": "4fdc3ff20b54c667f5b250d88f86f84e23c94b5963fdf7d112c5ffa18152383a",
             "checkpoint.bin.frozen": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
             "matrix.csv": "aa7951b49a945927955a6ad1e207b0017e218256b80ff8a518fdbba25dca4493",
             "summary.json": "7246be840017e3d3f99bf6a9011d67b128ad4ed0339a52d31fa77317cfb1a7f7",
-            "task_01_train.log": "db6f83369de7a8530bcefd76d3f1b5825908c9348b3ebbdeba45a67ea43a87f6",
-            "task_02_train.log": "85ab3b8914ae55991ab30d7e5b67b6bc7f6e20d569c3e087c047decf0042822d",
-            "task_03_train.log": "1c6d6523872607b0ca65629e5d775952a5e4234afc1001983cb153162723f000",
+            "task_01_train.log": "954525712e3cb1084dab2f0fbebd98a03c4e070c485a1bf5701ed45380a799ec",
+            "task_02_train.log": "ac5bc530e5cb9256effccac5fba6f9da356e3202320a9bb1b3b688894602ad62",
+            "task_03_train.log": "d2dcd03fe587b12d872e526d857310a3211eca87478e0d01e0f5c27ace150ad9",
         },
         "oracle-f64": {
-            "checkpoint.bin": "d9967593aea5c23ebcb051229ddca62480d7431397933859cfc54c64c93e7dfe",
-            "checkpoint.bin.frozen": "7b92c9e4732c0ed3e7137da03ba030d17b193b4ef2bde2e8700c14945d7cbf9f",
+            "checkpoint.bin": "ec7d218412ab7bd38d6ef9097e0c6632718a6b96917d86e40f1ee6aa370c0a76",
+            "checkpoint.bin.frozen": "c7d07fe717d03f1635f916cfac0214505084ffd8c4a9bf6ea9dddd1fc528e73c",
             "matrix.csv": "7136e86a046cdef9c1ecc33f92f3ea12ea4bb31a74e168eef9c4834afa2a3d84",
             "summary.json": "4d4837c4298aecd1ab9f1446850654ee6dd4a4ca3b11b2241f3ee694581ff460",
             "task_01_train.log": "ccfb8156257486546fe9ef53a6517d8b540c51a464e063f9822e917a71ebeb96",
-            "task_02_train.log": "aa6b8741271921850f053d5114362231b1b9ce7280f8d15ab736ca0c67587709",
-            "task_03_train.log": "451a7cae51c75b32550af94cbd1258f8ae39f20a1f1c37aa0b12cb3cf12b9428",
+            "task_02_train.log": "6d6178293d89fdfb15eca010ec0da09af1902740344476a54805c0a48579215d",
+            "task_03_train.log": "64fb83c01e118732005e2da2153bd78163e1d8fc2c70ce59095b2d6e5da557ef",
         },
         "taam-full-f32": {
-            "checkpoint.bin": "7ce98de4f9a146d8293b1228909f27ed99dcf561ead4a85d95653ac7949be84d",
-            "checkpoint.bin.frozen": "dfdab69de1a1df836b648304b3506f8ba294261c0bdab931739a5f078e93327e",
+            "checkpoint.bin": "743d3f4fdb261564205dc772ce8111237195feec0a833d5f73ef37b0981f0642",
+            "checkpoint.bin.frozen": "c42f8ac08a4431bdd0d280d670a16f09b5f456583996dbf67a0d7e65d5e6547f",
             "matrix.csv": "7136e86a046cdef9c1ecc33f92f3ea12ea4bb31a74e168eef9c4834afa2a3d84",
             "summary.json": "9e51fbf7c176e2cabec97ee707601b02693ddd61c1a456256179b15d9fc3f5a3",
-            "task_01_train.log": "53db96dc48b583c906a6f095253a2aecec2b16a9a610a2696a6f734d87a2f586",
-            "task_02_train.log": "524ff3dae58b2e1f6828e53e4bc374a54942d65b525bcb1cea4a512100b92b81",
-            "task_03_train.log": "160a96ff56d38b9157280ebae0dfdd2e74b6e503dc75eec4c4c562646877d1fd",
+            "task_01_train.log": "3784eb9eb2fb5882323493043d6c5d85b96111fc862dbd68e7b063861e874261",
+            "task_02_train.log": "2619d4c8742f2036dfe7b7977cd7179d28f8edb872e4ecf60585ef7c855f6bc1",
+            "task_03_train.log": "ae69f3012d4d2a4c9461e31fa2d0d7dab87824fb2dd3048d2a5ca2fcba9dd845",
         },
         "taam-full-f32-wide": {
-            "checkpoint.bin": "d56e5bcf478d4ef5d845c8245d0344c3e930f41c31cd232caed3eaa360c721c8",
-            "checkpoint.bin.frozen": "37c0e25f739855d6076d5c4ab3e30c787799e74032aa53aee500f98125f8c6b2",
+            "checkpoint.bin": "fdbde2e575740eab3079e7a84bf4b1f85177fd1c20357782b49f4afa49129910",
+            "checkpoint.bin.frozen": "9fb5a5a3e454e48bbee3ee665d39223ed140106a4b58b05595f877a69ce06dbb",
             "matrix.csv": "3ecf937403dbeb81d83ed985985d74064bda4f823a3722bfa3fe4038dbc0bcdf",
             "summary.json": "8d131d94901ef1567c008543b8785b11d26dde7cede21dbee8001d3260c46970",
             "task_01_train.log": "6c6df0ef6f28d83f23e72c64b68a1cd04c987cfa1b3d4df421f494c040c12ca6",
-            "task_02_train.log": "90b0671e7f44d9c64344f7869c769bfec13988f71fd85c0af488bd243f3e9993",
+            "task_02_train.log": "46c4b167971ab2ca37469b57edae4f29d0cccce37586175b132c4aeca4ac2d48",
         },
         "taam-full-f64": {
-            "checkpoint.bin": "b574f8481e0fd350ddb5321a4992548f55bffc3407f85dacd7bbb93ee4b69d05",
-            "checkpoint.bin.frozen": "7b92c9e4732c0ed3e7137da03ba030d17b193b4ef2bde2e8700c14945d7cbf9f",
+            "checkpoint.bin": "a579bcad0853bebcaf3714e59301bf186d39054f993bb4a7bec0419a5229b287",
+            "checkpoint.bin.frozen": "c7d07fe717d03f1635f916cfac0214505084ffd8c4a9bf6ea9dddd1fc528e73c",
             "matrix.csv": "7136e86a046cdef9c1ecc33f92f3ea12ea4bb31a74e168eef9c4834afa2a3d84",
             "summary.json": "aa7243e31abb0f81b866493dc3dbbb729227f7861c5687d998fbaacac867705a",
             "task_01_train.log": "ccfb8156257486546fe9ef53a6517d8b540c51a464e063f9822e917a71ebeb96",
-            "task_02_train.log": "aa6b8741271921850f053d5114362231b1b9ce7280f8d15ab736ca0c67587709",
-            "task_03_train.log": "451a7cae51c75b32550af94cbd1258f8ae39f20a1f1c37aa0b12cb3cf12b9428",
+            "task_02_train.log": "6d6178293d89fdfb15eca010ec0da09af1902740344476a54805c0a48579215d",
+            "task_03_train.log": "64fb83c01e118732005e2da2153bd78163e1d8fc2c70ce59095b2d6e5da557ef",
         },
         "taam-nsm_only-f64": {
-            "checkpoint.bin": "96ed04c391eac941732b8ae97297a210ba1682bcfdaddf0fc3794ede3a15e683",
-            "checkpoint.bin.frozen": "2dd8d1b4e199ebebff106dceb27b08c1943d3298d1a118c116503fc2b8b870f4",
+            "checkpoint.bin": "d83045c43c1a485c6af874166864d72671fe80d7214ea6dcbd44812301ef2452",
+            "checkpoint.bin.frozen": "8e6d7db316ef5b0cee8796897105a476f71e04041f20a2d5b895515c49ef11a3",
             "matrix.csv": "8001f17262fa3a545b4a0544b509c6a31846f4339ec99753a602671f545bf727",
             "summary.json": "53b160de2b5cc636f56c3c64a198080f1405fed198e4472e0ce7439bd454b8cd",
             "task_01_train.log": "ccfb8156257486546fe9ef53a6517d8b540c51a464e063f9822e917a71ebeb96",
-            "task_02_train.log": "626c7cf5aa0a58afd28d713773deccef3118a4cb18a6c8d434fde3083448a8b9",
+            "task_02_train.log": "1e673277ad674360bb85fd07826b3a4394f956a504ee694f9a300ee3535b1d02",
             "task_03_train.log": "9093fb493ed7d3ce944548ba77e549700bc93701ff17f8e533e55f596e7cdfad",
         },
         "taam-retrieval_only-f64": {
-            "checkpoint.bin": "1e01fd7b84b0b02d5450f631120752933a633096cbab587e788d6652ce20d5c2",
-            "checkpoint.bin.frozen": "2dd8d1b4e199ebebff106dceb27b08c1943d3298d1a118c116503fc2b8b870f4",
+            "checkpoint.bin": "b4733c06a981ee4eab155704727e5ba1658bc3fa8b586623a8a13be7655bfc9d",
+            "checkpoint.bin.frozen": "8e6d7db316ef5b0cee8796897105a476f71e04041f20a2d5b895515c49ef11a3",
             "matrix.csv": "d8c42f840d0df11a8edbda86ab6e1fadeaa91265849923c00e0d45a4e2823fc5",
             "summary.json": "ab8abce7a91fd55d5accb9779795761491b07c5013b4e9ad138491fd39dbfefb",
             "task_01_train.log": "ccfb8156257486546fe9ef53a6517d8b540c51a464e063f9822e917a71ebeb96",
-            "task_02_train.log": "626c7cf5aa0a58afd28d713773deccef3118a4cb18a6c8d434fde3083448a8b9",
+            "task_02_train.log": "1e673277ad674360bb85fd07826b3a4394f956a504ee694f9a300ee3535b1d02",
             "task_03_train.log": "9093fb493ed7d3ce944548ba77e549700bc93701ff17f8e533e55f596e7cdfad",
         },
     },
     HASWELL: {
         "finetune-f64": {
-            "checkpoint.bin": "332c0ddff9728d6fe53c96c96c53fd1886f1f1755d99138a8b3444d9f5b86320",
+            "checkpoint.bin": "f09abf3892c8fc1d50fadaec1137efad55c91e74f6ac42bff4131f8b99a1f5e8",
             "checkpoint.bin.frozen": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
             "matrix.csv": "aa7951b49a945927955a6ad1e207b0017e218256b80ff8a518fdbba25dca4493",
             "summary.json": "7246be840017e3d3f99bf6a9011d67b128ad4ed0339a52d31fa77317cfb1a7f7",
-            "task_01_train.log": "64c9461ea9a6d4c5b4c7da1b403df1575ae1e973492b62d11e35f82bf77fd2ed",
-            "task_02_train.log": "be0d9cb11537eab8d3bce186827a53ccb4c08636e1256499b6b21b1edfb34959",
-            "task_03_train.log": "73e90b91cd5aea70441960b859dc3b00e5ed5875c48d9b7a6d7d000efd7404d0",
+            "task_01_train.log": "fd4cd3ef89c72505d9c41540b90fda7bcdd25a2b1e04110c70d2cc2d88947298",
+            "task_02_train.log": "72eb097f78174c03879fef38e2a9f59962e8f3ee2bf31370624b53e03317db4e",
+            "task_03_train.log": "727e3f5c7e57cfabee099a44c4bd03db8c9242b351d7dffc8b63e8244dc97434",
         },
         "oracle-f64": {
-            "checkpoint.bin": "ec953837572529498ddcaf219a7df4d9b52076bd865e3a762fe0af0dbb214a96",
-            "checkpoint.bin.frozen": "122add0ed99691a9c469d12926cb74d8be81b8e45a08f1e8c05a473ff11b9e52",
+            "checkpoint.bin": "e42d5f9e1e9fe267af782e430817138235ca4a19fd6e014ba493fbfd47f72abd",
+            "checkpoint.bin.frozen": "857095517e9126aa5f14d361b0b1e33a399d13199dcb359363e879c219b2c2cd",
             "matrix.csv": "7136e86a046cdef9c1ecc33f92f3ea12ea4bb31a74e168eef9c4834afa2a3d84",
             "summary.json": "4d4837c4298aecd1ab9f1446850654ee6dd4a4ca3b11b2241f3ee694581ff460",
-            "task_01_train.log": "29006071b7b8a47134c59ae4f9df3893588a1658d294fe480e50db4f85a620e0",
-            "task_02_train.log": "67ac4b772098aa3d206d63239ca71b1181b01d2e1c127e5fde4cdf313c8b941e",
-            "task_03_train.log": "2acd3a627f9dca8a7db6c2c962f5bf164ecddc3e6dad2acd9dfef4cb8254b92a",
+            "task_01_train.log": "c9dd075db562f3ba6984790f690dd5171e16d4817b56323e91652388252cdfcb",
+            "task_02_train.log": "aa6b8741271921850f053d5114362231b1b9ce7280f8d15ab736ca0c67587709",
+            "task_03_train.log": "e556a34459b4314e2124087f7dc26c78a823a15bb182f440c6b502500f61ceaf",
         },
         "taam-full-f32": {
-            "checkpoint.bin": "5dc3ee1121477e5e8b3c4c0455fb1841cd5899dbacc8ef7d1aac72aa63e25f01",
-            "checkpoint.bin.frozen": "db7ae3ad65f052bdba8fd891edb07d175aab0e2fe2cfad52c29102dd2c12cc2a",
+            "checkpoint.bin": "d7900a032a73a7a421ebd622803cfb8d680bff1838efe6024511a001dc2700c2",
+            "checkpoint.bin.frozen": "cd08c00ffe48a76593d3efc79d23dbdadb088060a5419e704506877383281989",
             "matrix.csv": "7136e86a046cdef9c1ecc33f92f3ea12ea4bb31a74e168eef9c4834afa2a3d84",
             "summary.json": "9e51fbf7c176e2cabec97ee707601b02693ddd61c1a456256179b15d9fc3f5a3",
             "task_01_train.log": "641190737f2e2d445ba85603b754357c4a7d25d3a1fdb721f8903c3b0862de96",
-            "task_02_train.log": "b585c832b0e5661d45846bbbdf1ae963f9c3385ed27af481f8f60ecc9433e4e4",
-            "task_03_train.log": "436d72d2dc9504c654061ae643ecc4d204baeb8747211f10db32c97d8f060e1f",
+            "task_02_train.log": "a92b123c5ef6de5db2c358c3e812688b295429e838bedc082610d1e4e9433bd6",
+            "task_03_train.log": "fb0b5506745b1275a604fed2cf60521428f354e98ab1b52ede0a0dbbb2dbab9c",
         },
         "taam-full-f32-wide": {
-            "checkpoint.bin": "6994f1c1f05d7a1d3176dcd5ea74114cb93869560cbf1ef912d3677a966ea452",
-            "checkpoint.bin.frozen": "7629800df2a2466c041f37913d98c634eb3a1b2cd52733ffb4b321ef50916614",
+            "checkpoint.bin": "c1cadb7fd26255bc6047c7ba9fe8b2d40e2225ca701eb87c99a659e78af82e89",
+            "checkpoint.bin.frozen": "e0022315fbbdae428b476368d6364001ef6c4359f1cc9f6f211b19c1b9c350b2",
             "matrix.csv": "3ecf937403dbeb81d83ed985985d74064bda4f823a3722bfa3fe4038dbc0bcdf",
             "summary.json": "8d131d94901ef1567c008543b8785b11d26dde7cede21dbee8001d3260c46970",
-            "task_01_train.log": "4e7d995e0619cf5a719f569a8d099a705388602988e3d55ba2701cb79dcc1b16",
-            "task_02_train.log": "befea3ce4cc16c981526eeb2444e929658ed21b249b7ccb53f93a9c4ef65e899",
+            "task_01_train.log": "6c6df0ef6f28d83f23e72c64b68a1cd04c987cfa1b3d4df421f494c040c12ca6",
+            "task_02_train.log": "6744eea64490e89e0c8b6296fd0f986f6a289b20a1ec99fae38dea88cc3c9c6a",
         },
         "taam-full-f64": {
-            "checkpoint.bin": "d0e5cf1a15654d484531dc40853c4a2714b01921abde4182f963987a2c94d35b",
-            "checkpoint.bin.frozen": "122add0ed99691a9c469d12926cb74d8be81b8e45a08f1e8c05a473ff11b9e52",
+            "checkpoint.bin": "eb6c46c1c981fcf30b806d1bab4e09951591cbd3de0939e92d5d3b83cb1ee889",
+            "checkpoint.bin.frozen": "857095517e9126aa5f14d361b0b1e33a399d13199dcb359363e879c219b2c2cd",
             "matrix.csv": "7136e86a046cdef9c1ecc33f92f3ea12ea4bb31a74e168eef9c4834afa2a3d84",
             "summary.json": "aa7243e31abb0f81b866493dc3dbbb729227f7861c5687d998fbaacac867705a",
-            "task_01_train.log": "29006071b7b8a47134c59ae4f9df3893588a1658d294fe480e50db4f85a620e0",
-            "task_02_train.log": "67ac4b772098aa3d206d63239ca71b1181b01d2e1c127e5fde4cdf313c8b941e",
-            "task_03_train.log": "2acd3a627f9dca8a7db6c2c962f5bf164ecddc3e6dad2acd9dfef4cb8254b92a",
+            "task_01_train.log": "c9dd075db562f3ba6984790f690dd5171e16d4817b56323e91652388252cdfcb",
+            "task_02_train.log": "aa6b8741271921850f053d5114362231b1b9ce7280f8d15ab736ca0c67587709",
+            "task_03_train.log": "e556a34459b4314e2124087f7dc26c78a823a15bb182f440c6b502500f61ceaf",
         },
         "taam-nsm_only-f64": {
-            "checkpoint.bin": "53121113955af278951129cb35f545dfbc177956b70c573a4ae0012cc867c499",
-            "checkpoint.bin.frozen": "32c0e9de4468bdd5eb7e54a67c46cd69890c8346442794c512678cdfcbed6b85",
+            "checkpoint.bin": "204fa49416aecd22c2be8472187b8a4b32132081715b922a1b2ea19ebcda1567",
+            "checkpoint.bin.frozen": "6de7f6d571c8bf9e4b6e06358f38fe3f47c054d128b169f89dcd59d5d2d83d22",
             "matrix.csv": "8001f17262fa3a545b4a0544b509c6a31846f4339ec99753a602671f545bf727",
             "summary.json": "53b160de2b5cc636f56c3c64a198080f1405fed198e4472e0ce7439bd454b8cd",
-            "task_01_train.log": "29006071b7b8a47134c59ae4f9df3893588a1658d294fe480e50db4f85a620e0",
-            "task_02_train.log": "1e673277ad674360bb85fd07826b3a4394f956a504ee694f9a300ee3535b1d02",
-            "task_03_train.log": "9093fb493ed7d3ce944548ba77e549700bc93701ff17f8e533e55f596e7cdfad",
+            "task_01_train.log": "c9dd075db562f3ba6984790f690dd5171e16d4817b56323e91652388252cdfcb",
+            "task_02_train.log": "d3a19261593ef45d9d60c26f26f676aa53955d8e9448bd6cf0db31d452bd9535",
+            "task_03_train.log": "53e6403ad90c447bcac7f5c580efd72eea0f06b063c7c362cf0bd4aed0f79b3d",
         },
         "taam-retrieval_only-f64": {
-            "checkpoint.bin": "d116d7f19232a6fe76c3be4cbeabe8d12597a82018ad3d520343d6990b6c15b6",
-            "checkpoint.bin.frozen": "32c0e9de4468bdd5eb7e54a67c46cd69890c8346442794c512678cdfcbed6b85",
+            "checkpoint.bin": "95c2b2d9a198b58c990862bfb27be125efb1ba8b6c2f39e66aa508d6f88b59ce",
+            "checkpoint.bin.frozen": "6de7f6d571c8bf9e4b6e06358f38fe3f47c054d128b169f89dcd59d5d2d83d22",
             "matrix.csv": "d8c42f840d0df11a8edbda86ab6e1fadeaa91265849923c00e0d45a4e2823fc5",
             "summary.json": "ab8abce7a91fd55d5accb9779795761491b07c5013b4e9ad138491fd39dbfefb",
-            "task_01_train.log": "29006071b7b8a47134c59ae4f9df3893588a1658d294fe480e50db4f85a620e0",
-            "task_02_train.log": "1e673277ad674360bb85fd07826b3a4394f956a504ee694f9a300ee3535b1d02",
-            "task_03_train.log": "9093fb493ed7d3ce944548ba77e549700bc93701ff17f8e533e55f596e7cdfad",
+            "task_01_train.log": "c9dd075db562f3ba6984790f690dd5171e16d4817b56323e91652388252cdfcb",
+            "task_02_train.log": "d3a19261593ef45d9d60c26f26f676aa53955d8e9448bd6cf0db31d452bd9535",
+            "task_03_train.log": "53e6403ad90c447bcac7f5c580efd72eea0f06b063c7c362cf0bd4aed0f79b3d",
         },
     },
 }
@@ -276,6 +276,17 @@ def recording(kernel: str) -> dict:
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_artifacts_match_golden_digests(variant):
+    """Each artifact of `variant` has its golden digest on each kernel the
+    CPU supports; a failure names every (kernel, artifact) pair that differs.
+
+    A change that reorders arithmetic on purpose (say, multiplying two
+    matrices of a chain first) moves rounding, so it changes digests on both
+    kernels.  Re-record both sets, each in a process of its own, with
+    `OPENBLAS_CORETYPE=SkylakeX PYTHONPATH=src python tests/test_golden.py`
+    and again with `OPENBLAS_CORETYPE=Haswell`; put each output's "golden"
+    under its "fingerprint" in GOLDEN, and check that only the artifacts the
+    change should move have moved.
+    """
     kernels = sorted(k for k, needs in KERNELS.items() if needs <= cpu_flags())
     if not kernels:
         pytest.skip(f"this CPU supports none of the kernels digests are recorded on, {sorted(KERNELS)}")
@@ -283,8 +294,11 @@ def test_artifacts_match_golden_digests(variant):
     unknown = {k: r["fingerprint"] for k, r in recorded.items() if r["fingerprint"] not in GOLDEN}
     if unknown:
         pytest.skip(f"no golden digests are recorded for the BLAS fingerprints {unknown}")
-    got = {k: r["golden"][variant] for k, r in recorded.items()}
-    assert got == {k: GOLDEN[r["fingerprint"]][variant] for k, r in recorded.items()}
+    differ = []
+    for kernel, r in recorded.items():
+        got, want = r["golden"][variant], GOLDEN[r["fingerprint"]][variant]
+        differ += [f"{kernel} {name}" for name in sorted(got.keys() | want.keys()) if got.get(name) != want.get(name)]
+    assert not differ, f"{variant}: these artifacts differ from their golden digests: {', '.join(differ)}"
 
 
 if __name__ == "__main__":

@@ -210,24 +210,32 @@ def test_train_task_learns_separable_classes():
     assert len(bank) == 1 and bank.modulator(1).frozen
 
 
-def test_taam_training_step_records_six_tape_entries(monkeypatch):
-    # one step of a modulated task: the site-1 matmul by w1, the site-2 matmul
-    # by w2 and the head's matmul, one fused op per modulator site, and the
-    # loss; a site composed from primitive ops again would add entries
+@pytest.mark.parametrize("method", ["taam", "finetune"])
+def test_a_training_step_folds_w2_into_the_head_block(monkeypatch, method):
+    # one step records the matmul by w1 (n, hidden), then w2·w (hidden, k),
+    # then h·(w2·w) (n, k); (h·w2)·w would record an (n, hidden) product
+    # second.  A modulated step adds one fused op per site and the loss: a
+    # site composed from primitive ops again would add entries.
     recorded = []
 
-    class CountingTape(training.Tape):
+    class RecordingTape(training.Tape):
         def backward(self, loss):
-            recorded.append(Counter(fn.__qualname__.split(".")[0] for _, fn in self._entries))
+            recorded.append([(fn.__qualname__.split(".")[0], out.shape) for out, fn in self._entries])
             super().backward(loss)
 
-    monkeypatch.setattr(training, "Tape", CountingTape)
-    cfg = tiny_cfg(epochs=1)
+    monkeypatch.setattr(training, "Tape", RecordingTape)
+    cfg = tiny_cfg(epochs=1, method=method)
     g = generate_sbm(2, 30, 0.3, 0.05, 8, 10.0, seed=0)
     stream = default_stream(g, classes_per_task=2, seed=cfg.seed)
-    backbone = init_backbone(g.feature_dim, cfg.hidden_dim, rng_for(cfg.seed, "backbone"))
-    train(stream, 0, backbone, PrototypeBank(), ClassifierHead(cfg.hidden_dim), cfg)
-    assert recorded == [{"matmul": 3, "modulate": 2, "weighted_cross_entropy": 1}]
+    net = init_backbone(g.feature_dim, cfg.hidden_dim, rng_for(cfg.seed, "backbone"))
+    if method == "finetune":
+        net = FinetuneModel(net.w1, net.w2)
+    train(stream, 0, net, PrototypeBank(), ClassifierHead(cfg.hidden_dim), cfg)
+    [entries] = recorded
+    n, hidden = stream.tasks[0].train_idx.size, cfg.hidden_dim
+    assert [shape for op, shape in entries if op == "matmul"] == [(n, hidden), (hidden, 2), (n, 2)]
+    ops = Counter(op for op, _ in entries)
+    assert ops == {"matmul": 3, "weighted_cross_entropy": 1, **({"modulate": 2} if method == "taam" else {})}
 
 
 def test_train_task_second_task_warm_starts_from_first():
@@ -276,7 +284,7 @@ def test_finetune_trains_shared_weights_over_all_columns():
     # task-1 test nodes are mostly dragged to the new classes
     t1 = stream.tasks[0]
     x = Tensor(stream.propagated(cfg.hops)[t1.rows][t1.test_idx])
-    pred = head.predict(model.embed(x).data)
+    pred = head.predict(model.embed(x).data, model.w2)
     truth = t1.labels[t1.test_idx]
     acc = 100.0 * float((pred == truth).sum()) / truth.size
     assert acc < 50.0
