@@ -35,17 +35,9 @@ class Backbone:
         self._t2 = Tensor(self.w2)
 
     @property
-    def in_dim(self) -> int:
-        return int(self.w1.shape[0])
-
-    @property
-    def hidden_dim(self) -> int:
-        return int(self.w1.shape[1])
-
-    @property
     def site_widths(self) -> tuple[int, int]:
-        """Activation widths at the two insertion sites."""
-        return (self.in_dim, self.hidden_dim)
+        """Activation widths at the two insertion sites: those of w1's rows and columns."""
+        return self.w1.shape
 
     def forward(self, x_prop: Tensor, mod: Modulator, x_norm: Tensor | None = None) -> Tensor:
         """Site 1, w1 and site 2: the site-2 activations h, (n, hidden_dim).

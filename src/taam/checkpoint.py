@@ -47,8 +47,8 @@ about 2% of a task's floats.  A generator segment is read and checked each
 time a warm start needs it, each read opening the sidecar anew, and is not
 kept.  A save leaves the run it saved in that same form: each generator it
 writes is dropped from memory (`Modulator.spill`) and read back, by the
-loader's reader, when needed.  A resumed run reads them all before it trains
-or saves, so a damaged one stops it there.
+loader's reader, when needed.  A resumed run saves before it trains, and that
+save, rewriting the sidecar, reads each once: a damaged one stops it there.
 
 Each fact is stored once.  `payload_layout` derives every block's shape and
 dtype, so every segment length, from the config (epochs and precision), the

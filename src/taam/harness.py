@@ -325,13 +325,14 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
     run is a resume from stage 0, of the initial net with an empty bank and
     head.  The run advances its state in place and returns it; a checkpoint
     of every stage trains nothing.
-    After each completed stage the checkpoint at `checkpoint_path` is saved:
-    its first save writes it whole, each later one appends only the newly
-    frozen blocks.  A run that trains nothing saves it once.  A checkpointed
-    run then holds each past task as a loaded checkpoint does: the inference
-    form and prototype in memory, the generator in the sidecar, read each
-    time a warm start needs it.  Without a checkpoint every generator stays
-    in memory.
+    A resumed run with a `checkpoint_path` saves it before it trains, once
+    the checks pass: that first save writes it whole, reading and checking
+    each stored generator once, so a damaged one stops the run there.  Each
+    completed stage then saves it again, appending only the newly frozen
+    blocks.  A checkpointed run holds each past task as a loaded checkpoint
+    does: the inference form and prototype in memory, the generator in the
+    sidecar, read each time a warm start needs it.  Without a checkpoint
+    each new generator stays in memory.
     """
     cfg.validate()
     t_total = len(stream.tasks)
@@ -341,13 +342,7 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
         if cfg.method == "finetune":
             net = FinetuneModel(net.w1, net.w2)
         state = RunState(cfg, t_total, net, PrototypeBank(), ClassifierHead(cfg.hidden_dim, dtype=cfg.np_dtype), [])
-    state.check_config(cfg)
-    _check_stream(stream, state)
-    # Any stored task may be a donor and the first save rewrites the sidecar,
-    # so every generator is read and checked now, and dropped: a damaged one
-    # stops the run before it trains or writes.
-    for t in range(1, len(state.bank) + 1):
-        state.bank.modulator(t).generator()
+    _check_stream(stream, cfg, state)
     first_stage = state.completed + 1
     last = t_total if stop_after is None else min(int(stop_after), t_total)
     if last < min(first_stage, t_total):
@@ -356,6 +351,8 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
 
     activations: dict = {}
     crcs = None
+    if checkpoint_path is not None and state.completed:
+        crcs = save_checkpoint(checkpoint_path, state)
     for stage in range(first_stage, last + 1):
         task = stream.tasks[stage - 1]
         x_prop64 = stream.propagated(cfg.hops)[task.rows]
@@ -364,17 +361,20 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
         state.stages.append(Stage(row, inferred, donor, epochs))
         if checkpoint_path is not None:
             crcs = save_checkpoint(checkpoint_path, state, crcs)
-    if checkpoint_path is not None and crcs is None:
-        save_checkpoint(checkpoint_path, state)
     return state
 
 
-def _check_stream(stream: TaskStream, state) -> None:
-    """Raise ContractError unless `stream` can be the one `state` was trained
-    on: as many tasks, and tasks 1..completed with the class groups of its head."""
+def _check_stream(stream: TaskStream, cfg, state) -> None:
+    """Raise ContractError unless `state` can go on, or be evaluated, under
+    `cfg` on `stream`: a config that passes `check_config`, and a stream of as
+    many tasks and input features, tasks 1..completed with its head's class groups."""
+    state.check_config(cfg)
     t_total = len(stream.tasks)
     if t_total != state.tasks_total:
         raise ContractError(f"checkpoint is for {state.tasks_total} tasks, the stream has {t_total}")
+    width, stored = stream.graph.feature_dim, state.net.w1.shape[0]
+    if width != stored:
+        raise ContractError(f"checkpoint is for {stored} input features, the stream has {width}")
     groups = [task.classes for task in stream.tasks[: state.completed]]
     if groups != state.head.tasks:
         raise ContractError(f"checkpoint has the class groups {state.head.tasks}, the stream {groups}")
@@ -383,12 +383,11 @@ def _check_stream(stream: TaskStream, state) -> None:
 def evaluate_final_row(stream: TaskStream, cfg, state) -> tuple[np.ndarray, list[dict]]:
     """Re-run the evaluation of the last completed stage from a restored state.
 
-    The config and the stream must pass the resume checks (`check_config`,
-    `_check_stream`).  On a fresh stream only the test rows of tasks
+    The config and the stream must pass the resume check, `_check_stream`,
+    input width included.  On a fresh stream only the test rows of tasks
     1..stage go through the last propagation hop.  Returns the row and the
     stage's retrieval-log records.
     """
-    state.check_config(cfg)
-    _check_stream(stream, state)
+    _check_stream(stream, cfg, state)
     row, inferred = _evaluate_stage(stream, cfg, state, state.completed, {})
     return np.array(row), decisions(inferred)

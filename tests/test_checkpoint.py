@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import taam
-from taam import fileio, harness
+from taam import checkpoint, fileio, harness
 from taam.backbone import Backbone
 from taam.checkpoint import MAGIC, VERSION, frozen_path, load_checkpoint, payload_layout, save_checkpoint
 from taam.cli import main
@@ -357,6 +357,42 @@ def test_a_first_save_holds_at_most_one_generator(tmp_path):
     assert sidecar("resumed.bin") == sidecar("part.bin")
 
 
+def test_a_resume_reads_each_stored_generator_once(tmp_path, monkeypatch):
+    # retrieval_only warm-starts nothing, so only the resume's first save,
+    # which rewrites the sidecar before stage 6 trains, reads a stored
+    # generator: each of tasks 1..5's, once.
+    cfg = make_config(None, {"dataset": "sbm:classes=12,npc=10,dim=32,sep=10", "epochs": 2,
+                             "ablation": "retrieval_only"})
+    stream = harness.stream_from_config(cfg)
+    run_continual(stream, cfg, checkpoint_path=tmp_path / "part.bin", stop_after=5)
+    events, generator_bytes = [], []
+    read, save, train = checkpoint._read_segments, harness.save_checkpoint, harness.train_task
+
+    def counted_read(path, crcs, segments, picks):
+        out = read(path, crcs, segments, picks)
+        for k, arrays in zip(picks, out):
+            if k and not k % 2:
+                events.append("generator")
+                generator_bytes.append(sum(a.nbytes for a in arrays))
+        return out
+
+    def counted(name, fn):
+        def call(*args):
+            events.append(name)
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(checkpoint, "_read_segments", counted_read)
+    monkeypatch.setattr(harness, "save_checkpoint", counted("save", save))
+    monkeypatch.setattr(harness, "train_task", counted("train", train))
+    state = run_continual(stream, cfg, resume=load_checkpoint(tmp_path / "part.bin"),
+                          checkpoint_path=tmp_path / "resumed.bin")
+    assert state.completed == 6
+    assert events == ["save", *["generator"] * 5, "train", "save"]
+    assert sum(generator_bytes) == 5 * 898_560 == 4_492_800
+
+
 @pytest.mark.parametrize(
     "error",
     [OSError(errno.ENOSPC, "No space left on device"), ContractError("no such segment")],
@@ -577,43 +613,77 @@ def count_fileio_calls(monkeypatch, die_at=0) -> list[str]:
     return calls
 
 
-def test_run_killed_at_any_file_operation_resumes_bitwise(tmp_path, monkeypatch):
-    # A run killed just before its k-th file operation, for every k, then
-    # resumed into the same directory (or rerun, if it left no checkpoint),
-    # writes the artifacts of the uninterrupted run.
-    conf = tmp_path / "run.conf"
-    conf.write_text("dataset = sbm:classes=6,npc=15,dim=8,sep=10\nhidden_dim = 16\nembed_dim = 8\nepochs = 2\n")
-    out = tmp_path / "out"
+KILLED_RUN_CONF = "dataset = sbm:classes=6,npc=15,dim=8,sep=10\nhidden_dim = 16\nembed_dim = 8\nepochs = 2\n"
+
+
+def killed_at_each_file_operation(monkeypatch, run, out, start=None) -> list[int]:
+    """For each k, run argv `run` into `out`, which starts as a copy of
+    `start` (or absent), resuming from out's checkpoint when there is one;
+    kill it just before its k-th file operation, then run the same command
+    again.  Returns each k whose artifacts differ from a run never killed."""
     ckpt = out / "checkpoint.bin"
-    run = ["run", "--config", str(conf), "--out", str(out)]
+
+    def reset():
+        shutil.rmtree(out, ignore_errors=True)
+        if start is not None:
+            shutil.copytree(start, out)
+
+    def resumed():
+        return [*run, "--resume", str(ckpt)] if ckpt.exists() else run
 
     def artifacts():
         files = {p.name: p.read_bytes() for p in out.iterdir()}
         summary = json.loads(files.pop("summary.json"))
         return files, {k: v for k, v in summary.items() if k != "wall_time_seconds"}
 
+    reset()
     with monkeypatch.context() as counting:
         calls = count_fileio_calls(counting)
-        assert main(run) == 0
+        assert main(resumed()) == 0
     full = artifacts()
     assert {"write", "truncate", "fsync", "rename"} <= set(calls)
 
     failed = []
     for k in range(1, len(calls) + 1):
-        shutil.rmtree(out)
+        reset()
         pid = os.fork()
         if pid == 0:  # the child dies at call k; it never returns to pytest
             try:
                 count_fileio_calls(pytest.MonkeyPatch(), die_at=k)
-                main(run)
+                main(resumed())
             finally:
                 os._exit(1)
         _, status = os.waitpid(pid, 0)
         assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL, k
-        again = [*run, "--resume", str(ckpt)] if ckpt.exists() else run
-        if main(again) != 0 or artifacts() != full:
+        if main(resumed()) != 0 or artifacts() != full:
             failed.append(k)
-    assert failed == []
+    return failed
+
+
+def test_run_killed_at_any_file_operation_resumes_bitwise(tmp_path, monkeypatch):
+    # A run killed just before its k-th file operation, for every k, then
+    # resumed into the same directory (or rerun, if it left no checkpoint),
+    # writes the artifacts of the uninterrupted run.
+    conf = tmp_path / "run.conf"
+    conf.write_text(KILLED_RUN_CONF)
+    run = ["run", "--config", str(conf), "--out", str(tmp_path / "out")]
+    assert killed_at_each_file_operation(monkeypatch, run, tmp_path / "out") == []
+
+
+def test_resume_killed_at_any_file_operation_resumes_bitwise(tmp_path, monkeypatch):
+    # The same for a resume of a stage-1 run in place: its first save, before
+    # stage 2 trains, rewrites the sidecar and the checkpoint.  Its artifacts
+    # are those of the run never stopped.
+    conf = tmp_path / "run.conf"
+    conf.write_text(KILLED_RUN_CONF)
+    out, stage_1 = tmp_path / "out", tmp_path / "stage-1"
+    run = ["run", "--config", str(conf), "--out", str(out)]
+    files = lambda: {p.name: p.read_bytes() for p in out.iterdir() if p.name != "summary.json"}
+    assert main(run) == 0
+    full = files()
+    assert main([*run[:-1], str(stage_1), "--stop-after", "1"]) == 0
+    assert killed_at_each_file_operation(monkeypatch, run, out, start=stage_1) == []
+    assert files() == full
 
 
 def test_garbage_header_is_integrity_error(tmp_path):

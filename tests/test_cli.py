@@ -138,6 +138,35 @@ def test_eval_on_another_stream_is_a_usage_error(tmp_path, capsys, classes):
     assert not (out / "eval_summary.json").exists()
 
 
+def test_eval_on_a_stream_of_another_width_is_a_usage_error(tmp_path, capsys):
+    # same tasks and class groups, one more input feature
+    conf = write_tiny_config(tmp_path, dataset="sbm:classes=6,npc=25,dim=8,sep=10", epochs=3)
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(conf), "--out", str(out)) == 0
+    capsys.readouterr()
+    code = run_cli("eval", "--checkpoint", str(out / "checkpoint.bin"),
+                   "--dataset", "sbm:classes=6,npc=25,dim=9,sep=10")
+    assert code == 2
+    assert "checkpoint is for 8 input features, the stream has 9" in capsys.readouterr().err
+    assert not (out / "eval_summary.json").exists()
+
+
+def test_resume_on_a_dataset_file_of_another_width_is_a_usage_error(tmp_path, capsys):
+    # the dataset file is rewritten between the stop and the resume
+    prefix = tmp_path / "g"
+    gen = ["gen-sbm", "--out", str(prefix), "--classes", "6", "--nodes-per-class", "25", "--separation", "10"]
+    assert run_cli(*gen, "--dim", "8") == 0
+    conf = write_tiny_config(tmp_path, dataset=str(prefix), epochs=3)
+    run = ["run", "--config", str(conf), "--out"]
+    assert run_cli(*run, str(tmp_path / "part"), "--stop-after", "1") == 0
+    assert run_cli(*gen, "--dim", "9") == 0
+    capsys.readouterr()
+    resumed = tmp_path / "resumed"
+    assert run_cli(*run, str(resumed), "--resume", str(tmp_path / "part" / "checkpoint.bin")) == 2
+    assert "checkpoint is for 8 input features, the stream has 9" in capsys.readouterr().err
+    assert list(resumed.iterdir()) == []
+
+
 def test_ablate_writes_three_variants(tmp_path, capsys):
     out = tmp_path / "ablate"
     code = run_cli("ablate", "--dataset", "sbm:classes=4,npc=25,dim=8,sep=10",
