@@ -12,7 +12,7 @@ entirely in the modulators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,14 +25,10 @@ from .tensor import Tensor, matmul
 class Backbone:
     w1: np.ndarray
     w2: np.ndarray
-    _t1: Tensor = field(init=False, repr=False)
-    _t2: Tensor = field(init=False, repr=False)
 
     def __post_init__(self):
         self.w1.setflags(write=False)
         self.w2.setflags(write=False)
-        self._t1 = Tensor(self.w1)
-        self._t2 = Tensor(self.w2)
 
     @property
     def site_widths(self) -> tuple[int, int]:
@@ -50,12 +46,12 @@ class Backbone:
                 f"modulator widths {mod.site_widths} do not match backbone {self.site_widths}"
             )
         site1, site2 = mod.sites
-        h = matmul(modulate(site1, mod.embedding, x_prop, x_norm), self._t1)
+        h = matmul(modulate(site1, mod.embedding, x_prop, x_norm), Tensor(self.w1))
         return modulate(site2, mod.embedding, h)
 
     def readout(self, w: Tensor) -> Tensor:
         """w2·w: the head block `w` (hidden_dim, k) as weights on h."""
-        return matmul(self._t2, w)
+        return matmul(Tensor(self.w2), w)
 
 
 def init_backbone(

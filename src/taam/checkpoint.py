@@ -112,10 +112,9 @@ class Stage:
 
 def average_accuracy(matrix: np.ndarray) -> float:
     """Mean of the final row (accuracy on every task after the last stage)."""
-    last = matrix[-1]
-    if np.isnan(last).any():
-        raise ContractError("final matrix row is incomplete")
-    return float(last.mean())
+    if not len(matrix) or np.isnan(matrix[-1]).any():
+        raise ContractError("final matrix row is missing or incomplete")
+    return float(matrix[-1].mean())
 
 
 def average_forgetting(matrix: np.ndarray) -> float:

@@ -222,6 +222,9 @@ def main(argv=None) -> int:
     except (ParseError, IntegrityError, NumericError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

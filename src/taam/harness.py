@@ -82,7 +82,6 @@ class TaskStream:
     """
 
     tasks: list[TaskSpec]
-    dropped_classes: list[int]
     graph: SparseGraph
     _by_hops: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
@@ -125,9 +124,10 @@ def build_stream(
     Classes are taken in ascending label order (or a seeded shuffle).  With
     `task_sizes` the groups have the given sizes in order; otherwise equal
     groups of `classes_per_task`.  Classes that do not fill a group are
-    dropped from the stream.  Within each kept class the nodes are split
-    train/val/test by `train_frac`/`val_frac` (test gets the remainder) with
-    a per-class seeded shuffle, so splits do not depend on stream order.
+    dropped from the stream.  Each kept class c is split in its task's rows
+    of the stream graph: its n nodes, in id order, are shuffled by
+    `rng_for(seed, "split", c)`, then the first int(n * train_frac) train, the
+    next int(n * val_frac) validate and the rest test, whatever the stream order.
 
     The stream may share `g`'s feature and label arrays (read-only views),
     so leave them unchanged while the stream is in use.
@@ -160,34 +160,29 @@ def build_stream(
     if dropped:
         log.info("stream drops classes %s (do not fill a task)", dropped)
 
-    split_of: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for c in (c for group in groups for c in group):
-        nodes = np.where(g.labels == c)[0]
-        perm = rng_for(seed, "split", c).permutation(nodes.size)
-        nodes = nodes[perm]
-        n_tr = int(nodes.size * train_frac)
-        n_val = int(nodes.size * val_frac)
-        tr, va, te = nodes[:n_tr], nodes[n_tr : n_tr + n_val], nodes[n_tr + n_val :]
-        if tr.size == 0 or te.size == 0:
-            raise ContractError(f"class {c} too small to split ({nodes.size} nodes)")
-        split_of[c] = (tr, va, te)
-
     task_of_class = np.full(classes.size, -1)
     for t, group in enumerate(groups):
         task_of_class[np.searchsorted(classes, group)] = t
     block = task_of_class[class_of_node]
-    graph, kept = _block_diagonal(g, block)
+    graph = _block_diagonal(g, block)
     graph.features.setflags(write=False)
     graph.labels.setflags(write=False)
     bounds = np.concatenate([[0], np.cumsum(np.bincount(block[block >= 0], minlength=len(groups)))])
     tasks = []
     for tid, group in enumerate(groups, start=1):
         rows = slice(int(bounds[tid - 1]), int(bounds[tid]))
-        train_idx, val_idx, test_idx = (
-            np.searchsorted(kept[rows], np.sort(np.concatenate(parts)))
-            for parts in zip(*(split_of[c] for c in group))
-        )
         labels = graph.labels[rows]
+        parts = []
+        for c in group:
+            nodes = np.flatnonzero(labels == c)
+            nodes = nodes[rng_for(seed, "split", c).permutation(nodes.size)]
+            n_tr = int(nodes.size * train_frac)
+            n_val = int(nodes.size * val_frac)
+            tr, va, te = nodes[:n_tr], nodes[n_tr : n_tr + n_val], nodes[n_tr + n_val :]
+            if tr.size == 0 or te.size == 0:
+                raise ContractError(f"class {c} too small to split ({nodes.size} nodes)")
+            parts.append((tr, va, te))
+        train_idx, val_idx, test_idx = (np.sort(np.concatenate(split)) for split in zip(*parts))
         tasks.append(
             TaskSpec(
                 task_id=tid,
@@ -200,19 +195,19 @@ def build_stream(
                 local_labels=(labels[:, None] == np.asarray(group)).argmax(1),
             )
         )
-    return TaskStream(tasks=tasks, dropped_classes=[int(c) for c in dropped], graph=graph)
+    return TaskStream(tasks=tasks, graph=graph)
 
 
-def _block_diagonal(g: SparseGraph, block: np.ndarray) -> tuple[SparseGraph, np.ndarray]:
+def _block_diagonal(g: SparseGraph, block: np.ndarray) -> SparseGraph:
     """The graph of the nodes of `g` in a block (block[i] >= 0), ordered by
     block and within a block by id, with only the edges inside a block.
-    Returns it and `kept`: node kept[k] of `g` is its node k.
 
     Rows keep their entries in `g`'s order, and within a block the new ids
     follow the old ones, so each block is exactly the subgraph that the
-    block's nodes induce in `g`, numbered in id order.  One SparseGraph
-    validates them all: a symmetric, well-formed CSR none of whose edges
-    leaves its block.
+    block's nodes induce in `g`, numbered in id order: a node's position
+    among its class in a block is its position among its class in `g`.  One
+    SparseGraph validates them all: a symmetric, well-formed CSR none of
+    whose edges leaves its block.
     """
     kept = np.argsort(block, kind="stable")[np.count_nonzero(block < 0) :]
     new_id = np.full(g.num_nodes, -1, dtype=np.int64)
@@ -228,7 +223,7 @@ def _block_diagonal(g: SparseGraph, block: np.ndarray) -> tuple[SparseGraph, np.
     first = int(kept[0])
     run = np.array_equal(kept, np.arange(first, first + kept.size))
     at = slice(first, first + kept.size) if run else kept
-    return SparseGraph(adj, g.features[at], g.labels[at]), kept
+    return SparseGraph(adj, g.features[at], g.labels[at])
 
 
 def stream_from_config(cfg) -> TaskStream:
@@ -389,5 +384,7 @@ def evaluate_final_row(stream: TaskStream, cfg, state) -> tuple[np.ndarray, list
     stage's retrieval-log records.
     """
     _check_stream(stream, cfg, state)
+    if not state.completed:
+        raise ContractError("no completed stage to evaluate")
     row, inferred = _evaluate_stage(stream, cfg, state, state.completed, {})
     return np.array(row), decisions(inferred)

@@ -17,7 +17,9 @@ The primitives that the modulator site fuses (broadcast add, elementwise
 multiply, transpose, reshape, column slicing, row-wise LayerNorm and softmax)
 stay defined as tape ops: the tests compose them into the oracle that the
 fused op must match bit for bit, and `layer_norm` also normalizes a constant
-site-1 input once per task.
+site-1 input once per task.  `add` ... `softmax_rows` and `Tape` also stay
+because the benchmark's tracer (`perfbench/tracer.py`) looks each one up by
+name and raises on a missing one: retiring them (ROADMAP D7) waits for D1.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import taam
+from taam import harness
 from taam.checkpoint import frozen_path, load_checkpoint
 from taam.cli import _epoch_lines, main
 from taam.config import RunConfig
@@ -268,6 +269,22 @@ def test_data_errors_exit_1(tmp_path):
     garbage = tmp_path / "garbage.bin"
     garbage.write_bytes(b"NOTACKPT" + b"\0" * 64)
     assert run_cli("eval", "--checkpoint", str(garbage)) == 1
+
+
+def test_out_of_memory_is_one_error_line_and_exit_1(tmp_path, capsys, monkeypatch):
+    # as numpy raises it for a config whose hidden_dim cannot be allocated;
+    # the patched callee raises before allocating anything
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 298. GiB for an array with shape (200000, 200000)")
+
+    monkeypatch.setattr(harness, "init_backbone", refuse)
+    conf = write_tiny_config(tmp_path)
+    assert run_cli("run", "--config", str(conf), "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: out of memory: Unable to allocate 298. GiB for an array with shape (200000, 200000)"
+    ]
+    assert "Traceback" not in err
 
 
 DEGENERATE = {

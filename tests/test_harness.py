@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taam import harness
-from taam.backbone import Backbone
-from taam.checkpoint import average_accuracy, average_forgetting, frozen_path, load_checkpoint
+from taam.backbone import Backbone, init_backbone
+from taam.checkpoint import RunState, average_accuracy, average_forgetting, frozen_path, load_checkpoint
+from taam.classifier import ClassifierHead
 from taam.config import make_config
 from taam.errors import ContractError
 from taam.graph import SparseGraph, generate_sbm, normalize_adjacency, propagate
@@ -24,9 +25,11 @@ from taam.harness import (
     summary,
     write_matrix_csv,
 )
+from taam.prototypes import PrototypeBank
+from taam.rng import rng_for
 
 from matrix_csv import read_matrix_csv
-from streams import default_stream
+from streams import DEFAULT_SPLIT, default_stream, dropped_classes
 from subgraph import induced_subgraph
 
 
@@ -50,16 +53,17 @@ def stream_for(cfg, classes=4, npc=25, sep=10.0, seed=None):
 # ---------------------------------------------------------------- streams
 
 def test_equal_grouping_drops_leftover():
-    stream = default_stream(seven_class_graph(), classes_per_task=2, seed=0)
+    g = seven_class_graph()
+    stream = default_stream(g, classes_per_task=2, seed=0)
     assert [t.classes for t in stream.tasks] == [[0, 1], [2, 3], [4, 5]]
-    assert stream.dropped_classes == [6]
+    assert dropped_classes(g, stream) == [6]
 
 
 def test_equal_grouping_is_unequal_grouping_of_equal_sizes():
     g = seven_class_graph()
     equal = default_stream(g, classes_per_task=2, seed=0)
     sizes = default_stream(g, task_sizes=[2, 2, 2], seed=0)
-    assert equal.dropped_classes == sizes.dropped_classes == [6]
+    assert dropped_classes(g, equal) == dropped_classes(g, sizes) == [6]
     assert np.array_equal(equal.graph.features, sizes.graph.features)
     for a, b in zip(equal.tasks, sizes.tasks, strict=True):
         assert (a.task_id, a.classes, a.rows) == (b.task_id, b.classes, b.rows)
@@ -68,9 +72,10 @@ def test_equal_grouping_is_unequal_grouping_of_equal_sizes():
 
 
 def test_unequal_grouping():
-    stream = default_stream(seven_class_graph(), task_sizes=[3, 2], seed=0)
+    g = seven_class_graph()
+    stream = default_stream(g, task_sizes=[3, 2], seed=0)
     assert [t.classes for t in stream.tasks] == [[0, 1, 2], [3, 4]]
-    assert stream.dropped_classes == [5, 6]
+    assert dropped_classes(g, stream) == [5, 6]
     with pytest.raises(ContractError):
         default_stream(seven_class_graph(), task_sizes=[5, 4], seed=0)
     with pytest.raises(ContractError):
@@ -141,7 +146,7 @@ def test_dropped_class_is_never_split():
     feats = np.random.default_rng(0).normal(size=(11, 2))
     g = SparseGraph.from_edges(11, [(0, 1), (5, 6)], feats, np.array([0] * 5 + [1] * 5 + [2]))
     stream = default_stream(g, classes_per_task=2, seed=0)
-    assert stream.dropped_classes == [2]
+    assert dropped_classes(g, stream) == [2]
     without = default_stream(induced_subgraph(g, np.arange(10)), classes_per_task=2, seed=0)
     for a, b in zip(stream.tasks, without.tasks, strict=True):
         for split in ("train_idx", "val_idx", "test_idx"):
@@ -155,9 +160,11 @@ def test_propagated_is_cached():
     assert stream.propagated(0) is not stream.propagated(2)
 
 
-def assert_tasks_match_their_own_subgraphs(g, stream):
+def assert_tasks_match_their_own_subgraphs(g, stream, seed):
     """Each task's rows of the one stream graph equal, bit for bit, what its
-    induced subgraph gives when normalized and propagated on its own."""
+    induced subgraph gives when normalized and propagated on its own, and
+    each class's split in them is the documented rule applied to the class's
+    nodes of that subgraph.  `stream` is `default_stream(g, seed=seed, ...)`."""
     for task in stream.tasks:
         sub = induced_subgraph(g, np.flatnonzero(np.isin(g.labels, task.classes)))
         assert np.array_equal(task.labels, sub.labels)
@@ -165,6 +172,15 @@ def assert_tasks_match_their_own_subgraphs(g, stream):
         s = normalize_adjacency(sub)
         for hops in range(4):
             assert np.array_equal(stream.propagated(hops)[task.rows], propagate(s, sub.features, hops))
+        for c in task.classes:
+            nodes = np.flatnonzero(sub.labels == c)
+            nodes = nodes[rng_for(seed, "split", c).permutation(nodes.size)]
+            n_tr = int(nodes.size * DEFAULT_SPLIT["train_frac"])
+            n_val = int(nodes.size * DEFAULT_SPLIT["val_frac"])
+            rule = (nodes[:n_tr], nodes[n_tr : n_tr + n_val], nodes[n_tr + n_val :])
+            for name, ids in zip(("train_idx", "val_idx", "test_idx"), rule):
+                split = getattr(task, name)
+                assert np.array_equal(split[sub.labels[split] == c], np.sort(ids)), (task.task_id, c, name)
 
 
 def graph_of(labels, edges, dim=3, seed=0):
@@ -191,7 +207,7 @@ def ring(n):
     ids=["interleaved", "edgeless", "isolated", "dropped", "shuffled", "unequal"],
 )
 def test_stream_graph_blocks_equal_per_task_subgraphs(g, protocol):
-    assert_tasks_match_their_own_subgraphs(g, default_stream(g, seed=1, **protocol))
+    assert_tasks_match_their_own_subgraphs(g, default_stream(g, seed=1, **protocol), seed=1)
 
 
 @st.composite
@@ -214,7 +230,7 @@ def graphs_and_protocols(draw):
 @given(graphs_and_protocols())
 def test_stream_graph_blocks_equal_per_task_subgraphs_property(case):
     g, protocol = case
-    assert_tasks_match_their_own_subgraphs(g, default_stream(g, **protocol))
+    assert_tasks_match_their_own_subgraphs(g, default_stream(g, **protocol), protocol["seed"])
 
 
 def test_stream_slices_a_run_of_nodes_and_gathers_any_other_order():
@@ -225,8 +241,8 @@ def test_stream_slices_a_run_of_nodes_and_gathers_any_other_order():
     shuffled = default_stream(g, classes_per_task=2, seed=3, shuffle_classes=True)
     assert [t.classes for t in shuffled.tasks] != [t.classes for t in run.tasks]
     assert not np.shares_memory(shuffled.graph.features, g.features)
-    assert_tasks_match_their_own_subgraphs(g, run)
-    assert_tasks_match_their_own_subgraphs(g, shuffled)
+    assert_tasks_match_their_own_subgraphs(g, run, seed=0)
+    assert_tasks_match_their_own_subgraphs(g, shuffled, seed=3)
 
 
 def test_changing_one_task_leaves_the_other_tasks_unchanged():
@@ -257,6 +273,30 @@ def test_average_accuracy_mean_of_final_row():
     assert average_accuracy(m) == 82.5
     with pytest.raises(ContractError):
         average_accuracy(np.array([[90.0, np.nan]]))
+
+
+def stage_zero_state(cfg, stream):
+    """The state a fresh run starts from: no completed stage."""
+    net = init_backbone(stream.graph.feature_dim, cfg.hidden_dim, rng_for(cfg.seed, "backbone"))
+    return RunState(cfg, len(stream.tasks), net, PrototypeBank(), ClassifierHead(cfg.hidden_dim), [])
+
+
+def test_accuracy_of_no_completed_stage_is_a_contract_error():
+    with pytest.raises(ContractError, match="final matrix row is missing"):
+        average_accuracy(np.empty((0, 0)))
+    cfg = cfg_for()
+    state = stage_zero_state(cfg, stream_for(cfg))
+    with pytest.raises(ContractError, match="final matrix row is missing"):
+        state.aa
+    with pytest.raises(ContractError, match="final matrix row is missing"):
+        summary(state, 0.0)
+
+
+def test_evaluating_a_state_with_no_completed_stage_is_a_contract_error():
+    cfg = cfg_for()
+    stream = stream_for(cfg)
+    with pytest.raises(ContractError, match="no completed stage"):
+        evaluate_final_row(stream, cfg, stage_zero_state(cfg, stream))
 
 
 def test_average_forgetting_hand_matrix():
