@@ -28,7 +28,7 @@ from .checkpoint import average_accuracy, load_checkpoint
 from .config import ABLATIONS, METHODS, PRECISIONS, RunConfig, make_config, read_config_file
 from .datasets import SBM_PARAMS, write_planetoid
 from .errors import ContractError, IntegrityError, NumericError, ParseError
-from .fileio import write_atomic
+from .fileio import sole_writer, write_atomic
 from .graph import generate_sbm
 from .harness import evaluate_final_row, run_continual, stream_from_config, summary, write_matrix_csv
 from .training import end_to_end_grad_check
@@ -113,19 +113,19 @@ def _epoch_lines(epochs: np.ndarray) -> list[bytes]:
 
 
 def _run_one(cfg: RunConfig, out_dir: str, resume_path=None, stop_after=None) -> dict:
-    os.makedirs(out_dir, exist_ok=True)
-    stream = stream_from_config(cfg)
-    resume = load_checkpoint(resume_path) if resume_path else None
-    checkpoint_path = os.path.join(out_dir, "checkpoint.bin")
-    started = time.perf_counter()
-    state = run_continual(
-        stream, cfg, resume=resume, checkpoint_path=checkpoint_path, stop_after=stop_after
-    )
-    record = summary(state, time.perf_counter() - started)
-    write_matrix_csv(os.path.join(out_dir, "matrix.csv"), state.matrix, state.completed)
-    _dump_json(os.path.join(out_dir, "summary.json"), record)
-    for t, stage in enumerate(state.stages, 1):
-        write_atomic(os.path.join(out_dir, f"task_{t:02d}_train.log"), _epoch_lines(stage.epochs))
+    with sole_writer(out_dir):
+        stream = stream_from_config(cfg)
+        resume = load_checkpoint(resume_path) if resume_path else None
+        checkpoint_path = os.path.join(out_dir, "checkpoint.bin")
+        started = time.perf_counter()
+        state = run_continual(
+            stream, cfg, resume=resume, checkpoint_path=checkpoint_path, stop_after=stop_after
+        )
+        record = summary(state, time.perf_counter() - started)
+        write_matrix_csv(os.path.join(out_dir, "matrix.csv"), state.matrix, state.completed)
+        _dump_json(os.path.join(out_dir, "summary.json"), record)
+        for t, stage in enumerate(state.stages, 1):
+            write_atomic(os.path.join(out_dir, f"task_{t:02d}_train.log"), _epoch_lines(stage.epochs))
     return record
 
 
@@ -146,17 +146,19 @@ def _cmd_eval(args) -> int:
     cfg = state.config
     if args.dataset:
         cfg.dataset = args.dataset
-    row, decisions = evaluate_final_row(stream_from_config(cfg), cfg, state)
-    payload = {
-        "checkpoint": args.checkpoint,
-        "stage": state.completed,
-        "accuracies": [float(v) for v in row],
-        "AA": average_accuracy(row[None]),
-        "retrieval": decisions,
-    }
+    # the lock makes the directory, so it is taken once the checkpoint has
+    # loaded: a missing checkpoint leaves no directory behind
     out_dir = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
-    os.makedirs(out_dir, exist_ok=True)
-    _dump_json(os.path.join(out_dir, "eval_summary.json"), payload)
+    with sole_writer(out_dir):
+        row, decisions = evaluate_final_row(stream_from_config(cfg), cfg, state)
+        payload = {
+            "checkpoint": args.checkpoint,
+            "stage": state.completed,
+            "accuracies": [float(v) for v in row],
+            "AA": average_accuracy(row[None]),
+            "retrieval": decisions,
+        }
+        _dump_json(os.path.join(out_dir, "eval_summary.json"), payload)
     print(json.dumps(payload, sort_keys=True))
     return 0
 

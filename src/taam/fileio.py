@@ -4,12 +4,34 @@ Every artifact is written whole or not at all: `write_atomic` writes a temp
 file next to the target, fsyncs it and renames it over the target, so a
 crash leaves either the old file or the new one; it then fsyncs the
 directory, so that the rename itself survives a power loss.  `write_at`
-extends a file in place (the checkpoint's append-only sidecar).
+extends a file in place (the checkpoint's append-only sidecar).  A command
+that writes into a directory holds it with `sole_writer`, so two processes
+never write into one directory at once.
 """
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import os
+
+
+@contextlib.contextmanager
+def sole_writer(directory):
+    """Make `directory` if it is missing and hold an exclusive lock on it
+    while the block runs.  If another process holds it, raise
+    BlockingIOError, naming the directory, before anything is written.  The
+    kernel drops the lock when the holder exits, however it exits."""
+    os.makedirs(directory, exist_ok=True)
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise BlockingIOError(f"{directory} is in use by another taam process") from None
+        yield
+    finally:
+        os.close(fd)
 
 
 def write_atomic(path, chunks) -> None:

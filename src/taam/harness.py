@@ -8,11 +8,14 @@ M and its metrics, AA and AF, which `checkpoint` defines next to RunState.
 
 A stream is one block-diagonal graph: each task's induced subgraph is one
 diagonal block, and a task is a row range of it.  The stream graph is built,
-validated and normalized once, and row for row it gives the same bits as
-each task's subgraph would on its own.  The stream propagates it once per
-hop count, and training is handed each task's rows of that.  Evaluating a
-checkpoint on a fresh stream reads only test rows, so there the last
-propagation hop runs at those rows alone.
+validated once, and row for row it gives the same bits as each task's
+subgraph would on its own.  Training a task propagates that task's own
+block alone and drops it once its train and validation rows are taken, so
+a run never holds the whole stream's propagated features.  The stream keeps
+each propagated task's test rows, which every later evaluation reads; a
+task it has not propagated (a checkpoint evaluated on a fresh stream, or
+the tasks a resume had finished) gets them from one propagation whose last
+hop runs at those rows alone.
 
 Methods:
     taam      modulator per task over a frozen backbone; at eval time the
@@ -78,35 +81,43 @@ class TaskStream:
 
     `graph` holds the kept nodes task by task, each task's nodes in ascending
     id order, and only the edges inside a task, so every task is one diagonal
-    block of its adjacency.
+    block of its adjacency.  The stream keeps, per hop count, the propagated
+    test rows of each task it has propagated, and nothing larger.
     """
 
     tasks: list[TaskSpec]
     graph: SparseGraph
-    _by_hops: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    _test_rows: dict[tuple[int, int], np.ndarray] = field(default_factory=dict, repr=False)
 
-    def propagated(self, hops: int) -> np.ndarray:
-        """S^hops X of the stream graph, computed once per hop count and
-        shared, read-only, by every task: task t's rows are `[task.rows]`."""
-        if hops not in self._by_hops:
-            out = propagate(normalize_adjacency(self.graph), self.graph.features, hops)
-            out.setflags(write=False)
-            self._by_hops[hops] = out
-        return self._by_hops[hops]
+    def propagate_task(self, task: TaskSpec, hops: int) -> np.ndarray:
+        """S^hops X of the task's own diagonal block, propagated alone: row
+        for row the bits the whole stream graph gives.  The result is
+        read-only and the caller's alone; the stream keeps its test rows."""
+        rows = task.rows
+        out = propagate(normalize_adjacency(self.graph)[rows, rows], self.graph.features[rows], hops)
+        out.setflags(write=False)
+        self._keep_test_rows(hops, [task], out[task.test_idx])
+        return out
 
     def propagated_test_rows(self, hops: int, count: int) -> list[np.ndarray]:
-        """Propagated features of the test nodes of tasks 1..count, one array
-        per task in test_idx order.  They are gathered from `propagated(hops)`
-        when it is built, else made by one propagation whose last hop runs at
-        those rows alone; either way the same bits."""
+        """Propagated features of the test nodes of tasks 1..count, one
+        read-only array per task in test_idx order.  A task not yet propagated
+        gets them, with every other such task, from one propagation whose
+        last hop runs at those rows alone: the same bits as its block's."""
         tasks = self.tasks[:count]
-        rows = np.concatenate([task.rows.start + task.test_idx for task in tasks])
-        ends = np.cumsum([task.test_idx.size for task in tasks])
-        if hops in self._by_hops:
-            x = self._by_hops[hops][rows]
-        else:
+        missing = [task for task in tasks if (hops, task.task_id) not in self._test_rows]
+        if missing:
+            rows = np.concatenate([task.rows.start + task.test_idx for task in missing])
             x = propagate(normalize_adjacency(self.graph), self.graph.features, hops, rows)
-        return np.split(x, ends[:-1])
+            self._keep_test_rows(hops, missing, x)
+        return [self._test_rows[hops, task.task_id] for task in tasks]
+
+    def _keep_test_rows(self, hops: int, tasks: list[TaskSpec], x: np.ndarray) -> None:
+        """Keep `x`, the test rows of `tasks` one after another, per task."""
+        ends = np.cumsum([task.test_idx.size for task in tasks])
+        for task, part in zip(tasks, np.split(x, ends[:-1])):
+            part.setflags(write=False)
+            self._test_rows[hops, task.task_id] = part
 
 
 def build_stream(
@@ -350,8 +361,9 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
         crcs = save_checkpoint(checkpoint_path, state)
     for stage in range(first_stage, last + 1):
         task = stream.tasks[stage - 1]
-        x_prop64 = stream.propagated(cfg.hops)[task.rows]
-        donor, epochs = train_task(task, x_prop64, state.net, state.bank, state.head, cfg)
+        # the block goes straight to train_task, which drops it once it has
+        # taken the rows it trains on
+        donor, epochs = train_task(task, stream.propagate_task(task, cfg.hops), state.net, state.bank, state.head, cfg)
         row, inferred = _evaluate_stage(stream, cfg, state, stage, activations)
         state.stages.append(Stage(row, inferred, donor, epochs))
         if checkpoint_path is not None:

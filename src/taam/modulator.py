@@ -179,16 +179,16 @@ def modulate(site, embedding: Tensor | None, h: Tensor, h_norm: Tensor | None = 
         basis = _basis(w_base.data, b_base.data, embedding.data, heads, width)
     scale_rows, shift_rows = basis[:, :width], basis[:, width:]
     attn = _softmax(hd @ w_attn.data.T + b_attn.data, "modulate")
-    scale = attn @ scale_rows
     if h_norm is None:
         norm, inv = _normalize_rows(hd)
     else:
         norm = h_norm.data
-    out = scale * norm
+    out = (attn @ scale_rows) * norm
     out += attn @ shift_rows
 
-    # The backward works in place where it can: every n x width temporary
-    # it does not allocate saves a pass over fresh memory.
+    # The backward keeps only what it reads (the per-node scale is not one
+    # of them: the h branch computes it again, as the forward did) and works
+    # in two n x width buffers, so no other n x width array is allocated.
     def bwd(g, accum):
         g_scale = g * norm
         if embedding is not None:
@@ -213,13 +213,15 @@ def modulate(site, embedding: Tensor | None, h: Tensor, h_norm: Tensor | None = 
         accum(b_attn, g_scores.sum(axis=0, keepdims=True))
         if h.requires_grad:
             # layer_norm's backward, inv * (g' - mean(g') - norm * mean(g' * norm))
-            # with g' = g * scale, then the attention term
-            g_h = g * scale
-            g_norm_mean = (g_h * norm).mean(axis=1, keepdims=True)
+            # with g' = g * scale, then the attention term; g_scale is spent,
+            # so its buffer takes g_h, and the scale's the other terms
+            tmp = attn @ scale_rows
+            g_h = np.multiply(g, tmp, out=g_scale)
+            g_norm_mean = np.multiply(g_h, norm, out=tmp).mean(axis=1, keepdims=True)
             g_h -= g_h.mean(axis=1, keepdims=True)
-            g_h -= norm * g_norm_mean
+            g_h -= np.multiply(norm, g_norm_mean, out=tmp)
             g_h *= inv
-            g_h += g_scores @ w_attn.data
+            g_h += np.matmul(g_scores, w_attn.data, out=tmp)
             accum(h, g_h)
 
     inputs = (h, *site) if embedding is None else (h, embedding, *site)

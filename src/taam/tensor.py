@@ -78,8 +78,11 @@ class Tape:
             loss = ...            # ops on tensors record themselves
         tape.backward(loss)       # fills .grad on reachable leaves
 
-    Dropping the tape releases every recorded intermediate; parameter
-    tensors and their gradients persist.
+    `backward` drops each record, its output and the arrays its backward
+    reads, and each gradient, as soon as that record's backward has run, so
+    once it returns the tape holds nothing and every intermediate that the
+    caller did not keep is freed; parameter tensors and their gradients
+    persist.
     """
 
     def __init__(self):
@@ -121,12 +124,15 @@ class Tape:
                 grads[key] = g
                 leaves[key] = t
 
-        for out, fn in reversed(self._entries):
-            g = grads.pop(id(out), None)
-            if g is None:
-                continue
-            leaves.pop(id(out), None)
-            fn(g, accum)
+        entries = self._entries
+        while entries:
+            out, fn = entries.pop()
+            key = id(out)
+            del out  # needed for its key only: a backward gets the gradient
+            g = grads.pop(key, None)
+            if g is not None:
+                leaves.pop(key, None)
+                fn(g, accum)
 
         # Whatever is left was never produced by an op: those are the leaves.
         for key, g in grads.items():

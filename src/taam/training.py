@@ -93,22 +93,25 @@ def accuracy_percent(pred: np.ndarray, truth: np.ndarray) -> float:
     return 100.0 * float((pred == truth).sum()) / truth.size
 
 
-def _fit(embed, readout, params, w: Tensor, x_prop, task, labels, node_w, cfg) -> np.ndarray:
+def _fit(embed, readout, params, w: Tensor, x_train, x_val, task, labels, node_w, cfg) -> np.ndarray:
     """Train `params` and the head block `w` on the task's train nodes.
 
-    `embed` maps propagated features and their layer norm (both Tensors) to
-    activations h, and the logits are `matmul(h, readout(w))`.  `labels`
-    gives every node of the task graph its column of `w`, and `node_w`
-    weights the loss of each train node.  The features are constant within
-    the task, so they are normalized once, here.  Returns the (epochs, 3)
-    float64 log of loss and train/validation accuracy per epoch; the
-    validation pass reuses the epoch's `readout(w)` off the tape.
+    `x_train` and `x_val` are the propagated features of the task's train
+    and validation nodes, in the run's dtype; they are all of the task's
+    features that training reads.  `embed` maps propagated features and
+    their layer norm (both Tensors) to activations h, and the logits are
+    `matmul(h, readout(w))`.  `labels` gives every node of the task graph
+    its column of `w`, and `node_w` weights the loss of each train node.  The
+    features are constant within the task, so they are normalized once,
+    here.  Returns the (epochs, 3) float64 log of loss and train/validation
+    accuracy per epoch; the validation pass reuses the epoch's `readout(w)`
+    off the tape.
     """
     y_train = labels[task.train_idx]
     y_val = labels[task.val_idx]
-    x_train = Tensor(x_prop[task.train_idx])
+    x_train = Tensor(x_train)
     n_train = layer_norm(x_train)
-    x_val = Tensor(x_prop[task.val_idx]) if task.val_idx.size else None
+    x_val = Tensor(x_val) if task.val_idx.size else None
     n_val = layer_norm(x_val) if x_val is not None else None
     opt = Adam(params + [w], lr=cfg.lr, weight_decay=cfg.weight_decay)
     epochs = np.full((cfg.epochs, 3), np.nan)  # without validation nodes, val_acc stays NaN
@@ -130,8 +133,11 @@ def train_task(task, x_prop64, backbone, bank, head, cfg) -> tuple[int | None, n
     """Train one task and register its classes in the head; return its
     warm-start donor (None without one) and its epoch log (see `_fit`).
 
-    `x_prop64` is the stream's float64 propagated features at the task's
-    rows (`stream.propagated(cfg.hops)[task.rows]`).
+    `x_prop64` is the float64 propagated features of the task's own block
+    (`stream.propagate_task(task, cfg.hops)`).  Only its train and
+    validation rows are kept, cast to the run's dtype, and the block is
+    dropped before training: pass it without keeping a reference, and it is
+    freed then.
 
     With modulators, only a fresh modulator and the task's new head columns
     receive gradients.  The task's prototype is computed from its train nodes
@@ -141,20 +147,23 @@ def train_task(task, x_prop64, backbone, bank, head, cfg) -> tuple[int | None, n
     `bank` is unused: everything is trained, over every class registered so
     far, and nothing is frozen or stored.
     """
-    x_prop = x_prop64.astype(cfg.np_dtype, copy=False)
+    finetune = cfg.method == "finetune"
+    proto = None if finetune else compute_prototype(x_prop64, task.train_idx)
+    x_train = x_prop64[task.train_idx].astype(cfg.np_dtype, copy=False)
+    x_val = x_prop64[task.val_idx].astype(cfg.np_dtype, copy=False)
+    del x_prop64
     t = head.extend(task.classes, rng_for(cfg.seed, "task", task.task_id, "head"))
     cw = class_weights(task.labels[task.train_idx], task.classes)
     node_w = cw[task.local_labels[task.train_idx]]
 
-    if cfg.method == "finetune":
+    if finetune:
         w = Tensor(head.block(), requires_grad=True)
         labels = task.local_labels + head.span(t).start
         embed = lambda x, _norm: backbone.embed(x)  # no norm in the baseline
-        epochs = _fit(embed, backbone.readout, backbone.parameters(), w, x_prop, task, labels, node_w, cfg)
+        epochs = _fit(embed, backbone.readout, backbone.parameters(), w, x_train, x_val, task, labels, node_w, cfg)
         head.set_block(w.data)
         return None, epochs
 
-    proto = compute_prototype(x_prop64, task.train_idx)
     rng_mod = rng_for(cfg.seed, "task", task.task_id, "nsm")
     dims = {"embed_dim": cfg.embed_dim, "heads": cfg.heads, "dtype": cfg.np_dtype}
     if cfg.variant.warm_start:
@@ -163,7 +172,7 @@ def train_task(task, x_prop64, backbone, bank, head, cfg) -> tuple[int | None, n
         mod, donor = init_modulator(backbone.site_widths, rng_mod, **dims), None
     w = Tensor(head.block(t), requires_grad=True)
     embed = lambda x, x_norm: backbone.forward(x, mod, x_norm)
-    epochs = _fit(embed, backbone.readout, mod.parameters(), w, x_prop, task, task.local_labels, node_w, cfg)
+    epochs = _fit(embed, backbone.readout, mod.parameters(), w, x_train, x_val, task, task.local_labels, node_w, cfg)
     head.set_block(w.data, t)
     head.freeze(t)
     bank.commit(proto, mod)

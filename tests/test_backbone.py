@@ -1,6 +1,8 @@
 """Frozen backbone: immutability, wiring of the two insertion sites, and
 the head block w2 is folded into: h·(w2·w) against (h·w2)·w."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,29 @@ def test_forward_records_sites_and_shapes(monkeypatch):
     again = bb.forward(x, mod, x_norm)
     assert norms[2:] == [x_norm, None]
     assert again.data.tobytes() == h.data.tobytes()
+
+
+def test_backward_frees_what_the_forward_made(monkeypatch):
+    # once backward returns, the tape holds no record, so an array that only
+    # the forward and its backward read, here the w1 product, is freed
+    made = []
+
+    def recording_matmul(a, b):
+        out = matmul(a, b)
+        made.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(backbone, "matmul", recording_matmul)
+    bb = small_backbone()
+    mod = init_modulator(bb.site_widths, rng_for(1, "m"), embed_dim=4, heads=2)
+    x = Tensor(np.random.default_rng(2).normal(size=(6, 5)))
+    with Tape() as tape:
+        loss = sum_all(bb.forward(x, mod))
+    assert len(made) == 1 and made[0]() is not None
+    tape.backward(loss)
+    assert tape._entries == []
+    assert made[0]() is None
+    assert all(p.grad is not None for p in mod.parameters())
 
 
 def composed_forward(bb, mod, x):

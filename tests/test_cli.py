@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import fcntl
 import io
 import json
 import os
@@ -166,6 +167,43 @@ def test_resume_on_a_dataset_file_of_another_width_is_a_usage_error(tmp_path, ca
     assert run_cli(*run, str(resumed), "--resume", str(tmp_path / "part" / "checkpoint.bin")) == 2
     assert "checkpoint is for 8 input features, the stream has 9" in capsys.readouterr().err
     assert list(resumed.iterdir()) == []
+
+
+def snapshot(directory):
+    return {p.relative_to(directory): p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+@contextlib.contextmanager
+def held(directory):
+    """Hold the lock a writing command takes on `directory`, as another
+    process would."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        yield
+    finally:
+        os.close(fd)
+
+
+@pytest.mark.parametrize("command", ["run", "eval", "ablate"])
+def test_a_second_writer_stops_before_it_writes(tmp_path, capsys, command):
+    conf = write_tiny_config(tmp_path, epochs=3)
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(conf), "--out", str(out)) == 0
+    argv = {
+        "run": ["run", "--config", str(conf), "--out", str(out), "--seed", "1"],
+        "eval": ["eval", "--checkpoint", str(out / "checkpoint.bin")],
+        "ablate": ["ablate", "--config", str(conf), "--out", str(tmp_path)],
+    }[command]
+    locked = tmp_path / "nsm_only" if command == "ablate" else out  # ablate's first variant
+    locked.mkdir(exist_ok=True)
+    before = snapshot(tmp_path)
+    capsys.readouterr()
+    with held(locked):
+        assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {locked} is in use by another taam process"]
+    assert snapshot(tmp_path) == before
+    assert run_cli(*argv) == 0  # the lock goes with its holder
 
 
 def test_ablate_writes_three_variants(tmp_path, capsys):

@@ -153,13 +153,6 @@ def test_dropped_class_is_never_split():
             assert np.array_equal(getattr(a, split), getattr(b, split))
 
 
-def test_propagated_is_cached():
-    # one propagation per hop count, whose rows every task reads
-    stream = default_stream(seven_class_graph(), classes_per_task=2, seed=0)
-    assert stream.propagated(2) is stream.propagated(2)
-    assert stream.propagated(0) is not stream.propagated(2)
-
-
 def assert_tasks_match_their_own_subgraphs(g, stream, seed):
     """Each task's rows of the one stream graph equal, bit for bit, what its
     induced subgraph gives when normalized and propagated on its own, and
@@ -171,7 +164,7 @@ def assert_tasks_match_their_own_subgraphs(g, stream, seed):
         assert np.array_equal(stream.graph.features[task.rows], sub.features)
         s = normalize_adjacency(sub)
         for hops in range(4):
-            assert np.array_equal(stream.propagated(hops)[task.rows], propagate(s, sub.features, hops))
+            assert np.array_equal(stream.propagate_task(task, hops), propagate(s, sub.features, hops))
         for c in task.classes:
             nodes = np.flatnonzero(sub.labels == c)
             nodes = nodes[rng_for(seed, "split", c).permutation(nodes.size)]
@@ -252,15 +245,42 @@ def test_changing_one_task_leaves_the_other_tasks_unchanged():
     feats[g.labels == 2] += 1.0  # class 2 is in task 2
     after = default_stream(SparseGraph(g.adj, feats, g.labels), classes_per_task=2, seed=0)
     for a, b in zip(before.tasks, after.tasks, strict=True):
-        same = np.array_equal(before.propagated(2)[a.rows], after.propagated(2)[b.rows])
+        same = np.array_equal(before.propagate_task(a, 2), after.propagate_task(b, 2))
         assert same == (a.task_id != 2)
+
+
+def test_a_run_propagates_each_task_block_alone(monkeypatch, tmp_path):
+    # training never propagates the whole stream: each task's block is
+    # propagated alone, once, and a resume propagates the test rows of the
+    # tasks it had finished once, with the last hop at those rows
+    cfg = cfg_for(dataset="sbm:classes=6,npc=25,dim=8,sep=10", epochs=3)
+    stream = stream_for(cfg, classes=6)
+    calls = []
+
+    def counted(s, x, hops, rows=None):
+        calls.append((x.shape[0], None if rows is None else len(rows)))
+        return propagate(s, x, hops, rows)
+
+    monkeypatch.setattr(harness, "propagate", counted)
+    full = run_continual(stream, cfg)
+    heights = [task.rows.stop - task.rows.start for task in stream.tasks]
+    assert max(x_rows for x_rows, _ in calls) <= max(heights) < stream.graph.num_nodes
+    assert calls == [(height, None) for height in heights]
+
+    part = run_continual(stream_for(cfg, classes=6), cfg, checkpoint_path=tmp_path / "run.bin", stop_after=1)
+    calls.clear()
+    fresh = stream_for(cfg, classes=6)
+    resumed = run_continual(fresh, cfg, resume=part)
+    task1 = fresh.tasks[0]
+    assert calls == [(heights[1], None), (fresh.graph.num_nodes, task1.test_idx.size), (heights[2], None)]
+    assert resumed.matrix.tobytes() == full.matrix.tobytes()
 
 
 def test_task_views_are_read_only():
     stream = default_stream(seven_class_graph(), classes_per_task=2, seed=0)
     for task in stream.tasks:
-        propagated = (stream.propagated(hops)[task.rows] for hops in (0, 2))
-        for arr in (*propagated, stream.graph.features[task.rows], task.labels):
+        propagated = (stream.propagate_task(task, hops) for hops in (0, 2))
+        for arr in (*propagated, stream.graph.features[task.rows], task.labels, *stream.propagated_test_rows(2, 3)):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -482,8 +502,8 @@ def test_evaluate_final_row_matches_run():
     [("taam", "full"), ("taam", "retrieval_only"), ("taam", "nsm_only"), ("oracle", "full"), ("finetune", "full")],
 )
 def test_evaluate_final_row_propagates_only_test_rows_of_a_fresh_stream(monkeypatch, method, ablation, precision):
-    # a fresh stream has no propagated array cached, so the eval path is the
-    # one a checkpoint takes in `taam eval`
+    # a fresh stream has propagated no task, so the eval path is the one a
+    # checkpoint takes in `taam eval`
     cfg = cfg_for(dataset="sbm:classes=6,npc=25,dim=8,sep=10", method=method, ablation=ablation,
                   precision=precision, epochs=10)
     res = run_continual(stream_for(cfg, classes=6), cfg)
@@ -611,7 +631,6 @@ def test_a_checkpointed_run_is_the_same_run_without_its_generators_in_memory(tmp
     cfg = cfg_for(dataset="sbm:classes=12,npc=25,dim=12,sep=10", epochs=5, precision=precision)
     g = generate_sbm(12, 25, 0.1, 0.02, 12, 10.0, seed=cfg.seed)
     stream = build_stream(g, classes_per_task=2, seed=cfg.seed, train_frac=cfg.train_frac, val_frac=cfg.val_frac)
-    stream.propagated(cfg.hops)  # shared by both runs, so traced by neither
     kept, kept_peak = traced_run(stream, cfg)
     spilled, spilled_peak = traced_run(stream, cfg, checkpoint_path=tmp_path / "run.bin")
 

@@ -7,6 +7,7 @@ same regime.
 """
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -167,9 +168,32 @@ def test_adam_step_gives_the_bits_of_its_expression_form(dtype):
 
 def train(stream, i, net, bank, head, cfg):
     """train_task on task i (0-based) of `stream`, given the task's
-    propagated rows as `run_continual` gives them."""
+    propagated block as `run_continual` gives it."""
     task = stream.tasks[i]
-    return train_task(task, stream.propagated(cfg.hops)[task.rows], net, bank, head, cfg)
+    return train_task(task, stream.propagate_task(task, cfg.hops), net, bank, head, cfg)
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_train_task_holds_few_activation_sized_arrays(precision):
+    # 1200 train nodes at the default hidden width 256, with 8 features and a
+    # small modulator: arrays of n_train x hidden dominate a training step.
+    # Freeing each backward's inputs once it has run, and recomputing the
+    # site-2 scale, keep the peak near five and a half of them; a tape that
+    # kept its records until the next step would peak near eight and a half.
+    cfg = tiny_cfg(epochs=2, hidden_dim=256, embed_dim=8, heads=2, precision=precision)
+    stream = default_stream(generate_sbm(2, 1000, 0.02, 0.004, 8, 8.0, seed=0), seed=cfg.seed)
+    task = stream.tasks[0]
+    backbone = init_backbone(8, cfg.hidden_dim, rng_for(cfg.seed, "backbone"), dtype=cfg.np_dtype)
+    bank, head = PrototypeBank(), ClassifierHead(cfg.hidden_dim, dtype=cfg.np_dtype)
+    unit = task.train_idx.size * cfg.hidden_dim * np.dtype(cfg.np_dtype).itemsize
+    tracemalloc.start()
+    try:
+        train(stream, 0, backbone, bank, head, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert task.train_idx.size == 1200
+    assert peak <= 6 * unit
 
 
 def logistic_regression_oracle(x, y, classes=2, steps=400, lr=0.5):
@@ -191,7 +215,7 @@ def test_train_task_learns_separable_classes():
     stream = default_stream(g, classes_per_task=2, seed=cfg.seed)
     task = stream.tasks[0]
 
-    x = stream.propagated(cfg.hops)[task.rows][task.train_idx]
+    x = stream.propagate_task(task, cfg.hops)[task.train_idx]
     y = task.local_labels[task.train_idx]
     assert logistic_regression_oracle(x, y) >= 99.0  # the data is learnable
 
@@ -283,7 +307,7 @@ def test_finetune_trains_shared_weights_over_all_columns():
     # second-task training happily overwrites first-task behavior: after task 2,
     # task-1 test nodes are mostly dragged to the new classes
     t1 = stream.tasks[0]
-    x = Tensor(stream.propagated(cfg.hops)[t1.rows][t1.test_idx])
+    x = Tensor(stream.propagate_task(t1, cfg.hops)[t1.test_idx])
     pred = head.predict(model.embed(x).data, model.w2)
     truth = t1.labels[t1.test_idx]
     acc = 100.0 * float((pred == truth).sum()) / truth.size
