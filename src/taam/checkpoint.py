@@ -1,10 +1,10 @@
-"""Binary run checkpoints, format 6: a small file rewritten at every stage
+"""Binary run checkpoints, format 7: a small file rewritten at every stage
 plus an append-only sidecar of frozen blocks.
 
 `path` holds what changes from stage to stage (integers little-endian):
 
     bytes 0..7    magic "TAAMCKPT"
-    bytes 8..11   u32 format version (currently 6)
+    bytes 8..11   u32 format version (currently 7)
     bytes 12..19  u64 header length H
     next H bytes  header, UTF-8 JSON (sorted keys)
     payload       the classifier weight matrix, then for method finetune its
@@ -23,52 +23,48 @@ the accuracy matrix, AA and AF (defined here, next to it), the retrieval log
 and the donors from its stages.
 
 `frozen_path(path)` (`path` + ".frozen") holds the blocks that never change
-once written, as consecutive segments of arrays stored the same way.
-Segment 0 is the backbone's w1 and w2.  Each task then adds two segments,
-in the two parts of `modulator.frozen_layout`: segment 2t - 1 is task t's
-inference form (per site its basis, w_attn and b_attn), then its prototype;
-segment 2t is its generator (per site w_base and b_base), which only a later
-task's warm start reads.  Method finetune trains its net and stores no
-modulators, so its sidecar is empty.  "crcs" holds one CRC-32 per segment,
-so the CRC of `path` pins the sidecar's content too.  Move a run by copying
-both files.
+once written, as consecutive segments of arrays stored the same way.  The
+one table of them, `payload_layout`'s, names each segment's task and part:
+the backbone's w1 and w2; then per task, in the parts of
+`modulator.frozen_layout`, its inference form (per site its basis, w_attn
+and b_attn) and its prototype, then, only where the variant warm-starts, its
+generator (per site w_base and b_base), which only a later task's warm
+start reads.  Method finetune stores no modulators: its sidecar is empty.
+"crcs" holds one CRC-32 per segment, so the CRC of `path` pins the sidecar's
+content too.  Move a run by copying both files.
 
 A run's first save writes a fresh sidecar; each later save appends only the
-newly frozen segments, in one write.  A save builds, checks and writes the
-segments one at a time, so it holds at most one generator.  The sidecar is
-written and fsynced before `path` is replaced (temp file, fsync, rename; see
-`fileio`), and the loader reads only the segments that `path` has CRCs for.
-A crash at any point thus leaves the last completed stage loadable, whatever
-torn tail the sidecar has.
+newly frozen segments, in one write, building, checking and writing one
+segment at a time.  The sidecar is fsynced before `path` is replaced (temp
+file, fsync, rename; see `fileio`), and the loader reads only the segments
+that `path` has CRCs for, so a crash at any point leaves the last completed
+stage loadable, whatever torn tail the sidecar has.
 
-A load reads and checks segment 0 and the inference segments alone, which is
-all that evaluating a checkpoint (`taam eval`) needs: at the default widths
-about 2% of a task's floats.  A generator segment is read and checked each
-time a warm start needs it, each read opening the sidecar anew, and is not
-kept.  A save leaves the run it saved in that same form: each generator it
-writes is dropped from memory (`Modulator.spill`) and read back, by the
-loader's reader, when needed.  A resumed run saves before it trains, and that
-save, rewriting the sidecar, reads each once: a damaged one stops it there.
+A load reads and checks the backbone and the inference segments alone: all
+that `taam eval` needs, at the default widths about 2% of a task's floats.
+A generator is read and checked, opening the sidecar anew, each time a warm
+start needs it, and is not kept: a save drops each generator it writes from
+memory (`Modulator.spill`).  A resumed run's first save, before it trains,
+rewrites the sidecar and so reads each stored generator once: a damaged one
+stops it there.  A run that never warm-starts stores, reads and holds none.
 
-Each fact is stored once.  `payload_layout` derives every block's shape and
-dtype, so every segment length, from the config (epochs and precision), the
-input width, the stage count (the number of records) and the class count.
-A finished task's classifier columns are frozen, except under method
-finetune, which freezes none.  The loader requires exactly the five keys,
-each well typed; the stored config to validate and to equal its own
-`RunConfig.echo()`; 1..tasks_total stages with disjoint class groups,
-inferred task ids in 1..t and donors before t; epoch-log accuracies in
-[0, 100] or NaN; a sidecar that holds every listed segment; and one CRC per
-segment, each matching when the segment is read.  Every violation is an
+Each fact is stored once: `payload_layout` derives every block's shape and
+dtype from the config, the input width, the stage count (the number of
+records) and the class count.  A finished task's classifier columns are
+frozen, except under method finetune, which freezes none.  The loader
+requires exactly the five keys, each well typed; the stored config to
+validate and to equal its own `RunConfig.echo()`; 1..tasks_total stages
+with disjoint class groups, inferred task ids in 1..t and donors before t;
+epoch-log accuracies in [0, 100] or NaN; and every listed segment in the
+sidecar, its CRC matching when it is read.  Every violation is an
 IntegrityError, and a file of another format version is a VersionError.
 
-Each array is stored in the dtype the run holds it in: the run's precision,
-except the epoch logs and the prototypes, which are float64.  So a load casts
-nothing, and in either precision the frozen blocks load as read-only views of
-the sidecar bytes read; the classifier weight, which a resumed run writes, is
-copied.
-Checkpoints are written at stage boundaries, so no optimizer state is
-stored; resuming re-derives all randomness from the seed and purpose tags.
+Each array is stored in the dtype the run holds it in (the run's precision,
+except the epoch logs and the prototypes: float64), so a load casts nothing,
+and the frozen blocks load as read-only views of the sidecar bytes read; the
+classifier weight, which a resumed run writes, is copied.  No optimizer
+state is stored: checkpoints are written at stage boundaries, and resuming
+re-derives all randomness from the seed and purpose tags.
 """
 
 from __future__ import annotations
@@ -93,7 +89,7 @@ from .prototypes import PrototypeBank
 from .training import FinetuneModel, accuracy_percent
 
 MAGIC = b"TAAMCKPT"
-VERSION = 6
+VERSION = 7
 
 # Resuming in a different place is fine; resuming different run semantics is not.
 _CONFIG_KEYS_IGNORED_ON_RESUME = ("out_dir",)
@@ -210,22 +206,19 @@ def frozen_path(path) -> str:
 
 
 def payload_layout(cfg: RunConfig, in_dim: int, stage: int, classes: int):
-    """The (shape, dtype) of every stored array, in storage order: those of
-    the payload of `path`, and those of each frozen segment of the sidecar.
-    Each is in the run's dtype, except the epoch logs and the prototypes,
-    which are float64."""
+    """The (shape, dtype) of every array of the payload of `path`, and the
+    table of sidecar segments, each in storage order.  A segment is (task,
+    part, the (shape, dtype) of each of its arrays); task 0 is the backbone."""
     d_h, run, f8 = cfg.hidden_dim, np.dtype(cfg.np_dtype), np.dtype(np.float64)
     head, logs = [((d_h, classes), run)], [((stage, cfg.epochs, 3), f8)]
     backbone = [((in_dim, d_h), run), ((d_h, d_h), run)]
     if cfg.method == "finetune":
         return head + backbone + logs, []
     inference, generator = ([(s, run) for s in part] for part in frozen_layout([in_dim, d_h], cfg.heads, cfg.embed_dim))
-    return head + logs, [backbone] + [inference + [((in_dim,), f8)], generator] * stage
-
-
-def _segment_name(k: int) -> str:
-    """What sidecar segment k holds."""
-    return "the backbone" if k == 0 else f"task {(k + 1) // 2}'s {('generator', 'inference form')[k % 2]}"
+    parts = [("inference form", inference + [((in_dim,), f8)])]
+    if cfg.variant.warm_start:
+        parts.append(("generator", generator))
+    return head + logs, [(0, "backbone", backbone)] + [(t, *part) for t in range(1, stage + 1) for part in parts]
 
 
 def _nbytes(blocks) -> int:
@@ -242,15 +235,14 @@ def _crc(chunks, crc: int = 0) -> int:
     return crc
 
 
-def _segment(state: RunState, k: int) -> list[np.ndarray]:
-    """The arrays of sidecar segment k (see `_segment_name`) in `state`."""
-    if k == 0:
+def _segment(state: RunState, t: int, part: str) -> list[np.ndarray]:
+    """The arrays of task t's `part` (task 0: the backbone) in `state`."""
+    if not t:
         return [state.net.w1, state.net.w2]
-    t = (k + 1) // 2
     mod = state.bank.modulator(t)
-    if k % 2:
-        return [p.data for site in mod.sites for p in site] + [state.bank.prototype(t)]
-    return mod.generator()
+    if part == "generator":
+        return mod.generator()
+    return [p.data for site in mod.sites for p in site] + [state.bank.prototype(t)]
 
 
 def _check_layout(arrays, wanted) -> None:
@@ -275,23 +267,23 @@ def save_checkpoint(path, state: RunState, crcs: list[int] | None = None) -> lis
     mutable.append(np.array([s.epochs for s in state.stages], dtype=np.float64))
     blocks, segments = payload_layout(cfg, int(net.w1.shape[0]), len(state.stages), head.num_classes)
     _check_layout(mutable, blocks)
-    stored = 0 if cfg.method == "finetune" else 1 + 2 * len(bank)
-    if stored != len(segments):
-        raise ContractError(f"run state has {stored} frozen segments; its config implies {len(segments)}")
+    tasks = segments[-1][0] if segments else 0
+    if len(bank) != tasks:
+        raise ContractError(f"run state has {len(bank)} frozen modulators; its config implies {tasks}")
     done, fresh = crcs or [], []
 
     def chunks():
-        for k in range(len(done), stored):
-            segment = _segment(state, k)
-            _check_layout(segment, segments[k])
-            segment = _le(segment)
-            fresh.append(_crc(segment))
-            yield from segment
+        for t, part, wanted in segments[len(done) :]:
+            arrays = _segment(state, t, part)
+            _check_layout(arrays, wanted)
+            arrays = _le(arrays)
+            fresh.append(_crc(arrays))
+            yield from arrays
 
     if crcs is None:
         write_atomic(frozen_path(path), chunks())
     else:
-        write_at(frozen_path(path), sum(map(_nbytes, segments[: len(done)])), chunks())
+        write_at(frozen_path(path), sum(_nbytes(blocks) for *_, blocks in segments[: len(done)]), chunks())
     crcs = done + fresh
 
     header = {
@@ -309,9 +301,9 @@ def save_checkpoint(path, state: RunState, crcs: list[int] | None = None) -> lis
     crc = _crc(payload, zlib.crc32(header_bytes))
     prefix = MAGIC + struct.pack("<IQ", VERSION, len(header_bytes))
     write_atomic(path, [prefix, header_bytes, *payload, struct.pack("<I", crc)])
-    for k in range(len(done), len(segments)):
-        if k and not k % 2:
-            bank.modulator(k // 2).spill(_generator_reader(path, crcs, segments, k))
+    for k, (t, part, _) in enumerate(segments[len(done) :], len(done)):
+        if part == "generator":
+            bank.modulator(t).spill(_generator_reader(path, crcs, segments, k))
     return crcs
 
 
@@ -388,27 +380,29 @@ def _read_segments(path, crcs, segments, picks) -> list[list[np.ndarray]]:
     """Segments `picks` of the sidecar of `path`, which must hold all of
     `segments` (`payload_layout`), each read at its offset and checked against its CRC."""
     sidecar = frozen_path(path)
-    ends = list(accumulate(map(_nbytes, segments), initial=0))
+    ends = list(accumulate((_nbytes(blocks) for *_, blocks in segments), initial=0))
     try:
         with open(sidecar, "rb") as fh:
             if os.fstat(fh.fileno()).st_size < ends[-1]:
                 raise IntegrityError(f"{sidecar} is truncated")
             out = []
             for k in picks:
+                t, part, blocks = segments[k]
                 fh.seek(ends[k])
                 raw = fh.read(ends[k + 1] - ends[k])
                 if zlib.crc32(raw) != crcs[k]:
-                    raise IntegrityError(f"{sidecar} failed its checksum (segment {k}, {_segment_name(k)})")
-                out.append(_views(raw, segments[k]))
+                    what = f"task {t}'s {part}" if t else "the backbone"
+                    raise IntegrityError(f"{sidecar} failed its checksum (segment {k}, {what})")
+                out.append(_views(raw, blocks))
             return out
     except FileNotFoundError:
         raise IntegrityError(f"{sidecar} is missing; copy it along with {path}") from None
 
 
 def _generator_reader(path, crcs, segments, k):
-    """A function that reads segment k, task k // 2's generator, from the
-    sidecar of `path` and checks it, anew at each call."""
-    return lambda: _read_segments(path, crcs, segments, [k])[0]
+    """A function that reads segment k, a task's generator, from the sidecar
+    of `path` and checks it, anew at each call; None if k is None."""
+    return None if k is None else lambda: _read_segments(path, crcs, segments, [k])[0]
 
 
 def load_checkpoint(path) -> RunState:
@@ -442,8 +436,8 @@ def load_checkpoint(path) -> RunState:
     if not (np.isnan(accuracy) | (0 <= accuracy) & (accuracy <= 100)).all():
         raise IntegrityError(f"{path} is malformed: an epoch log holds an accuracy outside [0, 100]")
     crcs = header["crcs"]
-    # segment 0 and each task's inference form; a generator is read when needed
-    frozen = _read_segments(path, crcs, segments, [k for k in range(len(segments)) if k == 0 or k % 2])
+    # the backbone and each task's inference form; a generator is read when needed
+    frozen = _read_segments(path, crcs, segments, [k for k, (_, part, _) in enumerate(segments) if part != "generator"])
 
     bank = PrototypeBank()
     if cfg.method == "finetune":
@@ -452,8 +446,9 @@ def load_checkpoint(path) -> RunState:
         # Frozen blocks are never written again, so they stay views of the sidecar bytes.
         (w1, w2), *tasks = frozen
         net = Backbone(w1, w2)
+        generators = {t: k for k, (t, part, _) in enumerate(segments) if part == "generator"}
         bank = PrototypeBank.restore(
-            (vector, Modulator.from_frozen(arrays, _generator_reader(path, crcs, segments, 2 * t)))
+            (vector, Modulator.from_frozen(arrays, _generator_reader(path, crcs, segments, generators.get(t))))
             for t, (*arrays, vector) in enumerate(tasks, 1)
         )
 

@@ -93,8 +93,8 @@ class SparseGraph:
         return cls(adj, features, labels)
 
 
-def normalize_adjacency(g: SparseGraph) -> sp.csr_matrix:
-    """Symmetrically normalized adjacency with self-loops.
+def normalize_adjacency(adj: sp.csr_matrix) -> sp.csr_matrix:
+    """Symmetrically normalized adjacency with self-loops, of a CSR `adj`.
 
     Returns D^{-1/2} (A + I) D^{-1/2} where D is the degree matrix of A + I.
     Self-loops guarantee every row has positive degree, so isolated nodes get
@@ -105,13 +105,12 @@ def normalize_adjacency(g: SparseGraph) -> sp.csr_matrix:
     rows keep A's column order.  So the normalized adjacency of a
     block-diagonal graph is, block by block, that of each block on its own.
     """
-    a = g.adj
-    if not a.has_canonical_format:
+    if not adj.has_canonical_format:
         # scipy adds unsorted or duplicated rows by another method, chosen
         # for the whole matrix; sorting first keeps the sum row by row.
-        a = a.copy()
-        a.sum_duplicates()
-    a = a + sp.identity(g.num_nodes, format="csr")
+        adj = adj.copy()
+        adj.sum_duplicates()
+    a = adj + sp.identity(adj.shape[0], format="csr")
     deg = np.asarray(a.sum(axis=1)).ravel()
     inv_sqrt = 1.0 / np.sqrt(deg)
     a.data = (np.repeat(inv_sqrt, np.diff(a.indptr)) * a.data) * inv_sqrt[a.indices]

@@ -94,7 +94,7 @@ class TaskStream:
         for row the bits the whole stream graph gives.  The result is
         read-only and the caller's alone; the stream keeps its test rows."""
         rows = task.rows
-        out = propagate(normalize_adjacency(self.graph)[rows, rows], self.graph.features[rows], hops)
+        out = propagate(normalize_adjacency(self.graph.adj[rows, rows]), self.graph.features[rows], hops)
         out.setflags(write=False)
         self._keep_test_rows(hops, [task], out[task.test_idx])
         return out
@@ -108,7 +108,7 @@ class TaskStream:
         missing = [task for task in tasks if (hops, task.task_id) not in self._test_rows]
         if missing:
             rows = np.concatenate([task.rows.start + task.test_idx for task in missing])
-            x = propagate(normalize_adjacency(self.graph), self.graph.features, hops, rows)
+            x = propagate(normalize_adjacency(self.graph.adj), self.graph.features, hops, rows)
             self._keep_test_rows(hops, missing, x)
         return [self._test_rows[hops, task.task_id] for task in tasks]
 
@@ -338,7 +338,7 @@ def run_continual(stream: TaskStream, cfg, resume=None, checkpoint_path=None, st
     blocks.  A checkpointed run holds each past task as a loaded checkpoint
     does: the inference form and prototype in memory, the generator in the
     sidecar, read each time a warm start needs it.  Without a checkpoint
-    each new generator stays in memory.
+    each new generator stays in memory, if the variant warm-starts at all.
     """
     cfg.validate()
     t_total = len(stream.tasks)

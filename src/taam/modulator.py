@@ -20,7 +20,8 @@ basis, computed once, and its attention weights.  The basis generators
 (W_base, b_base), most of a modulator's floats, only seed a later task's
 warm start, and the embedding is dropped.  A checkpointed run keeps a
 generator in its checkpoint's sidecar, not in memory, and reads it from
-there whenever a warm start needs it (`Modulator.spill`).
+there whenever a warm start needs it (`Modulator.spill`); a run that never
+warm-starts keeps none.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class Modulator:
     generator is kept apart, for warm starts, as a function that returns it
     (`generator`): a closure over its arrays once frozen, and a reader of
     the checkpoint's sidecar once loaded or spilled.  Every array of it is
-    read-only.
+    read-only.  A run that never warm-starts keeps none: its function is None.
     """
 
     def __init__(self, sites: list[tuple[Tensor, ...]], embedding: Tensor | None, generator=None):
@@ -109,7 +110,7 @@ class Modulator:
     def from_frozen(cls, inference, read_generator) -> "Modulator":
         """Frozen modulator from its inference arrays, in `frozen_layout`
         order; `read_generator()` returns its generator arrays, and is called
-        at each `generator()` call, never at construction."""
+        at each `generator()` call, never at construction (None: no generator)."""
         return cls(_frozen_sites(inference), None, read_generator)
 
     def parameters(self) -> list[Tensor]:
@@ -121,13 +122,16 @@ class Modulator:
     def generator(self) -> list[np.ndarray]:
         """A frozen modulator's w_base and b_base of each site, in
         `frozen_layout` order.  A modulator built by `from_frozen` or spilled
-        reads them at every call and keeps nothing."""
+        reads them at every call and keeps nothing; one that keeps none
+        (trainable, or of a run that never warm-starts) raises ContractError."""
+        if self._generator is None:
+            raise ContractError("this modulator keeps no frozen generator")
         return _read_only(self._generator())
 
     def spill(self, read_generator) -> None:
         """Drop a frozen modulator's generator from memory: from now on
         `generator()` calls `read_generator()`, which must return the same
-        values (as the checkpoint that stores them does)."""
+        values (as the checkpoint that stores them does), or, if None, raise."""
         self._generator = read_generator
 
     def freeze(self) -> None:

@@ -176,6 +176,8 @@ def train_task(task, x_prop64, backbone, bank, head, cfg) -> tuple[int | None, n
     head.set_block(w.data, t)
     head.freeze(t)
     bank.commit(proto, mod)
+    if not cfg.variant.warm_start:
+        mod.spill(None)  # no later task reads its generator
     return donor, epochs
 
 
@@ -218,7 +220,7 @@ def end_to_end_grad_check(seed: int, num_nodes: int = 10) -> float:
         raise ContractError("num_nodes must be even (two equal classes)")
     in_dim, hidden_dim = 7, 9
     g = generate_sbm(2, num_nodes // 2, 0.6, 0.3, in_dim, 4.0, seed)
-    x_prop = propagate(normalize_adjacency(g), g.features, 2)
+    x_prop = propagate(normalize_adjacency(g.adj), g.features, 2)
     backbone = init_backbone(in_dim, hidden_dim, rng_for(seed, "gc-backbone"))
     mod = init_modulator(backbone.site_widths, rng_for(seed, "gc-mod"), embed_dim=5, heads=3)
     # Basis-weight gradients are outer products with the embedding, so a

@@ -61,10 +61,11 @@ def same_bits(a, b):
 
 
 def frozen_arrays(state, t):
-    """Task t's frozen modulator in storage order (inference form, then
-    generator), then its prototype."""
+    """Task t's frozen modulator (inference form, then the generator where
+    the variant stores one), then its prototype."""
     mod = state.bank.modulator(t)
-    return [p.data for site in mod.sites for p in site] + mod.generator() + [state.bank.prototype(t)]
+    generator = mod.generator() if state.config.variant.warm_start else []
+    return [p.data for site in mod.sites for p in site] + generator + [state.bank.prototype(t)]
 
 
 def stored_arrays(state):
@@ -202,7 +203,7 @@ def test_unsupported_version(tmp_path):
 
 def test_format_1_file_is_a_version_error(tmp_path):
     _, _, _, path = small_run(tmp_path)
-    for version in (1, 2, 3, 4, 5):  # formats 2 to 5 are as unreadable as format 1
+    for version in (1, 2, 3, 4, 5, 6):  # formats 2 to 6 are as unreadable as format 1
         raw = bytearray(path.read_bytes())
         raw[8:12] = struct.pack("<I", version)
         old = tmp_path / f"v{version}.bin"
@@ -240,32 +241,49 @@ def cut_sidecar(path):
     sidecar.write_bytes(sidecar.read_bytes()[:-8])
 
 
-def segment_bounds(path):
-    """Start and end byte of each sidecar segment of the checkpoint at `path`."""
+def sidecar_table(path):
+    """The `payload_layout` table of the sidecar segments of the checkpoint at `path`."""
     header, _ = read_header(path)
     stages, in_dim = header["stages"], header["in_dim"]
     classes = sum(len(s["classes"]) for s in stages)
-    _, segments = payload_layout(make_config(header["config"]), in_dim, len(stages), classes)
-    ends = np.cumsum([0] + [sum(math.prod(shape) * dtype.itemsize for shape, dtype in seg) for seg in segments])
-    return list(zip(ends[:-1], ends[1:]))
+    return payload_layout(make_config(header["config"]), in_dim, len(stages), classes)[1]
 
 
-def flip_byte_of_segment(path, k):
-    start, end = segment_bounds(path)[k]
+def nbytes(segment):
+    _, _, blocks = segment
+    return sum(math.prod(shape) * dtype.itemsize for shape, dtype in blocks)
+
+
+def segment_index(path, task, part):
+    """The index of task `task`'s `part` among the sidecar segments of the checkpoint at `path`."""
+    return [s[:2] for s in sidecar_table(path)].index((task, part))
+
+
+def flip_byte_of_segment(path, task, part):
+    """Flip a byte in the middle of task `task`'s `part`; return its segment index."""
+    k = segment_index(path, task, part)
+    ends = np.cumsum([0] + [nbytes(s) for s in sidecar_table(path)])
     sidecar = Path(frozen_path(path))
     raw = bytearray(sidecar.read_bytes())
-    raw[(start + end) // 2] ^= 0xFF
+    raw[(ends[k] + ends[k + 1]) // 2] ^= 0xFF
     sidecar.write_bytes(bytes(raw))
+    return k
 
 
 def flip_sidecar_byte(path):
-    flip_byte_of_segment(path, 3)  # task 2's inference form, which every load reads
+    flip_byte_of_segment(path, 2, "inference form")  # which every load reads
 
 
 def swap_task_segments(path):
     # the inference segments of tasks 1 and 2 have equal lengths, so only
     # their checksums tell them apart
-    swap = lambda h: {**h, "crcs": [h["crcs"][i] for i in (0, 3, 2, 1, 4)]}
+    i, j = (segment_index(path, t, "inference form") for t in (1, 2))
+
+    def swap(h):
+        crcs = list(h["crcs"])
+        crcs[i], crcs[j] = crcs[j], crcs[i]
+        return {**h, "crcs": crcs}
+
     os.replace(with_header(path, path.with_name("swapped.bin"), swap), path)
 
 
@@ -306,8 +324,7 @@ def test_a_damaged_generator_stops_a_resume_but_not_an_eval(tmp_path, capsys, ta
     run = ["run", "--config", str(conf), "--out", str(out)]
     assert main(run) == 0
     assert main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "intact")]) == 0
-    k = 2 * task
-    flip_byte_of_segment(ckpt, k)
+    k = flip_byte_of_segment(ckpt, task, "generator")
 
     assert main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "flipped")]) == 0
     summary = lambda d: json.loads((tmp_path / d / "eval_summary.json").read_text())
@@ -321,14 +338,14 @@ def test_a_damaged_generator_stops_a_resume_but_not_an_eval(tmp_path, capsys, ta
 
 
 def test_a_resume_reads_every_generator_before_it_trains(tmp_path, monkeypatch):
-    # without a warm start no later stage would read task 1's generator
-    # until the save that rewrites the sidecar
+    # training is stubbed out, so no warm start reads task 1's generator:
+    # only the save that rewrites the sidecar, before stage 2 trains, does
     conf = tmp_path / "run.conf"
     conf.write_text("dataset = sbm:classes=6,npc=25,dim=8,sep=10\nhidden_dim = 16\nepochs = 5\n")
-    run = ["run", "--config", str(conf), "--ablation", "retrieval_only"]
+    run = ["run", "--config", str(conf), "--ablation", "full"]
     assert main([*run, "--out", str(tmp_path / "out"), "--stop-after", "1"]) == 0
     ckpt = tmp_path / "out" / "checkpoint.bin"
-    flip_byte_of_segment(ckpt, 2)
+    flip_byte_of_segment(ckpt, 1, "generator")
     trained = []
     monkeypatch.setattr(harness, "train_task", lambda *args: trained.append(args))
     assert main([*run, "--out", str(tmp_path / "resumed"), "--resume", str(ckpt)]) == 1
@@ -357,12 +374,11 @@ def test_a_first_save_holds_at_most_one_generator(tmp_path):
     assert sidecar("resumed.bin") == sidecar("part.bin")
 
 
-def test_a_resume_reads_each_stored_generator_once(tmp_path, monkeypatch):
-    # retrieval_only warm-starts nothing, so only the resume's first save,
-    # which rewrites the sidecar before stage 6 trains, reads a stored
-    # generator: each of tasks 1..5's, once.
-    cfg = make_config(None, {"dataset": "sbm:classes=12,npc=10,dim=32,sep=10", "epochs": 2,
-                             "ablation": "retrieval_only"})
+def resume_events(tmp_path, monkeypatch, ablation):
+    """Resume a 6-task `ablation` run stopped after stage 5, with a
+    checkpoint; return, in order, its saves, its training calls and its
+    reads of a stored generator, and the bytes of each generator read."""
+    cfg = make_config(None, {"dataset": "sbm:classes=12,npc=10,dim=32,sep=10", "epochs": 2, "ablation": ablation})
     stream = harness.stream_from_config(cfg)
     run_continual(stream, cfg, checkpoint_path=tmp_path / "part.bin", stop_after=5)
     events, generator_bytes = [], []
@@ -371,7 +387,7 @@ def test_a_resume_reads_each_stored_generator_once(tmp_path, monkeypatch):
     def counted_read(path, crcs, segments, picks):
         out = read(path, crcs, segments, picks)
         for k, arrays in zip(picks, out):
-            if k and not k % 2:
+            if segments[k][1] == "generator":
                 events.append("generator")
                 generator_bytes.append(sum(a.nbytes for a in arrays))
         return out
@@ -389,8 +405,42 @@ def test_a_resume_reads_each_stored_generator_once(tmp_path, monkeypatch):
     state = run_continual(stream, cfg, resume=load_checkpoint(tmp_path / "part.bin"),
                           checkpoint_path=tmp_path / "resumed.bin")
     assert state.completed == 6
-    assert events == ["save", *["generator"] * 5, "train", "save"]
-    assert sum(generator_bytes) == 5 * 898_560 == 4_492_800
+    return events, generator_bytes
+
+
+def test_a_resume_reads_each_stored_generator_once(tmp_path, monkeypatch):
+    # the resume's first save, which rewrites the sidecar before stage 6
+    # trains, reads each of tasks 1..5's generators once; stage 6's warm
+    # start then reads its donor's
+    events, generator_bytes = resume_events(tmp_path, monkeypatch, "full")
+    assert events == ["save", *["generator"] * 5, "train", "generator", "save"]
+    assert sum(generator_bytes) == 6 * 898_560
+
+
+@pytest.mark.parametrize("ablation", ["retrieval_only", "nsm_only"])
+def test_a_resume_that_never_warm_starts_reads_no_generator(tmp_path, monkeypatch, ablation):
+    events, generator_bytes = resume_events(tmp_path, monkeypatch, ablation)
+    assert events == ["save", "train", "save"]
+    assert generator_bytes == []
+
+
+@pytest.mark.parametrize("ablation", ["retrieval_only", "nsm_only"])
+def test_a_variant_that_never_warm_starts_stores_no_generator(tmp_path, ablation):
+    cfg, _, _, path = small_run(tmp_path, classes=6, ablation=ablation)
+    segments = sidecar_table(path)
+    assert [s[:2] for s in segments] == [(0, "backbone")] + [(t, "inference form") for t in (1, 2, 3)]
+    assert segments == payload_layout(cfg, 8, 3, 6)[1]
+    assert os.path.getsize(frozen_path(path)) == sum(map(nbytes, segments))
+    assert len(read_header(path)[0]["crcs"]) == 4
+
+
+def test_a_run_that_never_warm_starts_keeps_no_generator(tmp_path):
+    cfg, stream, checkpointed, path = small_run(tmp_path, classes=6, ablation="retrieval_only")
+    for state in (checkpointed, run_continual(stream, cfg), load_checkpoint(path)):
+        assert len(state.bank) == 3
+        for t in (1, 2, 3):
+            with pytest.raises(ContractError, match="no frozen generator"):
+                state.bank.modulator(t).generator()
 
 
 @pytest.mark.parametrize(
@@ -445,19 +495,20 @@ def test_sidecar_only_grows(tmp_path, monkeypatch):
 def test_a_generator_damaged_after_its_save_stops_the_next_warm_start(tmp_path, monkeypatch):
     # once saved, task 1's generator is not in memory: stage 2's warm start
     # reads it from the sidecar and finds the damage
-    save, saved = harness.save_checkpoint, []
+    save, saved, damaged = harness.save_checkpoint, [], []
 
     def saving_then_damaging(path, state, crcs=None):
         crcs = save(path, state, crcs)
         saved.append(state.completed)
         if state.completed == 1:
-            flip_byte_of_segment(path, 2)
+            damaged.append(flip_byte_of_segment(path, 1, "generator"))
         return crcs
 
     monkeypatch.setattr(harness, "save_checkpoint", saving_then_damaging)
-    with pytest.raises(IntegrityError, match="segment 2, task 1's generator"):
+    with pytest.raises(IntegrityError, match="task 1's generator") as error:
         small_run(tmp_path)
     assert saved == [1]
+    assert f"segment {damaged[0]}, task 1's generator" in str(error.value)
     assert load_checkpoint(tmp_path / "run.bin").completed == 1
 
 
@@ -543,13 +594,17 @@ sys.exit(main(argv))
 """
 
 
-@pytest.mark.parametrize("where", ["replace", "append"])
-def test_run_killed_in_a_save_resumes_bitwise(tmp_path, where):
+@pytest.mark.parametrize(
+    "where,ablation",
+    [("replace", "full"), ("append", "full"), ("replace", "retrieval_only"), ("append", "nsm_only")],
+    ids=["replace", "append", "replace-retrieval_only", "append-nsm_only"],
+)
+def test_run_killed_in_a_save_resumes_bitwise(tmp_path, where, ablation):
     conf = tmp_path / "run.conf"
     conf.write_text("dataset = sbm:classes=6,npc=25,dim=8,sep=10\nhidden_dim = 16\nepochs = 5\n")
     out = tmp_path / "out"
     ckpt = out / "checkpoint.bin"
-    run = ["run", "--config", str(conf), "--out", str(out)]
+    run = ["run", "--config", str(conf), "--out", str(out), "--ablation", ablation]
     assert main(run) == 0
     full = {p.name: p.read_bytes() for p in out.iterdir()}
     shutil.rmtree(out)

@@ -117,7 +117,7 @@ HASWELL = SKYLAKEX.replace("SkylakeX", "Haswell")
 GOLDEN = {
     SKYLAKEX: {
         "finetune-f64": {
-            "checkpoint.bin": "4fdc3ff20b54c667f5b250d88f86f84e23c94b5963fdf7d112c5ffa18152383a",
+            "checkpoint.bin": "5ae2ad27a912aadde13fe6455df2d5a1ab70741a5ab457552ff24dc1fe51e297",
             "checkpoint.bin.frozen": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
             "matrix.csv": "aa7951b49a945927955a6ad1e207b0017e218256b80ff8a518fdbba25dca4493",
             "summary.json": "7246be840017e3d3f99bf6a9011d67b128ad4ed0339a52d31fa77317cfb1a7f7",
@@ -126,7 +126,7 @@ GOLDEN = {
             "task_03_train.log": "d2dcd03fe587b12d872e526d857310a3211eca87478e0d01e0f5c27ace150ad9",
         },
         "oracle-f64": {
-            "checkpoint.bin": "ec7d218412ab7bd38d6ef9097e0c6632718a6b96917d86e40f1ee6aa370c0a76",
+            "checkpoint.bin": "14277e79575c26c95eee70c81c1fe40f97ab5e2d8679c1fd8aab7de3bb19a5ac",
             "checkpoint.bin.frozen": "c7d07fe717d03f1635f916cfac0214505084ffd8c4a9bf6ea9dddd1fc528e73c",
             "matrix.csv": "7136e86a046cdef9c1ecc33f92f3ea12ea4bb31a74e168eef9c4834afa2a3d84",
             "summary.json": "4d4837c4298aecd1ab9f1446850654ee6dd4a4ca3b11b2241f3ee694581ff460",
@@ -135,7 +135,7 @@ GOLDEN = {
             "task_03_train.log": "64fb83c01e118732005e2da2153bd78163e1d8fc2c70ce59095b2d6e5da557ef",
         },
         "taam-full-f32": {
-            "checkpoint.bin": "743d3f4fdb261564205dc772ce8111237195feec0a833d5f73ef37b0981f0642",
+            "checkpoint.bin": "bb4b114c9916e7be7bbd1db0c0f6740a003e0bb90db59338282cf977ba1b1d00",
             "checkpoint.bin.frozen": "c42f8ac08a4431bdd0d280d670a16f09b5f456583996dbf67a0d7e65d5e6547f",
             "matrix.csv": "7136e86a046cdef9c1ecc33f92f3ea12ea4bb31a74e168eef9c4834afa2a3d84",
             "summary.json": "9e51fbf7c176e2cabec97ee707601b02693ddd61c1a456256179b15d9fc3f5a3",
@@ -144,7 +144,7 @@ GOLDEN = {
             "task_03_train.log": "ae69f3012d4d2a4c9461e31fa2d0d7dab87824fb2dd3048d2a5ca2fcba9dd845",
         },
         "taam-full-f32-wide": {
-            "checkpoint.bin": "fdbde2e575740eab3079e7a84bf4b1f85177fd1c20357782b49f4afa49129910",
+            "checkpoint.bin": "d2e05c6f09150477b9df64f19bfddcd06b5cfb18fbd4d4470b545043caea0076",
             "checkpoint.bin.frozen": "9fb5a5a3e454e48bbee3ee665d39223ed140106a4b58b05595f877a69ce06dbb",
             "matrix.csv": "3ecf937403dbeb81d83ed985985d74064bda4f823a3722bfa3fe4038dbc0bcdf",
             "summary.json": "8d131d94901ef1567c008543b8785b11d26dde7cede21dbee8001d3260c46970",
@@ -152,7 +152,7 @@ GOLDEN = {
             "task_02_train.log": "46c4b167971ab2ca37469b57edae4f29d0cccce37586175b132c4aeca4ac2d48",
         },
         "taam-full-f64": {
-            "checkpoint.bin": "a579bcad0853bebcaf3714e59301bf186d39054f993bb4a7bec0419a5229b287",
+            "checkpoint.bin": "cb421d5dd9cca2f5a6e77da01c33ca7392bcbc5c50c6645ed63dc69f6b4539d8",
             "checkpoint.bin.frozen": "c7d07fe717d03f1635f916cfac0214505084ffd8c4a9bf6ea9dddd1fc528e73c",
             "matrix.csv": "7136e86a046cdef9c1ecc33f92f3ea12ea4bb31a74e168eef9c4834afa2a3d84",
             "summary.json": "aa7243e31abb0f81b866493dc3dbbb729227f7861c5687d998fbaacac867705a",
@@ -161,8 +161,8 @@ GOLDEN = {
             "task_03_train.log": "64fb83c01e118732005e2da2153bd78163e1d8fc2c70ce59095b2d6e5da557ef",
         },
         "taam-nsm_only-f64": {
-            "checkpoint.bin": "d83045c43c1a485c6af874166864d72671fe80d7214ea6dcbd44812301ef2452",
-            "checkpoint.bin.frozen": "8e6d7db316ef5b0cee8796897105a476f71e04041f20a2d5b895515c49ef11a3",
+            "checkpoint.bin": "3e39493833e123e9d7e443fc39ff7ac05e5d14d63a16b979a3f7a9beabd367cf",
+            "checkpoint.bin.frozen": "e7e1ea65ba7e787e04a4fe487cd617b1b3758ae3774275e648916a6f7a223ad6",
             "matrix.csv": "8001f17262fa3a545b4a0544b509c6a31846f4339ec99753a602671f545bf727",
             "summary.json": "53b160de2b5cc636f56c3c64a198080f1405fed198e4472e0ce7439bd454b8cd",
             "task_01_train.log": "ccfb8156257486546fe9ef53a6517d8b540c51a464e063f9822e917a71ebeb96",
@@ -170,8 +170,8 @@ GOLDEN = {
             "task_03_train.log": "9093fb493ed7d3ce944548ba77e549700bc93701ff17f8e533e55f596e7cdfad",
         },
         "taam-retrieval_only-f64": {
-            "checkpoint.bin": "b4733c06a981ee4eab155704727e5ba1658bc3fa8b586623a8a13be7655bfc9d",
-            "checkpoint.bin.frozen": "8e6d7db316ef5b0cee8796897105a476f71e04041f20a2d5b895515c49ef11a3",
+            "checkpoint.bin": "766cca07e5860a6da697892cdb2fd40ed11207e41a8b2d9c81f610125b27caeb",
+            "checkpoint.bin.frozen": "e7e1ea65ba7e787e04a4fe487cd617b1b3758ae3774275e648916a6f7a223ad6",
             "matrix.csv": "d8c42f840d0df11a8edbda86ab6e1fadeaa91265849923c00e0d45a4e2823fc5",
             "summary.json": "ab8abce7a91fd55d5accb9779795761491b07c5013b4e9ad138491fd39dbfefb",
             "task_01_train.log": "ccfb8156257486546fe9ef53a6517d8b540c51a464e063f9822e917a71ebeb96",
@@ -181,7 +181,7 @@ GOLDEN = {
     },
     HASWELL: {
         "finetune-f64": {
-            "checkpoint.bin": "f09abf3892c8fc1d50fadaec1137efad55c91e74f6ac42bff4131f8b99a1f5e8",
+            "checkpoint.bin": "eda765a8fe094410580260627aab29d528a3494d1bb33cc3e7798a20b4face19",
             "checkpoint.bin.frozen": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
             "matrix.csv": "aa7951b49a945927955a6ad1e207b0017e218256b80ff8a518fdbba25dca4493",
             "summary.json": "7246be840017e3d3f99bf6a9011d67b128ad4ed0339a52d31fa77317cfb1a7f7",
@@ -190,7 +190,7 @@ GOLDEN = {
             "task_03_train.log": "727e3f5c7e57cfabee099a44c4bd03db8c9242b351d7dffc8b63e8244dc97434",
         },
         "oracle-f64": {
-            "checkpoint.bin": "e42d5f9e1e9fe267af782e430817138235ca4a19fd6e014ba493fbfd47f72abd",
+            "checkpoint.bin": "7feecf0cad8ca900d0b4247387578f24f6ebfcc82f5c618b1451a187a4c25b24",
             "checkpoint.bin.frozen": "857095517e9126aa5f14d361b0b1e33a399d13199dcb359363e879c219b2c2cd",
             "matrix.csv": "7136e86a046cdef9c1ecc33f92f3ea12ea4bb31a74e168eef9c4834afa2a3d84",
             "summary.json": "4d4837c4298aecd1ab9f1446850654ee6dd4a4ca3b11b2241f3ee694581ff460",
@@ -199,7 +199,7 @@ GOLDEN = {
             "task_03_train.log": "e556a34459b4314e2124087f7dc26c78a823a15bb182f440c6b502500f61ceaf",
         },
         "taam-full-f32": {
-            "checkpoint.bin": "d7900a032a73a7a421ebd622803cfb8d680bff1838efe6024511a001dc2700c2",
+            "checkpoint.bin": "67d912c5e38324637c76f9fcea2972557091f397693cd922d622d9fc88b12729",
             "checkpoint.bin.frozen": "cd08c00ffe48a76593d3efc79d23dbdadb088060a5419e704506877383281989",
             "matrix.csv": "7136e86a046cdef9c1ecc33f92f3ea12ea4bb31a74e168eef9c4834afa2a3d84",
             "summary.json": "9e51fbf7c176e2cabec97ee707601b02693ddd61c1a456256179b15d9fc3f5a3",
@@ -208,7 +208,7 @@ GOLDEN = {
             "task_03_train.log": "fb0b5506745b1275a604fed2cf60521428f354e98ab1b52ede0a0dbbb2dbab9c",
         },
         "taam-full-f32-wide": {
-            "checkpoint.bin": "c1cadb7fd26255bc6047c7ba9fe8b2d40e2225ca701eb87c99a659e78af82e89",
+            "checkpoint.bin": "e6c621f76b868a7aee807411114358704551eca53b6432d253438101d481ad9f",
             "checkpoint.bin.frozen": "e0022315fbbdae428b476368d6364001ef6c4359f1cc9f6f211b19c1b9c350b2",
             "matrix.csv": "3ecf937403dbeb81d83ed985985d74064bda4f823a3722bfa3fe4038dbc0bcdf",
             "summary.json": "8d131d94901ef1567c008543b8785b11d26dde7cede21dbee8001d3260c46970",
@@ -216,7 +216,7 @@ GOLDEN = {
             "task_02_train.log": "6744eea64490e89e0c8b6296fd0f986f6a289b20a1ec99fae38dea88cc3c9c6a",
         },
         "taam-full-f64": {
-            "checkpoint.bin": "eb6c46c1c981fcf30b806d1bab4e09951591cbd3de0939e92d5d3b83cb1ee889",
+            "checkpoint.bin": "02796fe4df9187d7c26c358367e65cb0589b8fd8d7d820e4f423134b2892a80d",
             "checkpoint.bin.frozen": "857095517e9126aa5f14d361b0b1e33a399d13199dcb359363e879c219b2c2cd",
             "matrix.csv": "7136e86a046cdef9c1ecc33f92f3ea12ea4bb31a74e168eef9c4834afa2a3d84",
             "summary.json": "aa7243e31abb0f81b866493dc3dbbb729227f7861c5687d998fbaacac867705a",
@@ -225,8 +225,8 @@ GOLDEN = {
             "task_03_train.log": "e556a34459b4314e2124087f7dc26c78a823a15bb182f440c6b502500f61ceaf",
         },
         "taam-nsm_only-f64": {
-            "checkpoint.bin": "204fa49416aecd22c2be8472187b8a4b32132081715b922a1b2ea19ebcda1567",
-            "checkpoint.bin.frozen": "6de7f6d571c8bf9e4b6e06358f38fe3f47c054d128b169f89dcd59d5d2d83d22",
+            "checkpoint.bin": "0ae5079c981f2ea8497d9bca16bec17035381557c753e22209d7c940170ff2ac",
+            "checkpoint.bin.frozen": "c6774a13888f5882015c4e7fc298a9dc2342c09a5e48ebac9b3eeab0b2b9f385",
             "matrix.csv": "8001f17262fa3a545b4a0544b509c6a31846f4339ec99753a602671f545bf727",
             "summary.json": "53b160de2b5cc636f56c3c64a198080f1405fed198e4472e0ce7439bd454b8cd",
             "task_01_train.log": "c9dd075db562f3ba6984790f690dd5171e16d4817b56323e91652388252cdfcb",
@@ -234,8 +234,8 @@ GOLDEN = {
             "task_03_train.log": "53e6403ad90c447bcac7f5c580efd72eea0f06b063c7c362cf0bd4aed0f79b3d",
         },
         "taam-retrieval_only-f64": {
-            "checkpoint.bin": "95c2b2d9a198b58c990862bfb27be125efb1ba8b6c2f39e66aa508d6f88b59ce",
-            "checkpoint.bin.frozen": "6de7f6d571c8bf9e4b6e06358f38fe3f47c054d128b169f89dcd59d5d2d83d22",
+            "checkpoint.bin": "eb16093a41118815e18f603ad40fcbcab0fc2860ede854457ed56ca411fcccfd",
+            "checkpoint.bin.frozen": "c6774a13888f5882015c4e7fc298a9dc2342c09a5e48ebac9b3eeab0b2b9f385",
             "matrix.csv": "d8c42f840d0df11a8edbda86ab6e1fadeaa91265849923c00e0d45a4e2823fc5",
             "summary.json": "ab8abce7a91fd55d5accb9779795761491b07c5013b4e9ad138491fd39dbfefb",
             "task_01_train.log": "c9dd075db562f3ba6984790f690dd5171e16d4817b56323e91652388252cdfcb",

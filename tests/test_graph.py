@@ -30,13 +30,13 @@ def dense_norm(g):
 
 def test_normalize_single_isolated_node():
     g = SparseGraph.from_edges(1, [], np.zeros((1, 2)), np.zeros(1, int))
-    assert np.array_equal(normalize_adjacency(g).toarray(), [[1.0]])
+    assert np.array_equal(normalize_adjacency(g.adj).toarray(), [[1.0]])
 
 
 def test_normalize_two_node_edge_exact():
     g = SparseGraph.from_edges(2, [(0, 1)], np.zeros((2, 1)), np.zeros(2, int))
     # degrees with self-loop are 2, so every entry is 1/2 (up to the 1/sqrt(2) rounding)
-    assert np.allclose(normalize_adjacency(g).toarray(), np.full((2, 2), 0.5), rtol=1e-15)
+    assert np.allclose(normalize_adjacency(g.adj).toarray(), np.full((2, 2), 0.5), rtol=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -45,14 +45,14 @@ def test_normalize_matches_dense_oracle(seed):
     n = 12
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
     g = SparseGraph.from_edges(n, edges, rng.normal(size=(n, 3)), np.zeros(n, int))
-    assert np.allclose(normalize_adjacency(g).toarray(), dense_norm(g), rtol=1e-13, atol=0)
+    assert np.allclose(normalize_adjacency(g.adj).toarray(), dense_norm(g), rtol=1e-13, atol=0)
 
 
 def test_normalize_equals_the_two_diagonal_products_bitwise():
     g = generate_sbm(3, 8, 0.5, 0.1, 3, 2.0, seed=1)
     a = g.adj + sp.identity(g.num_nodes, format="csr")
     d = sp.diags(1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel()))
-    want, got = (d @ a @ d).tocsr(), normalize_adjacency(g)
+    want, got = (d @ a @ d).tocsr(), normalize_adjacency(g.adj)
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, part), getattr(want, part))
 
@@ -64,14 +64,14 @@ def test_normalize_sorts_an_unsorted_adjacency_first():
         indices[lo:hi] = indices[lo:hi][::-1]
     adj = sp.csr_matrix((g.adj.data, indices, g.adj.indptr), shape=g.adj.shape)
     assert not adj.has_canonical_format
-    want, got = normalize_adjacency(g), normalize_adjacency(SparseGraph(adj, g.features, g.labels))
+    want, got = normalize_adjacency(g.adj), normalize_adjacency(adj)
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
 def test_propagate_zero_hops_is_copy():
     g = path_graph()
-    s = normalize_adjacency(g)
+    s = normalize_adjacency(g.adj)
     out = propagate(s, g.features, 0)
     assert np.array_equal(out, g.features)
     out[0, 0] = -99.0
@@ -81,7 +81,7 @@ def test_propagate_zero_hops_is_copy():
 @pytest.mark.parametrize("block_bytes", [8, 8 * 12 * 2, 1 << 20])
 def test_propagate_in_column_blocks_is_bitwise_one_pass(monkeypatch, block_bytes):
     g = generate_sbm(3, 4, 0.6, 0.2, 7, 2.0, seed=2)  # 12 nodes: 1, 2 or all 7 columns per block
-    s = normalize_adjacency(g)
+    s = normalize_adjacency(g.adj)
     monkeypatch.setattr(graph, "PROPAGATE_BLOCK_BYTES", block_bytes)
     for hops in (1, 2, 3):
         want = g.features
@@ -104,7 +104,7 @@ def test_propagate_rows_is_bitwise_the_full_rows(n, dim, hops, block, data):
     edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20))
     rows = data.draw(st.lists(st.integers(0, n - 1), max_size=12))
     x = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=(n, dim))
-    s = normalize_adjacency(SparseGraph.from_edges(n, edges, x, np.zeros(n, int)))
+    s = normalize_adjacency(SparseGraph.from_edges(n, edges, x, np.zeros(n, int)).adj)
     block_bytes = {"8 B": 8, "one column": 8 * n, "1 MiB": 1 << 20}[block]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "PROPAGATE_BLOCK_BYTES", block_bytes)
@@ -116,7 +116,7 @@ def test_propagate_rows_is_bitwise_the_full_rows(n, dim, hops, block, data):
 
 def test_propagate_rows_out_of_range_is_a_contract_error():
     g = path_graph(4, 2)
-    s = normalize_adjacency(g)
+    s = normalize_adjacency(g.adj)
     for rows in ([4], [-1], [0, 7]):
         with pytest.raises(ContractError):
             propagate(s, g.features, 2, rows)
@@ -124,7 +124,7 @@ def test_propagate_rows_out_of_range_is_a_contract_error():
 
 def test_propagate_matches_dense_power():
     g = path_graph(5, 3)
-    s = normalize_adjacency(g)
+    s = normalize_adjacency(g.adj)
     dense = dense_norm(g)
     want = dense @ (dense @ g.features)
     assert np.allclose(propagate(s, g.features, 2), want, rtol=1e-13)
@@ -134,7 +134,7 @@ def test_propagate_matches_dense_power():
 
 def test_propagate_is_linear():
     g = path_graph(6, 2)
-    s = normalize_adjacency(g)
+    s = normalize_adjacency(g.adj)
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
     lhs = propagate(s, 2.0 * x + 3.0 * y, 2)

@@ -162,7 +162,7 @@ def assert_tasks_match_their_own_subgraphs(g, stream, seed):
         sub = induced_subgraph(g, np.flatnonzero(np.isin(g.labels, task.classes)))
         assert np.array_equal(task.labels, sub.labels)
         assert np.array_equal(stream.graph.features[task.rows], sub.features)
-        s = normalize_adjacency(sub)
+        s = normalize_adjacency(sub.adj)
         for hops in range(4):
             assert np.array_equal(stream.propagate_task(task, hops), propagate(s, sub.features, hops))
         for c in task.classes:

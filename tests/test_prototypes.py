@@ -39,7 +39,7 @@ def bank_with(vectors, widths=(3,)):
 
 def test_compute_prototype_is_mean_of_propagated_rows():
     g = generate_sbm(2, 10, 0.5, 0.1, 4, 5.0, seed=3)
-    x_prop = propagate(normalize_adjacency(g), g.features, 2)
+    x_prop = propagate(normalize_adjacency(g.adj), g.features, 2)
     nodes = [0, 3, 7, 12]
     p = compute_prototype(x_prop, nodes)
     assert p.dtype == np.float64 and p.shape == (4,)
@@ -48,7 +48,7 @@ def test_compute_prototype_is_mean_of_propagated_rows():
 
 def test_compute_prototype_contracts():
     g = generate_sbm(2, 5, 0.5, 0.1, 3, 5.0, seed=0)
-    x_prop = propagate(normalize_adjacency(g), g.features, 2)
+    x_prop = propagate(normalize_adjacency(g.adj), g.features, 2)
     with pytest.raises(ContractError):
         compute_prototype(x_prop, [])
     with pytest.raises(ContractError):
@@ -161,7 +161,7 @@ def test_retrieve_uses_the_given_node_set():
     # two stored prototypes sit at the two class means of the query graph;
     # the rows of one class must retrieve that class's task
     g = generate_sbm(2, 20, 0.4, 0.0, 4, 12.0, seed=7)
-    x_prop = propagate(normalize_adjacency(g), g.features, 2)
+    x_prop = propagate(normalize_adjacency(g.adj), g.features, 2)
     p_a = x_prop[g.labels == 0].mean(axis=0)
     p_b = x_prop[g.labels == 1].mean(axis=0)
     bank = bank_with([p_a, p_b], widths=(3,))
